@@ -50,25 +50,19 @@ type Bench struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the file layout of BENCH_PR10.json. The speedup maps compare
-// the engines inside this build (fused over baseline, and process-fused
-// over fused — the PR6 headline); SeedBenches and the vs-seed maps
-// (present when scripts/bench.sh was given a -seed ref) compare this
-// build against the repo's own `go test -bench` numbers at the pre-PR
-// commit, run on the same machine.
+// Report is the file layout of BENCH_PR10.json. SeedBenches (present
+// when scripts/bench.sh was given a -seed ref) holds the repo's own `go
+// test -bench` numbers at an earlier commit, run on the same machine.
 type Report struct {
 	GOOS    string  `json:"goos"`
 	GOARCH  string  `json:"goarch"`
 	NumCPU  int     `json:"num_cpu"`
 	Benches []Bench `json:"benchmarks"`
-	// SpeedupsOver is the generic cross-tier map: one
-	// "<workload>/<tier>_over_<tier>" key per adjacent-tier (and
-	// headline compiled-over-baseline) ratio. The two legacy maps below
-	// carry the same fused/procfused numbers under their PR6-era keys so
-	// existing tooling keeps parsing.
-	SpeedupsOver map[string]float64 `json:"speedups"`
-	Speedups     map[string]float64 `json:"speedups_fused_over_baseline"`
-	SpeedupsPF   map[string]float64 `json:"speedups_procfused_over_fused"`
+	// Speedups is the one ratio map: a "<workload>/<tier>_over_<tier>"
+	// key per adjacent-tier (and headline compiled-over-baseline) ratio,
+	// "<workload>/<tier>_over_seed" against SeedBenches, and
+	// "<workload>/por_state_reduction".
+	Speedups map[string]float64 `json:"speedups"`
 	// RecorderOverhead is the flight recorder's hot-path cost per engine:
 	// VMThroughput/recorder over plain VMThroughput, as a percentage —
 	// the median of interleaved per-round ratios (see recordPair), so it
@@ -76,8 +70,6 @@ type Report struct {
 	// two best-of-N ns_per_op entries above.
 	RecorderOverhead map[string]float64 `json:"recorder_overhead_pct,omitempty"`
 	SeedBenches      []Bench            `json:"seed_benchmarks,omitempty"`
-	SpeedupsVsSeed   map[string]float64 `json:"speedups_fused_over_seed,omitempty"`
-	SpeedupsPFSeed   map[string]float64 `json:"speedups_procfused_over_seed,omitempty"`
 }
 
 // seedNames maps the pre-PR repo benchmark names (as printed by `go test
@@ -510,12 +502,10 @@ func main() {
 	}
 
 	rep := Report{
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		SpeedupsOver: map[string]float64{},
-		Speedups:     map[string]float64{},
-		SpeedupsPF:   map[string]float64{},
+		GOOS:     runtime.GOOS,
+		GOARCH:   runtime.GOARCH,
+		NumCPU:   runtime.NumCPU(),
+		Speedups: map[string]float64{},
 	}
 	byKey := map[string]Bench{}
 	recRatio := map[string]float64{}
@@ -566,25 +556,17 @@ func main() {
 		base, fused := byKey[wl.name+"/baseline"], byKey[wl.name+"/fused"]
 		pfused, compiled := byKey[wl.name+"/procfused"], byKey[wl.name+"/compiled"]
 		if base.NsPerOp > 0 && fused.NsPerOp > 0 {
-			rep.Speedups[wl.name] = base.NsPerOp / fused.NsPerOp
-			rep.SpeedupsOver[wl.name+"/fused_over_baseline"] = base.NsPerOp / fused.NsPerOp
-		}
-		if bs, fs := base.Metrics["states/sec"], fused.Metrics["states/sec"]; bs > 0 {
-			rep.Speedups[wl.name+"/states-per-sec"] = fs / bs
+			rep.Speedups[wl.name+"/fused_over_baseline"] = base.NsPerOp / fused.NsPerOp
 		}
 		if fused.NsPerOp > 0 && pfused.NsPerOp > 0 {
-			rep.SpeedupsPF[wl.name] = fused.NsPerOp / pfused.NsPerOp
-			rep.SpeedupsOver[wl.name+"/procfused_over_fused"] = fused.NsPerOp / pfused.NsPerOp
-		}
-		if fs, ps := fused.Metrics["states/sec"], pfused.Metrics["states/sec"]; fs > 0 {
-			rep.SpeedupsPF[wl.name+"/states-per-sec"] = ps / fs
+			rep.Speedups[wl.name+"/procfused_over_fused"] = fused.NsPerOp / pfused.NsPerOp
 		}
 		if compiled.NsPerOp > 0 {
 			if base.NsPerOp > 0 {
-				rep.SpeedupsOver[wl.name+"/compiled_over_baseline"] = base.NsPerOp / compiled.NsPerOp
+				rep.Speedups[wl.name+"/compiled_over_baseline"] = base.NsPerOp / compiled.NsPerOp
 			}
 			if pfused.NsPerOp > 0 {
-				rep.SpeedupsOver[wl.name+"/compiled_over_procfused"] = pfused.NsPerOp / compiled.NsPerOp
+				rep.Speedups[wl.name+"/compiled_over_procfused"] = pfused.NsPerOp / compiled.NsPerOp
 			}
 		}
 	}
@@ -601,7 +583,7 @@ func main() {
 			e := engine.String()
 			full, por := byKey[wl.name+"/"+e], byKey[porName+"/"+e]
 			if fs, ps := full.Metrics["states"], por.Metrics["states"]; fs > 0 && ps > 0 {
-				rep.SpeedupsOver[wl.name+"/por_state_reduction"] = fs / ps
+				rep.Speedups[wl.name+"/por_state_reduction"] = fs / ps
 				break
 			}
 		}
@@ -621,46 +603,21 @@ func main() {
 			os.Exit(1)
 		}
 		rep.SeedBenches = seeds
-		rep.SpeedupsVsSeed = map[string]float64{}
-		rep.SpeedupsPFSeed = map[string]float64{}
 		for _, s := range seeds {
-			fused, ok := byKey[s.Name+"/fused"]
-			if ok && s.NsPerOp > 0 && fused.NsPerOp > 0 {
-				rep.SpeedupsVsSeed[s.Name] = s.NsPerOp / fused.NsPerOp
-				if ss, fs := s.Metrics["states/sec"], fused.Metrics["states/sec"]; ss > 0 {
-					rep.SpeedupsVsSeed[s.Name+"/states-per-sec"] = fs / ss
-				}
-			}
-			pfused, ok := byKey[s.Name+"/procfused"]
-			if ok && s.NsPerOp > 0 && pfused.NsPerOp > 0 {
-				rep.SpeedupsPFSeed[s.Name] = s.NsPerOp / pfused.NsPerOp
-				if ss, ps := s.Metrics["states/sec"], pfused.Metrics["states/sec"]; ss > 0 {
-					rep.SpeedupsPFSeed[s.Name+"/states-per-sec"] = ps / ss
+			for _, tier := range []string{"fused", "procfused"} {
+				if b := byKey[s.Name+"/"+tier]; s.NsPerOp > 0 && b.NsPerOp > 0 {
+					rep.Speedups[s.Name+"/"+tier+"_over_seed"] = s.NsPerOp / b.NsPerOp
 				}
 			}
 		}
-		for k, v := range rep.SpeedupsVsSeed {
-			fmt.Printf("speedup-vs-seed %-32s %.2fx\n", k, v)
-		}
-		for k, v := range rep.SpeedupsPFSeed {
-			fmt.Printf("speedup-procfused-vs-seed %-32s %.2fx\n", k, v)
-		}
 	}
-	for k, v := range rep.Speedups {
-		fmt.Printf("speedup %-40s %.2fx\n", k, v)
+	var keys []string
+	for k := range rep.Speedups {
+		keys = append(keys, k)
 	}
-	for k, v := range rep.SpeedupsPF {
-		fmt.Printf("speedup-procfused %-40s %.2fx\n", k, v)
-	}
-	{
-		var keys []string
-		for k := range rep.SpeedupsOver {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Printf("speedup-tier %-44s %.2fx\n", k, rep.SpeedupsOver[k])
-		}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Printf("speedup %-44s %.2fx\n", k, rep.Speedups[k])
 	}
 
 	f, err := os.Create(*out)

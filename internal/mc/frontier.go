@@ -16,13 +16,16 @@ import (
 //
 // Under the fused engine (the default hot path) each worker owns one
 // machine for the whole search and replays frontier states into it with
-// vm.RestoreState; a discovered state costs one compact vm.SavedState
-// (recycled through a pool once expanded) while it sits on the frontier
-// and one visited-set key forever, and the per-transition cost no longer
-// includes allocating and deep-copying a full machine clone. Under the
-// baseline engine the search keeps the original Clone-per-transition
-// expansion — that path is preserved, unmodified, as the differential
-// oracle: both must report identical verdicts and state counts, which the
+// vm.RestoreState. Every successor is captured by one vm.SaveKey pass
+// into the worker's scratch snapshot, which also yields its visited-set
+// key; the key is hashed once and copied only when the visited set
+// admits the state, and the scratch snapshot of an admitted state becomes
+// its frontier snapshot (recycled through a pool once expanded). A
+// discovered state thus costs one compact vm.SavedState while it sits on
+// the frontier and one key forever. Under the baseline engine the search
+// expands by cloning the whole machine per transition instead of
+// restoring a snapshot — the differential oracle for Save/RestoreState:
+// both must report identical verdicts and state counts, which the
 // engine-differential tests check.
 //
 // In both modes counterexamples are kept as compact parent chains (one
@@ -88,9 +91,12 @@ type node struct {
 	// ample is the length of the ample prefix of comms (== len(comms)
 	// when the state is expanded in full; see por.go).
 	ample int
-	// key is the state's visited-set key, kept only under reduction so
-	// expansion can mark the state closed for the cycle proviso.
-	key string
+	// hash and key identify the state in the visited set, so expansion
+	// can mark the state closed for the cycle proviso. The key is the
+	// set's own copy (empty for the bit-state set), so keeping it here
+	// costs no key bytes.
+	hash uint64
+	key  string
 }
 
 // frontier is the shared work queue: a FIFO of unexpanded nodes plus an
@@ -185,7 +191,7 @@ type search struct {
 	front   frontier
 
 	// oracle selects the baseline-engine Clone-per-transition expansion
-	// instead of the SavedState hot path.
+	// instead of restoring SavedStates.
 	oracle bool
 
 	// reduce enables the ample-set partial-order reduction; ind is the
@@ -232,8 +238,9 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 		res.Violation = &Violation{Fault: f, Postmortem: pm}
 		return
 	}
-	key0 := m0.EncodeState()
-	visited.TryAdd(key0)
+	snap0, kb0 := m0.SaveKey(nil, nil)
+	h0 := hashKey(kb0)
+	key0, _ := visited.TryAdd(h0, kb0)
 	res.States = 1
 	res.MemBytes = visited.MemBytes()
 
@@ -254,14 +261,13 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 		s.ind = independence(prog)
 	}
 	ample0 := s.ampleOrder(m0, comms0)
-	if !s.reduce {
-		key0 = "" // only the proviso reads node keys; don't retain them
-	}
+	n0 := &node{comms: comms0, ample: ample0, hash: h0, key: key0}
 	if s.oracle {
-		s.front.push(&node{m: m0, comms: comms0, ample: ample0, key: key0})
+		n0.m = m0
 	} else {
-		s.front.push(&node{snap: m0.Save(nil), comms: comms0, ample: ample0, key: key0})
+		n0.snap = snap0
 	}
+	s.front.push(n0)
 
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Workers; i++ {
@@ -391,100 +397,31 @@ func (s *search) progressLoop(start time.Time, done chan struct{}) {
 	}
 }
 
+// worker is one search goroutine's private state: on the hot path the
+// machine it replays frontier snapshots into (the oracle clones instead),
+// the scratch snapshot the next successor is saved into, and the key
+// buffer.
+type worker struct {
+	m    *vm.Machine
+	snap *vm.SavedState
+	kb   []byte
+}
+
 func (s *search) worker() {
-	// On the hot path each worker owns one machine for the whole search
-	// and replays frontier snapshots into it — no per-transition machine
-	// allocation. The oracle path clones instead and needs no worker
-	// machine.
-	var m *vm.Machine
+	// On the hot path each worker owns one machine for the whole search —
+	// no per-transition machine allocation.
+	w := &worker{}
 	if !s.oracle {
-		m = newMachine(s.prog, s.opts)
+		w.m = newMachine(s.prog, s.opts)
 	}
 	for {
 		n := s.front.pop()
 		if n == nil {
 			return
 		}
-		if s.oracle {
-			s.expandClone(n)
-		} else {
-			s.expand(m, n)
-		}
+		s.expand(w, n)
 		s.front.done()
 	}
-}
-
-// expandClone is the baseline-engine oracle expansion: one full machine
-// clone per transition, exactly as the search worked before the
-// SavedState hot path existed. It must stay behaviorally identical to
-// expand — the differential tests compare the two.
-func (s *search) expandClone(n *node) {
-	limit, witness := s.noteAmple(n)
-	for i, c := range n.comms {
-		if i == limit {
-			if witness > 0 {
-				s.porDeferred.Add(int64(len(n.comms) - limit))
-				break
-			}
-			// Cycle proviso: every ample successor was already closed
-			// (expanded or expanding); expand the deferred remainder too
-			// so no transition is ignored forever around a cycle.
-			s.porFallback.Add(1)
-		}
-		if s.stop.Load() {
-			return
-		}
-		m2 := n.m.Clone()
-		m2.FireComm(c)
-		s.transitions.Add(1)
-
-		if f := m2.Fault(); f != nil {
-			s.observeDepth(n.depth + 1)
-			s.violate(n.path, c, f, false)
-			return
-		}
-		key := m2.EncodeState()
-		if !s.visited.TryAdd(key) {
-			if s.reduce && i < limit && !s.visited.Closed(key) {
-				witness++
-			}
-			continue
-		}
-		witness++
-		if got := s.states.Add(1); got > int64(s.opts.MaxStates) {
-			s.states.Add(-1)
-			s.truncated.Store(true)
-			s.shutdown()
-			return
-		}
-		d := n.depth + 1
-		s.observeDepth(d)
-
-		comms := m2.EnabledComms()
-		if len(comms) == 0 {
-			if stuck(m2, s.opts) {
-				s.violate(n.path, c, nil, true)
-				return
-			}
-			continue
-		}
-		if d >= s.opts.MaxDepth {
-			s.truncated.Store(true)
-			continue
-		}
-		n2 := &node{
-			m:     m2,
-			comms: comms,
-			path:  &pathNode{choice: c, parent: n.path},
-			depth: d,
-			ample: s.ampleOrder(m2, comms),
-		}
-		if s.reduce {
-			n2.key = key
-		}
-		s.front.push(n2)
-	}
-	n.m = nil // the expanded machine is no longer needed
 }
 
 // noteAmple starts a node's expansion under reduction: it normalizes the
@@ -499,7 +436,7 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 		limit = len(n.comms)
 	}
 	if s.reduce {
-		s.visited.MarkClosed(n.key)
+		s.visited.MarkClosed(n.hash, n.key)
 		if limit < len(n.comms) {
 			s.porAmple.Add(1)
 		} else {
@@ -509,9 +446,12 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 	return limit, 0
 }
 
-// expand fires every enabled communication of n on the worker's machine,
-// recording newly discovered states and enqueueing them for expansion.
-func (s *search) expand(m *vm.Machine, n *node) {
+// expand fires every enabled communication of n, recording newly
+// discovered states and enqueueing them for expansion. Each transition
+// starts from n's state: restored from its snapshot into the worker's
+// machine, or — on the baseline-engine oracle path — cloned from n's
+// machine.
+func (s *search) expand(w *worker, n *node) {
 	limit, witness := s.noteAmple(n)
 	for i, c := range n.comms {
 		if i == limit {
@@ -527,7 +467,12 @@ func (s *search) expand(m *vm.Machine, n *node) {
 		if s.stop.Load() {
 			return
 		}
-		m.RestoreState(n.snap)
+		m := w.m
+		if s.oracle {
+			m = n.m.Clone()
+		} else {
+			m.RestoreState(n.snap)
+		}
 		m.FireComm(c)
 		s.transitions.Add(1)
 
@@ -539,9 +484,13 @@ func (s *search) expand(m *vm.Machine, n *node) {
 			s.violate(n.path, c, f, false)
 			return
 		}
-		key := m.EncodeState()
-		if !s.visited.TryAdd(key) {
-			if s.reduce && i < limit && !s.visited.Closed(key) {
+		// One pass saves the successor into the scratch snapshot and
+		// builds its key; the key is copied only if the state is new.
+		w.snap, w.kb = m.SaveKey(w.snap, w.kb[:0])
+		h := hashKey(w.kb)
+		key, added := s.visited.TryAdd(h, w.kb)
+		if !added {
+			if s.reduce && i < limit && !s.visited.Closed(h, w.kb) {
 				witness++
 			}
 			continue
@@ -572,25 +521,31 @@ func (s *search) expand(m *vm.Machine, n *node) {
 			s.truncated.Store(true)
 			continue
 		}
-		// Only admitted states pay for a snapshot (TryAdd ran first).
-		snap, _ := s.snapPool.Get().(*vm.SavedState)
 		n2 := &node{
-			snap:  m.Save(snap),
 			comms: comms,
 			path:  &pathNode{choice: c, parent: n.path},
 			depth: d,
 			ample: s.ampleOrder(m, comms),
+			hash:  h,
+			key:   key,
 		}
-		if s.reduce {
-			n2.key = key
+		if s.oracle {
+			n2.m = m
+		} else {
+			// The scratch snapshot becomes the frontier snapshot; the next
+			// successor saves into a recycled one.
+			n2.snap = w.snap
+			w.snap, _ = s.snapPool.Get().(*vm.SavedState)
 		}
 		s.front.push(n2)
 	}
-	// Every communication was fired from n.snap; recycle its arenas. (The
-	// early returns above skip this — a shutting-down search doesn't need
-	// the pool, and the GC reclaims those snapshots.)
-	s.snapPool.Put(n.snap)
-	n.snap = nil
+	// Every communication was fired from n's state; recycle its arenas.
+	// (The early returns above skip this — a shutting-down search doesn't
+	// need the pool, and the GC reclaims those snapshots.)
+	if n.snap != nil {
+		s.snapPool.Put(n.snap)
+	}
+	n.snap, n.m = nil, nil
 }
 
 // violate records the violation (first writer wins) and shuts the search

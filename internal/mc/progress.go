@@ -52,17 +52,32 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		snaps []*vm.SavedState
 		idOf  = map[string]int{}
 		edges [][]edge
+		snap  *vm.SavedState
+		kb    []byte
 	)
-
 	m := newMachine(prog, opts)
+	// visit returns the index of m's state, admitting it if new: one
+	// SaveKey pass yields both the key and the snapshot, which is kept
+	// only for a new state.
+	visit := func() int {
+		snap, kb = m.SaveKey(snap, kb[:0])
+		j, ok := idOf[string(kb)]
+		if !ok {
+			j = len(snaps)
+			idOf[string(kb)] = j
+			snaps = append(snaps, snap)
+			edges = append(edges, nil)
+			snap = nil
+		}
+		return j
+	}
+
 	m.Settle()
 	if f := m.Fault(); f != nil {
 		res.Violation = &Violation{Fault: f}
 		return res
 	}
-	idOf[m.EncodeState()] = 0
-	snaps = append(snaps, m.Save(nil))
-	edges = append(edges, nil)
+	visit()
 
 	for i := 0; i < len(snaps) && len(snaps) < opts.MaxStates; i++ {
 		m.RestoreState(snaps[i])
@@ -76,14 +91,7 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 				res.States = len(snaps)
 				return res
 			}
-			key := m.EncodeState()
-			j, ok := idOf[key]
-			if !ok {
-				j = len(snaps)
-				idOf[key] = j
-				snaps = append(snaps, m.Save(nil))
-				edges = append(edges, nil)
-			}
+			j := visit() // may grow edges: call it before indexing
 			edges[i] = append(edges[i], edge{to: j, progress: progressChan[c.Chan], desc: desc})
 		}
 	}

@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -9,33 +11,46 @@ import (
 // are sharded: a shard is selected by the top bits of the key's hash (a
 // hash prefix), and each shard has its own mutex, so the visited set is
 // not the serialization point when many workers discover states at once.
+// Every operation takes the key's hashKey, computed once per state by the
+// caller.
 
 const (
 	shardBits = 6
 	numShards = 1 << shardBits
 
-	fnvPrime = 1099511628211
-	// hashSeedA is the standard FNV-1a 64-bit offset basis; hashSeedB is
-	// an unrelated odd constant (the 64-bit golden ratio). Seeding the
-	// same byte walk at two unrelated points, then finalizing, yields two
-	// hashes that behave independently — see bitPositions.
-	hashSeedA = 14695981039346656037
+	// hashSeed starts the key hash; hashSeedB reseeds the finalizer for
+	// the second bit-state position. hashP1 and hashP2 are the xxHash64
+	// round multipliers.
+	hashSeed  = 14695981039346656037
 	hashSeedB = 0x9e3779b97f4a7c15
+	hashP1    = 0x9e3779b185ebca87
+	hashP2    = 0xc2b2ae3d27d4eb4f
 )
 
-// hashKey is seeded FNV-1a over key, finished with a splitmix64-style
-// avalanche so every output bit depends on every input byte. The
-// finalizer matters: raw FNV values of the same key under related
-// variants agree in much of their structure, which is exactly the
-// correlation that degraded the two-bit bit-state scheme toward a
-// single-bit one (each state effectively guarded by one bit instead of
-// two, inflating false "visited" hits).
-func hashKey(seed uint64, key string) uint64 {
-	h := seed
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime
+// hashKey hashes a visited-state key 8 bytes at a time. Each round
+// (xxHash64's) is a bijection of both the running hash and the input
+// word, so keys of one length that differ in any single word — the tail
+// included — never collide; the length seeds the hash. The splitmix64
+// finalizer makes every output bit depend on every input bit, which the
+// two bit-state positions and the shard index (disjoint bit ranges of
+// one hash) rely on.
+func hashKey(key []byte) uint64 {
+	h := hashSeed + uint64(len(key))*hashP1
+	for ; len(key) >= 8; key = key[8:] {
+		h = bits.RotateLeft64(h+binary.LittleEndian.Uint64(key)*hashP2, 31) * hashP1
 	}
+	if len(key) > 0 {
+		var t uint64
+		for i := len(key) - 1; i >= 0; i-- {
+			t = t<<8 | uint64(key[i])
+		}
+		h = bits.RotateLeft64(h+t*hashP2, 31) * hashP1
+	}
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer, a bijection.
+func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -44,19 +59,19 @@ func hashKey(seed uint64, key string) uint64 {
 	return h
 }
 
-// bitPositions derives the two bit-state positions for a key from two
-// independently seeded hashes (SPIN's two-bit scheme, §5.1). The previous
-// implementation derived both positions from FNV-1a and FNV-1 of the same
-// key, which are strongly correlated and could collapse to the same slot;
+// bitPositions derives the two bit-state positions (SPIN's two-bit
+// scheme, §5.1) from a key's hash: the low bits of the hash itself, and
+// the low bits of the hash remixed under a second seed. Two keys that
+// collide in the first position still draw the second independently;
 // shard_test.go holds the independence regression.
-func bitPositions(key string, mask uint64) (uint64, uint64) {
-	return hashKey(hashSeedA, key) & mask, hashKey(hashSeedB, key) & mask
+func bitPositions(h, mask uint64) (uint64, uint64) {
+	return h & mask, mix64(h^hashSeedB) & mask
 }
 
 // shardIndex picks a shard by hash prefix (the hash's top bits — disjoint
 // from the low bits bitPositions masks out).
-func shardIndex(key string) int {
-	return int(hashKey(hashSeedA, key) >> (64 - shardBits))
+func shardIndex(h uint64) int {
+	return int(h >> (64 - shardBits))
 }
 
 // shardedSet is the visited-state structure shared by the search workers.
@@ -73,10 +88,14 @@ func shardIndex(key string) int {
 // without per-key storage answer Closed conservatively with true, which
 // degrades the proviso to "some successor is brand new" — less
 // reduction, still sound.
+//
+// TryAdd copies the key only when it admits it, and returns that copy
+// (empty for sets that store no keys) for the caller to pass back to
+// MarkClosed, so the search never holds a second copy.
 type shardedSet interface {
-	TryAdd(key string) bool
-	MarkClosed(key string)
-	Closed(key string) bool
+	TryAdd(h uint64, key []byte) (string, bool)
+	MarkClosed(h uint64, key string)
+	Closed(h uint64, key []byte) bool
 	MemBytes() int64
 }
 
@@ -101,30 +120,31 @@ func newShardedMapSet() *shardedMapSet {
 	return s
 }
 
-func (s *shardedMapSet) TryAdd(key string) bool {
-	sh := &s.shards[shardIndex(key)]
+func (s *shardedMapSet) TryAdd(h uint64, key []byte) (string, bool) {
+	sh := &s.shards[shardIndex(h)]
 	sh.mu.Lock()
-	if _, ok := sh.m[key]; ok {
+	if _, ok := sh.m[string(key)]; ok {
 		sh.mu.Unlock()
-		return false
+		return "", false
 	}
-	sh.m[key] = false
-	sh.bytes += int64(len(key)) + 16
+	k := string(key)
+	sh.m[k] = false
+	sh.bytes += int64(len(k)) + 16
 	sh.mu.Unlock()
-	return true
+	return k, true
 }
 
-func (s *shardedMapSet) MarkClosed(key string) {
-	sh := &s.shards[shardIndex(key)]
+func (s *shardedMapSet) MarkClosed(h uint64, key string) {
+	sh := &s.shards[shardIndex(h)]
 	sh.mu.Lock()
 	sh.m[key] = true
 	sh.mu.Unlock()
 }
 
-func (s *shardedMapSet) Closed(key string) bool {
-	sh := &s.shards[shardIndex(key)]
+func (s *shardedMapSet) Closed(h uint64, key []byte) bool {
+	sh := &s.shards[shardIndex(h)]
 	sh.mu.Lock()
-	closed := sh.m[key]
+	closed := sh.m[string(key)]
 	sh.mu.Unlock()
 	return closed
 }
@@ -164,14 +184,14 @@ func newShardedBitSet(log2bits uint) *shardedBitSet {
 	return &shardedBitSet{words: make([]uint64, n/64), mask: n - 1}
 }
 
-func (s *shardedBitSet) TryAdd(key string) bool {
-	a, b := bitPositions(key, s.mask)
-	l := &s.locks[shardIndex(key)]
+func (s *shardedBitSet) TryAdd(h uint64, _ []byte) (string, bool) {
+	a, b := bitPositions(h, s.mask)
+	l := &s.locks[shardIndex(h)]
 	l.Lock()
 	hadA := s.setBit(a)
 	hadB := s.setBit(b)
 	l.Unlock()
-	return !(hadA && hadB)
+	return "", !(hadA && hadB)
 }
 
 // setBit atomically sets bit pos and reports whether it was already set.
@@ -190,11 +210,11 @@ func (s *shardedBitSet) setBit(pos uint64) bool {
 }
 
 // MarkClosed is a no-op: bit-state hashing stores no per-key flag.
-func (s *shardedBitSet) MarkClosed(string) {}
+func (s *shardedBitSet) MarkClosed(uint64, string) {}
 
 // Closed answers true conservatively (see the interface comment): the
 // reduction's proviso then accepts only brand-new successors as
 // deferral witnesses.
-func (s *shardedBitSet) Closed(string) bool { return true }
+func (s *shardedBitSet) Closed(uint64, []byte) bool { return true }
 
 func (s *shardedBitSet) MemBytes() int64 { return int64(len(s.words) * 8) }

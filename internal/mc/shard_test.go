@@ -36,14 +36,21 @@ func hashCorpus() []string {
 	return keys
 }
 
-// TestBitPositionHashesIndependentlySeeded: the two underlying 64-bit
-// hashes must never coincide on the corpus. The old FNV-1a/FNV-1 pairing
-// failed this on every all-zero key.
+// TestBitPositionHashesIndependentlySeeded: the two 64-bit hashes the
+// positions are cut from (the key hash and its reseeded remix) must never
+// coincide on the corpus, and no two corpus keys may share a key hash.
+// The old FNV-1a/FNV-1 pairing failed the first on every all-zero key.
 func TestBitPositionHashesIndependentlySeeded(t *testing.T) {
+	seen := make(map[uint64]string)
 	for _, k := range hashCorpus() {
-		if hashKey(hashSeedA, k) == hashKey(hashSeedB, k) {
-			t.Fatalf("seeded hashes coincide on %q (len %d)", k, len(k))
+		h := hashKey([]byte(k))
+		if h == mix64(h^hashSeedB) {
+			t.Fatalf("position hashes coincide on %q (len %d)", k, len(k))
 		}
+		if prev, ok := seen[h]; ok {
+			t.Fatalf("keys %q and %q share hash %#x", prev, k, h)
+		}
+		seen[h] = k
 	}
 }
 
@@ -60,7 +67,7 @@ func TestBitPositionsStatisticallyIndependent(t *testing.T) {
 	same := 0
 	byA := make(map[uint64][]uint64)
 	for _, k := range keys {
-		a, b := bitPositions(k, mask)
+		a, b := bitPositions(hashKey([]byte(k)), mask)
 		if a == b {
 			same++
 		}
@@ -99,9 +106,40 @@ func TestBitPositionsStatisticallyIndependent(t *testing.T) {
 
 func TestHashKeyDeterministic(t *testing.T) {
 	for _, k := range []string{"", "a", "\x00\x00", "state"} {
-		if hashKey(hashSeedA, k) != hashKey(hashSeedA, k) {
+		if hashKey([]byte(k)) != hashKey([]byte(k)) {
 			t.Fatalf("hashKey not deterministic on %q", k)
 		}
+	}
+}
+
+// TestHashKeyTailAndLength: the word-wise hash must see the bytes past
+// the last full word and the length itself. Keys that differ only in one
+// tail byte, or only by trailing zero bytes, hash apart.
+func TestHashKeyTailAndLength(t *testing.T) {
+	seen := make(map[uint64][]byte)
+	add := func(k []byte) {
+		h := hashKey(k)
+		if prev, ok := seen[h]; ok {
+			t.Fatalf("keys %x and %x share hash %#x", prev, k, h)
+		}
+		seen[h] = append([]byte(nil), k...)
+	}
+	for n := 0; n <= 40; n++ {
+		base := make([]byte, n)
+		for i := range base {
+			base[i] = byte(i*7 + 1)
+		}
+		add(base) // also the zero-padded extension of every shorter key
+		for tail := n &^ 7; tail < n; tail++ {
+			for _, b := range []byte{0, 0xff} {
+				k := append([]byte(nil), base...)
+				k[tail] = b
+				add(k)
+			}
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		add(append(make([]byte, n), 0xfe)) // zero runs of every length, then a marker
 	}
 }
 
@@ -118,7 +156,8 @@ func TestShardedMapSetTryAddOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				if s.TryAdd(fmt.Sprintf("key-%d", i)) {
+				k := []byte(fmt.Sprintf("key-%d", i))
+				if _, ok := s.TryAdd(hashKey(k), k); ok {
 					wins[g]++
 				}
 			}
@@ -150,7 +189,8 @@ func TestShardedBitSetTryAddOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				if s.TryAdd(fmt.Sprintf("key-%d", i)) {
+				k := []byte(fmt.Sprintf("key-%d", i))
+				if _, ok := s.TryAdd(hashKey(k), k); ok {
 					wins[g]++
 				}
 			}

@@ -157,14 +157,14 @@ func sendSiteShape(p *ir.Proc, pc int) *ir.Pat {
 	if !ok {
 		return any
 	}
-	// The window [end, pc) must be straight-line: a jump into it (e.g.
-	// the convergence point of a short-circuit && inside the value
-	// expression) would mean the recognized constants are only one path's
-	// values.
+	// The window [end, pc) must be straight-line and entered only at its
+	// start: a jump into it or straight to the Send (e.g. the convergence
+	// point of a short-circuit && inside, or forming, the value) would
+	// mean the recognized constants are only one path's values.
 	for i, in := range p.Code {
 		switch in.Op {
 		case ir.Jump, ir.JumpIfFalse, ir.JumpIfTrue:
-			if in.A > end && in.A < pc && !(i >= end && i < pc) {
+			if in.A > end && in.A <= pc && !(i >= end && i < pc) {
 				return any
 			}
 			if i >= end && i < pc {
@@ -174,7 +174,7 @@ func sendSiteShape(p *ir.Proc, pc int) *ir.Pat {
 	}
 	for _, alt := range p.Alts {
 		for _, arm := range alt.Arms {
-			if arm.BodyPC > end && arm.BodyPC < pc || arm.EvalPC > end && arm.EvalPC < pc {
+			if arm.BodyPC > end && arm.BodyPC <= pc || arm.EvalPC > end && arm.EvalPC <= pc {
 				return any
 			}
 		}

@@ -465,6 +465,26 @@ process r {
 	}
 }
 
+func TestCrossProcRespectsShortCircuitScalar(t *testing.T) {
+	// A bare && value: both branches converge on the Send itself, so the
+	// instruction before the Send (the false branch's constant 0) is only
+	// one path's value. The receiver's binding must not fold to it.
+	p := compileSrc(t, `
+channel c: bool
+channel outC: bool external reader
+process w {
+    out( c, true && true);
+}
+process r {
+    in( c, $b);
+    out( outC, b);
+}
+`)
+	if n := opt.CrossProcConstants(p); n != 0 {
+		t.Fatalf("folded %d loads through a short-circuit value", n)
+	}
+}
+
 func TestCrossProcSelfIDAndAltArms(t *testing.T) {
 	// @ is a per-process constant, and alt send arms contribute their
 	// AST shapes; both senders here put constant 7 in the payload.

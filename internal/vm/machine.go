@@ -125,12 +125,13 @@ type Machine struct {
 	sched      *schedRT
 	schedStore schedRT
 
-	// State-snapshot scratch (see savedstate.go and encode.go): a
-	// per-machine generation counter for object-graph marking, the
-	// encoder's reusable buffer, and the pool of objects RestoreState
+	// State-snapshot scratch (see savedstate.go): a per-machine generation
+	// counter for object-graph marking, the key buffer and snapshot that
+	// Save and EncodeState reuse, and the pool of objects RestoreState
 	// rebuilds the heap into. None of this is shared between machines.
 	markGen int64
 	encBuf  []byte
+	encSnap *SavedState
 	objPool []*Object
 
 	// Sorted external-channel ID lists, rebuilt lazily after every

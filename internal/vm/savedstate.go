@@ -1,6 +1,9 @@
 package vm
 
-import "esplang/internal/types"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // SavedState is a compact, self-contained snapshot of a machine's
 // semantic state: process scheduling descriptors, locals, stacks, the
@@ -11,13 +14,17 @@ import "esplang/internal/types"
 // checker's state expansion allocates only while a snapshot's arenas are
 // still growing toward the program's steady-state size.
 //
+// The arenas hold no Go pointers (types are stored by ID, references by
+// snapshot index), so saving and restoring pay no write barriers and the
+// garbage collector never scans a snapshot's contents.
+//
 // Save requires the bit-mask blocking mode (Config.UseWaitQueues off):
 // wait queues are derivable state the snapshot does not carry.
 type SavedState struct {
 	procs   []procSnap
-	vals    []Value // per process: locals, then stack, concatenated
+	vals    []snapVal // per process: locals, then stack, concatenated
 	objs    []objSnap
-	objVals []Value // object elements, blocked per object
+	objVals []snapVal // object elements, blocked per object
 	ready   []int
 
 	live         int
@@ -29,6 +36,13 @@ type SavedState struct {
 	flt          *Fault
 }
 
+// snapVal is a Value inside a snapshot: a scalar in v, or (ref set) the
+// target object's snapshot index in v, -1 for a nil reference.
+type snapVal struct {
+	v   int64
+	ref bool
+}
+
 type procSnap struct {
 	status       ProcStatus
 	pc           int32
@@ -38,11 +52,11 @@ type procSnap struct {
 	resumePC     int32
 	pendingFlags int32
 	nStack       int32
-	pending      Value
+	pending      snapVal
 }
 
 type objSnap struct {
-	typ   *types.Type
+	typ   int32 // type ID in the program's universe
 	id    int32
 	rc    int32
 	tag   int32
@@ -51,51 +65,97 @@ type objSnap struct {
 	freed bool
 }
 
-// Ref encoding inside snapshot arenas: a reference value stores the
-// owning object's snapshot index in Int ({IsRef: true, Int: idx}); a
-// genuine nil reference stores -1.
+// Visited-state key format. SaveKey appends one canonical key per state:
+// two states have equal keys iff they are behaviorally identical. Every
+// integer field is a num — one byte when it lies in [0, keyInt), else
+// keyInt and a zigzag varint — and every value is a num or starts with
+// one of the escape bytes below. Heap objects appear inline at their
+// first visit, numbered in first-visit order, so object identities
+// assigned at different allocation times do not distinguish states (the
+// objectId canonicalization of §5.2). Object IDs, nextID, the allocation
+// counters, the ready list, and the commit pin are not part of the key.
+const (
+	keyInt   = 0xfb // an integer outside [0, keyInt): zigzag varint follows
+	keyNil   = 0xfc // a nil reference
+	keyBack  = 0xfd // a reference to an object already in the key: num(index) follows
+	keyObj   = 0xfe // a first-visit live object: num(type), num(RC), num(Tag), num(len), elements
+	keyFreed = 0xff // the same for a freed object
+)
 
-// encObj records o (and, recursively, everything it references) into the
-// snapshot, returning o's snapshot index. gen is the marking generation
-// of this Save traversal.
-func (s *SavedState) encObj(o *Object, gen int64) int32 {
-	if o.mark == gen {
+// saver is one SaveKey traversal: it fills the snapshot arenas and the key
+// in the same walk.
+type saver struct {
+	s   *SavedState
+	kb  []byte
+	gen int64
+}
+
+func (w *saver) num(v int64) {
+	if uint64(v) < keyInt {
+		w.kb = append(w.kb, byte(v))
+		return
+	}
+	w.kb = binary.AppendVarint(append(w.kb, keyInt), v)
+}
+
+func (w *saver) val(v Value) snapVal {
+	if !v.IsRef {
+		w.num(v.Int)
+		return snapVal{v: v.Int}
+	}
+	if v.Ref == nil {
+		w.kb = append(w.kb, keyNil)
+		return snapVal{v: -1, ref: true}
+	}
+	return snapVal{v: int64(w.obj(v.Ref)), ref: true}
+}
+
+// obj records o (and, recursively, everything it references), returning
+// its snapshot index — which is also its first-visit index in the key.
+func (w *saver) obj(o *Object) int32 {
+	if o.mark == w.gen {
+		w.kb = append(w.kb, keyBack)
+		w.num(int64(o.markIdx))
 		return o.markIdx
 	}
-	o.mark = gen
+	s := w.s
 	idx := int32(len(s.objs))
-	o.markIdx = idx
-	off := len(s.objVals)
-	s.objVals = append(s.objVals, o.Elems...)
+	o.mark, o.markIdx = w.gen, idx
+	off, n := len(s.objVals), len(o.Elems)
+	s.objVals = slices.Grow(s.objVals, n)[:off+n]
 	s.objs = append(s.objs, objSnap{
-		typ: o.Type, id: int32(o.ID), rc: int32(o.RC), tag: int32(o.Tag),
-		off: int32(off), n: int32(len(o.Elems)), freed: o.Freed,
+		typ: int32(o.Type.ID()), id: int32(o.ID), rc: int32(o.RC), tag: int32(o.Tag),
+		off: int32(off), n: int32(n), freed: o.Freed,
 	})
-	// Rewrite reference elements to index encoding. Indexing through off
-	// (not a saved sub-slice) keeps this correct across arena reallocation
-	// by the recursive calls.
+	if o.Freed {
+		w.kb = append(w.kb, keyFreed)
+	} else {
+		w.kb = append(w.kb, keyObj)
+	}
+	w.num(int64(o.Type.ID()))
+	w.num(int64(o.RC))
+	w.num(int64(o.Tag))
+	w.num(int64(n))
 	for i, e := range o.Elems {
-		if e.IsRef {
-			s.objVals[off+i] = s.encVal(e, gen)
-		}
+		// Index through off after the call: the recursion may reallocate
+		// the arena.
+		v := w.val(e)
+		s.objVals[off+i] = v
 	}
 	return idx
 }
 
-func (s *SavedState) encVal(v Value, gen int64) Value {
-	if !v.IsRef {
-		return v
-	}
-	if v.Ref == nil {
-		return Value{IsRef: true, Int: -1}
-	}
-	return Value{IsRef: true, Int: int64(s.encObj(v.Ref, gen))}
-}
-
-// Save captures the machine's semantic state into dst, reusing its
-// buffers; a nil dst allocates a fresh SavedState. Statistics and the
+// SaveKey captures the machine's semantic state into dst, reusing its
+// buffers (a nil dst allocates a fresh SavedState), and appends the
+// state's visited-set key (see keyInt) to kb — one traversal of the
+// processes and the reachable heap produces both. Statistics and the
 // cycle meter are not captured (matching Clone, which resets them).
-func (m *Machine) Save(dst *SavedState) *SavedState {
+//
+// The traversal marks objects with the machine's generation counter, so
+// SaveKey is not safe for concurrent use on one machine — which is true
+// of every execution entry point; the model checker's workers each own
+// their machine.
+func (m *Machine) SaveKey(dst *SavedState, kb []byte) (*SavedState, []byte) {
 	if m.Config.UseWaitQueues {
 		panic("vm: Save does not support wait-queue mode")
 	}
@@ -117,9 +177,27 @@ func (m *Machine) Save(dst *SavedState) *SavedState {
 	s.flt = m.flt
 
 	m.markGen++
-	gen := m.markGen
+	w := saver{s: s, kb: kb, gen: m.markGen}
+	// The live-object count is part of the state: leaked objects are
+	// unreachable from the roots but still occupy objectIds, and it is
+	// exactly their accumulation that the verifier's fixed-size table
+	// catches (§5.2).
+	w.num(int64(m.heap.live))
 	for _, p := range m.Procs {
-		s.procs = append(s.procs, procSnap{
+		w.num(int64(p.Status))
+		w.num(int64(p.PC))
+		w.num(int64(p.WaitChan + 1))
+		w.num(int64(p.WaitPort + 1))
+		w.num(int64(p.AltIdx + 1))
+		w.num(int64(p.ResumePC + 1))
+		for _, v := range p.Locals {
+			s.vals = append(s.vals, w.val(v))
+		}
+		w.num(int64(len(p.Stack)))
+		for _, v := range p.Stack {
+			s.vals = append(s.vals, w.val(v))
+		}
+		ps := procSnap{
 			status:       p.Status,
 			pc:           int32(p.PC),
 			waitChan:     int32(p.WaitChan),
@@ -128,28 +206,42 @@ func (m *Machine) Save(dst *SavedState) *SavedState {
 			resumePC:     int32(p.ResumePC),
 			pendingFlags: int32(p.PendingFlags),
 			nStack:       int32(len(p.Stack)),
-			pending:      s.encVal(p.Pending, gen),
-		})
-		for _, v := range p.Locals {
-			s.vals = append(s.vals, s.encVal(v, gen))
 		}
-		for _, v := range p.Stack {
-			s.vals = append(s.vals, s.encVal(v, gen))
+		// Only a blocked sender's value is live: every unblock clears it,
+		// and a stale one must not shift the object numbering.
+		if p.Status == PBlockedSend {
+			ps.pending = w.val(p.Pending)
+			w.num(int64(p.PendingFlags))
 		}
+		s.procs = append(s.procs, ps)
 	}
+	return s, w.kb
+}
+
+// Save is SaveKey without the key.
+func (m *Machine) Save(dst *SavedState) *SavedState {
+	s, kb := m.SaveKey(dst, m.encBuf[:0])
+	m.encBuf = kb
 	return s
+}
+
+// EncodeState returns the machine's visited-set key (see SaveKey) as a
+// string, saving into a machine-owned scratch snapshot.
+func (m *Machine) EncodeState() string {
+	m.encSnap, m.encBuf = m.SaveKey(m.encSnap, m.encBuf[:0])
+	return string(m.encBuf)
 }
 
 // decSnapVal translates a snapshot-encoded value back into a live value
 // over the machine's restored object pool.
-func (m *Machine) decSnapVal(v Value) Value {
-	if !v.IsRef {
-		return v
+func (m *Machine) decSnapVal(v snapVal) Value {
+	if !v.ref {
+		return Value{Int: v.v}
 	}
-	if v.Int < 0 {
+	if v.v < 0 {
 		return Value{IsRef: true}
 	}
-	return Value{IsRef: true, Ref: m.objPool[v.Int]}
+	return Value{IsRef: true, Ref: m.objPool[v.v]}
 }
 
 // RestoreState overwrites the machine's semantic state with s, which must
@@ -175,11 +267,12 @@ func (m *Machine) RestoreState(s *SavedState) {
 	}
 	// Pass 1: headers and element storage (targets must exist before any
 	// reference decodes).
+	u := m.Prog.Universe
 	for i := range s.objs {
 		os := &s.objs[i]
 		o := m.objPool[i]
 		o.ID = int(os.id)
-		o.Type = os.typ
+		o.Type = u.ByID(int(os.typ))
 		o.RC = int(os.rc)
 		o.Freed = os.freed
 		o.Tag = int(os.tag)
@@ -193,8 +286,8 @@ func (m *Machine) RestoreState(s *SavedState) {
 	for i := range s.objs {
 		os := &s.objs[i]
 		o := m.objPool[i]
-		for j := 0; j < int(os.n); j++ {
-			o.Elems[j] = m.decSnapVal(s.objVals[int(os.off)+j])
+		for j, v := range s.objVals[os.off : os.off+os.n] {
+			o.Elems[j] = m.decSnapVal(v)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"esplang/internal/types"
 	"esplang/internal/vm"
 )
 
@@ -129,9 +130,9 @@ func TestSavedStateMatchesClone(t *testing.T) {
 	}
 }
 
-// TestSavedStateSteadyStateAllocFree: once the snapshot arenas and the
-// restore pool have grown to the workload's size, Save into an existing
-// snapshot and RestoreState allocate nothing.
+// TestSavedStateSteadyStateAllocFree: once the snapshot arenas, the key
+// buffer, and the restore pool have grown to the workload's size, Save or
+// SaveKey into an existing snapshot and RestoreState allocate nothing.
 func TestSavedStateSteadyStateAllocFree(t *testing.T) {
 	m := snapMachine(t, mcSrc)
 	var snap vm.SavedState
@@ -143,6 +144,116 @@ func TestSavedStateSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Save+RestoreState allocates %.1f objects per cycle, want 0", allocs)
+	}
+	_, kb := m.SaveKey(&snap, nil)
+	allocs = testing.AllocsPerRun(100, func() {
+		_, kb = m.SaveKey(&snap, kb[:0])
+		m.RestoreState(&snap)
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state SaveKey+RestoreState allocates %.1f objects per cycle, want 0", allocs)
+	}
+}
+
+// keyMachine returns mcSrc settled (producer blocked sending, consumer
+// blocked receiving) with a two-object graph hung off the consumer's
+// locals: locals 0 and 1 reference arrays a and b, and a's first element
+// references b as well. The consumer also holds one stack slot. With bFirst the two arrays are allocated in the
+// opposite order, so their object IDs differ but the heap is isomorphic.
+// mutate, when non-nil, edits the state before it is returned.
+func keyMachine(t *testing.T, bFirst bool, mutate func(m *vm.Machine, a, b *vm.Object)) *vm.Machine {
+	t.Helper()
+	m := snapMachine(t, mcSrc)
+	var arr *types.Type
+	for _, ty := range m.Prog.Universe.All() {
+		if ty.Kind == types.Array {
+			arr = ty
+		}
+	}
+	var a, b *vm.Object
+	if bFirst {
+		b = m.Heap().Alloc(arr, 2)
+		a = m.Heap().Alloc(arr, 2)
+	} else {
+		a = m.Heap().Alloc(arr, 2)
+		b = m.Heap().Alloc(arr, 2)
+	}
+	a.Elems[0], a.Elems[1] = vm.RefVal(b), vm.IntVal(-3)
+	b.Elems[0], b.Elems[1] = vm.IntVal(300), vm.IntVal(4)
+	b.RC = 2
+	cons := m.Procs[1]
+	cons.Locals[0], cons.Locals[1] = vm.RefVal(a), vm.RefVal(b)
+	cons.Stack = append(cons.Stack, vm.IntVal(9))
+	if mutate != nil {
+		mutate(m, a, b)
+	}
+	return m
+}
+
+func saveKey(m *vm.Machine) string {
+	_, kb := m.SaveKey(nil, nil)
+	return string(kb)
+}
+
+// TestSaveKeyCanonicalObjectIDs: heaps that differ only in allocation
+// order — hence in object IDs — have equal keys.
+func TestSaveKeyCanonicalObjectIDs(t *testing.T) {
+	m1, m2 := keyMachine(t, false, nil), keyMachine(t, true, nil)
+	if m1.Procs[1].Locals[0].Ref.ID == m2.Procs[1].Locals[0].Ref.ID {
+		t.Fatal("test setup: object IDs should differ between the two machines")
+	}
+	if saveKey(m1) != saveKey(m2) {
+		t.Error("isomorphic heaps with different object IDs have different keys")
+	}
+}
+
+// TestSaveKeyDistinguishesStates: changing exactly one semantic field
+// changes the key; a stale Pending on a process that is not blocked
+// sending does not.
+func TestSaveKeyDistinguishesStates(t *testing.T) {
+	base := saveKey(keyMachine(t, false, nil))
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *vm.Machine, a, b *vm.Object)
+	}{
+		{"local", func(m *vm.Machine, a, b *vm.Object) { m.Procs[1].Locals[0] = vm.RefVal(b) }},
+		{"stack slot", func(m *vm.Machine, a, b *vm.Object) { m.Procs[1].Stack[0] = vm.IntVal(10) }},
+		{"heap element", func(m *vm.Machine, a, b *vm.Object) { a.Elems[1] = vm.IntVal(-4) }},
+		{"large heap element", func(m *vm.Machine, a, b *vm.Object) { b.Elems[0] = vm.IntVal(301) }},
+		{"RC", func(m *vm.Machine, a, b *vm.Object) { b.RC = 3 }},
+		{"Freed", func(m *vm.Machine, a, b *vm.Object) { b.Freed = true }},
+		{"Tag", func(m *vm.Machine, a, b *vm.Object) { a.Tag = 1 }},
+		{"blocked sender's Pending", func(m *vm.Machine, a, b *vm.Object) {
+			if m.Procs[0].Status != vm.PBlockedSend {
+				t.Fatalf("test setup: producer is %v, want blocked(send)", m.Procs[0].Status)
+			}
+			m.Procs[0].Pending = vm.RefVal(b)
+		}},
+	} {
+		if saveKey(keyMachine(t, false, tc.mutate)) == base {
+			t.Errorf("%s: key unchanged", tc.name)
+		}
+	}
+	stale := keyMachine(t, false, func(m *vm.Machine, a, b *vm.Object) {
+		m.Procs[1].Pending = vm.RefVal(a)
+	})
+	if saveKey(stale) != base {
+		t.Error("a stale Pending on a receiving process changed the key")
+	}
+}
+
+// TestSaveKeyRoundTrip: restoring a snapshot into a sibling reproduces
+// the key exactly, and EncodeState is the same key as a string.
+func TestSaveKeyRoundTrip(t *testing.T) {
+	m := keyMachine(t, true, nil)
+	snap, kb := m.SaveKey(nil, nil)
+	if got := m.EncodeState(); got != string(kb) {
+		t.Fatalf("EncodeState differs from SaveKey:\n%x\n%x", got, kb)
+	}
+	m2 := snapMachine(t, mcSrc)
+	m2.RestoreState(snap)
+	if _, kb2 := m2.SaveKey(nil, nil); string(kb2) != string(kb) {
+		t.Fatalf("key changed across Save/RestoreState:\n%x\n%x", kb, kb2)
 	}
 }
 

@@ -66,7 +66,7 @@ type Object struct {
 	Elems []Value // record fields / union payload (len 1) / array elements
 
 	// mark/markIdx implement generation-stamped graph traversal for the
-	// state encoder and snapshotter (see encode.go, savedstate.go): an
+	// snapshotter (see savedstate.go): an
 	// object is "visited this traversal" iff mark equals the machine's
 	// current generation, and markIdx is its first-visit index. Objects
 	// are never shared between machines (Clone deep-copies, RestoreState

@@ -11,10 +11,10 @@
 #   scripts/bench.sh -fuse procfused # one tier only (the engine axis:
 #                                    # baseline | fused | procfused |
 #                                    # compiled, or a comma list)
-#   scripts/bench.sh -seed <gitref>  # also benchmark the pre-PR commit
-#                                    # in a worktree and record the
-#                                    # fused-over-seed and
-#                                    # procfused-over-seed speedups
+#   scripts/bench.sh -seed <gitref>  # also benchmark an earlier commit
+#                                    # in a worktree and record its
+#                                    # <workload>/<tier>_over_seed
+#                                    # entries in the speedups map
 # Extra arguments are passed through to cmd/benchrec.
 set -eu
 cd "$(dirname "$0")/.."
