@@ -1,5 +1,5 @@
 // Command benchrec records the PR's headline benchmarks — the Figure 5
-// firmware workloads and the §5.3 verification runs — under the four
+// firmware workloads and the §5.3 verification runs — under the three
 // execution engine tiers and writes the numbers (ns/op, allocs/op,
 // verifier states and states/sec, and the cross-engine speedups) to a
 // JSON file, so performance claims are checked in, reproducible, and
@@ -461,7 +461,7 @@ func main() {
 	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
 	repeat := flag.Int("repeat", 5, "runs per benchmark; the fastest is recorded")
 	seedBench := flag.String("seed-bench", "", "optional `go test -bench` output from the pre-PR commit to compare against")
-	engineList := flag.String("engines", "baseline,fused,procfused,compiled",
+	engineList := flag.String("engines", "baseline,fused,compiled",
 		"comma-separated engine tiers to record (the fusion axis; compiled records VMThroughput only and needs a host Go toolchain)")
 	only := flag.String("workloads", "",
 		"comma-separated workload name prefixes to record (default all)")
@@ -486,8 +486,6 @@ func main() {
 			engines = append(engines, esplang.EngineBaseline)
 		case "fused":
 			engines = append(engines, esplang.EngineFused)
-		case "procfused":
-			engines = append(engines, esplang.EngineProcFused)
 		case "compiled":
 			if _, err := gobackend.Toolchain(); err != nil {
 				fmt.Fprintf(os.Stderr, "benchrec: skipping the compiled tier: %v\n", err)
@@ -496,7 +494,7 @@ func main() {
 			engines = append(engines, esplang.EngineCompiled)
 		case "":
 		default:
-			fmt.Fprintf(os.Stderr, "benchrec: unknown engine %q (want baseline, fused, procfused, compiled)\n", name)
+			fmt.Fprintf(os.Stderr, "benchrec: unknown engine %q (want baseline, fused, compiled)\n", name)
 			os.Exit(1)
 		}
 	}
@@ -554,20 +552,12 @@ func main() {
 	}
 	for _, wl := range workloads {
 		base, fused := byKey[wl.name+"/baseline"], byKey[wl.name+"/fused"]
-		pfused, compiled := byKey[wl.name+"/procfused"], byKey[wl.name+"/compiled"]
+		compiled := byKey[wl.name+"/compiled"]
 		if base.NsPerOp > 0 && fused.NsPerOp > 0 {
 			rep.Speedups[wl.name+"/fused_over_baseline"] = base.NsPerOp / fused.NsPerOp
 		}
-		if fused.NsPerOp > 0 && pfused.NsPerOp > 0 {
-			rep.Speedups[wl.name+"/procfused_over_fused"] = fused.NsPerOp / pfused.NsPerOp
-		}
-		if compiled.NsPerOp > 0 {
-			if base.NsPerOp > 0 {
-				rep.Speedups[wl.name+"/compiled_over_baseline"] = base.NsPerOp / compiled.NsPerOp
-			}
-			if pfused.NsPerOp > 0 {
-				rep.Speedups[wl.name+"/compiled_over_procfused"] = pfused.NsPerOp / compiled.NsPerOp
-			}
+		if base.NsPerOp > 0 && compiled.NsPerOp > 0 {
+			rep.Speedups[wl.name+"/compiled_over_baseline"] = base.NsPerOp / compiled.NsPerOp
 		}
 	}
 	// POR state reduction: full-search states over ample-set states for
@@ -604,10 +594,8 @@ func main() {
 		}
 		rep.SeedBenches = seeds
 		for _, s := range seeds {
-			for _, tier := range []string{"fused", "procfused"} {
-				if b := byKey[s.Name+"/"+tier]; s.NsPerOp > 0 && b.NsPerOp > 0 {
-					rep.Speedups[s.Name+"/"+tier+"_over_seed"] = s.NsPerOp / b.NsPerOp
-				}
+			if b := byKey[s.Name+"/fused"]; s.NsPerOp > 0 && b.NsPerOp > 0 {
+				rep.Speedups[s.Name+"/fused_over_seed"] = s.NsPerOp / b.NsPerOp
 			}
 		}
 	}

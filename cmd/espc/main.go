@@ -54,8 +54,7 @@ func main() {
 		mcWorkers = flag.Int("mc-workers", 0, "model checker: parallel search workers (0 = all cores; 1 = deterministic)")
 		mcProg    = flag.Bool("mc-progress", false, "model checker: print periodic search progress to stderr")
 		mcPOR     = flag.Bool("mc-por", false, "model checker: ample-set partial-order reduction (verdict-preserving)")
-		engineN   = flag.String("engine", "fused", "model checker: VM engine driving the search, fused, procfused, or baseline")
-		fuse      = flag.Bool("fuse", false, "model checker: drive the search with the process-fused engine (shorthand for -engine procfused)")
+		engineN   = flag.String("engine", "fused", "model checker: VM engine driving the search, fused or baseline")
 		noFuse    = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 	)
 	flag.Parse()
@@ -174,9 +173,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "espc: %v\n", err)
 			os.Exit(2)
-		}
-		if *fuse {
-			engine = esplang.EngineProcFused
 		}
 		vo := esplang.VerifyOptions{Workers: *mcWorkers, EndRecvOK: true, Engine: engine}
 		if *mcPOR {

@@ -1,6 +1,6 @@
 // Command espfuzz fuzzes the whole ESP toolchain differentially: it
 // generates well-typed programs (and mutates existing corpus programs),
-// runs every one through the three VM engines × optimizer
+// runs every one through both VM interpreters × optimizer
 // configurations, the model checker, espvet, and the C/Promela
 // backends, and reports any divergence or crash as a toolchain bug.
 //

@@ -30,17 +30,23 @@ import (
 	"esplang/internal/vm"
 )
 
+// defaultMaxCycles bounds a run unless -max-cycles says otherwise. At
+// the cost model's 33 MHz LANai clock it is half a minute of firmware
+// time — far past any sample program that terminates — yet a
+// non-terminating program reaches it in a few seconds of host time and
+// exits with the cycle-budget fault instead of hanging.
+const defaultMaxCycles = 1_000_000_000
+
 func main() {
 	var (
 		maxObjects = flag.Int("max-objects", 4096, "live-object bound (0 = unlimited)")
-		maxCycles  = flag.Int64("max-cycles", 0, "total cycle budget; exceeding it is a step-budget fault (0 = unlimited — firmware runs forever)")
+		maxCycles  = flag.Int64("max-cycles", defaultMaxCycles, "total cycle budget; exceeding it is a step-budget fault, so a program that never terminates still exits (0 = unlimited — firmware runs forever)")
 		showStats  = flag.Bool("stats", false, "print machine statistics at exit")
 		showCycles = flag.Bool("cycles", false, "print consumed cycles at exit")
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles)")
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
-		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions), procfused (adds static rendezvous scheduling), compiled (AOT-generated native code in a subprocess; needs a host Go toolchain), or baseline; identical semantics and cycle accounting")
-		fuse       = flag.Bool("fuse", false, "run the process-fused engine (shorthand for -engine procfused)")
+		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus static rendezvous scheduling when the optimizer fused processes), compiled (AOT-generated native code in a subprocess; needs a host Go toolchain), or baseline; identical semantics and cycle accounting")
 		noFuse     = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
@@ -57,9 +63,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(2)
-	}
-	if *fuse {
-		engine = esplang.EngineProcFused
 	}
 	copts := esplang.CompileOptions{}
 	if *noFuse {
@@ -209,7 +212,7 @@ func main() {
 func runCompiledEngine(prog *esplang.Program, maxObjects int, maxCycles int64, showStats, showCycles bool) int {
 	if _, err := gobackend.Toolchain(); err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: -engine compiled needs a host Go toolchain: %v\n", err)
-		fmt.Fprintln(os.Stderr, "esprun: install Go or use -engine fused/procfused/baseline (identical semantics, interpreted)")
+		fmt.Fprintln(os.Stderr, "esprun: install Go or use -engine fused/baseline (identical semantics, interpreted)")
 		return 1
 	}
 	runner, err := gobackend.BuildProgram(prog, gobackend.BuildOptions{Name: prog.Name, File: prog.File})

@@ -1,12 +1,55 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	esplang "esplang"
 	"esplang/internal/vm"
 )
+
+// TestMain lets a test re-execute the test binary as esprun itself: with
+// ESPRUN_AS_MAIN set, the process runs main on the remaining arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("ESPRUN_AS_MAIN") == "1" {
+		os.Args = append([]string{"esprun"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDefaultCycleBudgetStopsPingPong: with no -max-cycles flag, a
+// producer/consumer pair that rendezvouses forever must not hang — the
+// default budget ends the run with the cycle-budget fault and a non-zero
+// exit.
+func TestDefaultCycleBudgetStopsPingPong(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a billion-cycle program")
+	}
+	path := filepath.Join(t.TempDir(), "pingpong.esp")
+	src := `
+channel c: int
+process spin { while (true) { out( c, 1); } }
+process drain { while (true) { in( c, $v); } }
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-flight", "0", path)
+	cmd.Env = append(os.Environ(), "ESPRUN_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("esprun exited with %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if want := "cycle budget exhausted: machine exceeded 1000000000 cycles"; !strings.Contains(string(out), want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
 
 func TestDistributeInputsRoundRobin(t *testing.T) {
 	got := distributeInputs([]int64{1, 2, 3, 4, 5}, 2)

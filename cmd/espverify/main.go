@@ -37,8 +37,7 @@ func main() {
 		progress  = flag.Bool("progress", false, "print periodic search progress to stderr (states, frontier, states/s, memory)")
 		progressI = flag.Duration("progress-interval", 2*time.Second, "interval between -progress samples")
 		metricsF  = flag.String("metrics", "", "write a JSON metrics snapshot of the search to this file at exit")
-		engineN   = flag.String("engine", "fused", "VM engine driving the search: fused, procfused, or baseline (verdicts and state counts are identical)")
-		fuse      = flag.Bool("fuse", false, "drive the search with the process-fused engine (shorthand for -engine procfused)")
+		engineN   = flag.String("engine", "fused", "VM engine driving the search: fused or baseline (verdicts and state counts are identical)")
 		noFuse    = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		por       = flag.Bool("por", false, "partial-order reduction: explore one ample subset of independent transitions per state (verdict-preserving)")
 		porStats  = flag.Bool("por-stats", false, "with -por (implied): print ample-set hit rate, proviso fallbacks, and deferred-transition counts after the search")
@@ -56,9 +55,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(2)
-	}
-	if *fuse {
-		engine = esplang.EngineProcFused
 	}
 	copts := esplang.CompileOptions{}
 	if *noFuse {

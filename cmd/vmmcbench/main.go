@@ -47,9 +47,8 @@ func main() {
 		trace  = flag.String("trace", "", "run one traced ESP ping-pong and write its Chrome trace-event JSON here (open in Perfetto)")
 		prof   = flag.Bool("profile", false, "run one traced ESP ping-pong and print the firmware's hot-line cycle profile")
 		tsize  = flag.Int("trace-size", 1024, "message size for -trace/-profile")
-		engN   = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused, procfused, or baseline (figures and verdicts are engine-independent)")
-		fuse   = flag.Bool("fuse", false, "run firmware on the process-fused engine (shorthand for -engine procfused)")
-		noFuse = flag.Bool("no-fuse", false, "pin firmware to the plain fused engine (dynamic rendezvous only; shorthand for -engine fused)")
+		engN   = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused or baseline (figures and verdicts are engine-independent)")
+		noFuse = flag.Bool("no-fuse", false, "compile the firmware without static process fusion; every rendezvous stays dynamic")
 		telem  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
 	)
 	flag.Parse()
@@ -59,13 +58,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vmmcbench: %v\n", err)
 		os.Exit(2)
 	}
-	if *fuse {
-		engine = esplang.EngineProcFused
-	}
-	if *noFuse {
-		engine = esplang.EngineFused
-	}
 	vmmc.Engine = engine
+	vmmc.NoFuseProcs = *noFuse
 	mcEngine = engine
 
 	if *telem != "" {

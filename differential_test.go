@@ -12,17 +12,18 @@ import (
 	"esplang/internal/vmmc"
 )
 
-// Differential tests for the three execution engines: the fused
-// hot-path engine and the process-fused engine (static rendezvous
-// scheduling, direct transfers, heap recycling) must both be
-// observationally indistinguishable from the baseline interpreter —
-// same outputs, same faults (down to file:line), same cycle meter, same
-// event statistics, same trace bytes, and same model-checker verdicts
-// and state counts. Stats.DirectXfers is the one deliberate exception:
-// it is a diagnostic counter only the process-fused engine increments
-// (charging zero cycles), so comparisons zero it first.
+// Differential tests for the two interpreters: the fused hot-path engine
+// (superinstructions, plus — when the optimizer fused processes — the
+// static rendezvous schedule's direct transfers, narrowed scans, and
+// element-storage recycling) must be observationally indistinguishable
+// from the baseline interpreter — same outputs, same faults (down to
+// file:line), same cycle meter, same event statistics, same trace bytes,
+// and same model-checker verdicts and state counts. Stats.DirectXfers is
+// the one deliberate exception: it is a diagnostic counter only the
+// schedule's fast path increments (charging zero cycles), so comparisons
+// zero it first.
 
-var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused, esplang.EngineProcFused}
+var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused}
 
 // engineRun executes path with the canonical inputs under one engine and
 // renders everything observable plus the cycle/statistics counters.
@@ -62,7 +63,7 @@ func engineRun(t *testing.T, path string, engine esplang.Engine) string {
 
 // TestEngineDifferentialTestdata: every sample program behaves
 // identically — outputs, fault state, cycles, and statistics — under
-// all three engines.
+// both engines.
 func TestEngineDifferentialTestdata(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.esp")
 	if err != nil || len(files) == 0 {
@@ -126,7 +127,7 @@ func TestEngineDifferentialFaults(t *testing.T) {
 				cycles int64
 				stats  string
 			}
-			var got [3]outcome
+			var got [2]outcome
 			for i, engine := range allEngines {
 				prog, err := esplang.Compile(tc.src, esplang.CompileOptions{File: tc.name + ".esp"})
 				if err != nil {
@@ -148,8 +149,8 @@ func TestEngineDifferentialFaults(t *testing.T) {
 				st.DirectXfers = 0
 				got[i] = outcome{fault: *f, cycles: m.Cycles, stats: fmt.Sprintf("%+v", st)}
 			}
-			if got[0] != got[1] || got[0] != got[2] {
-				t.Errorf("fault outcomes diverge:\nbaseline:  %+v\nfused:     %+v\nprocfused: %+v", got[0], got[1], got[2])
+			if got[0] != got[1] {
+				t.Errorf("fault outcomes diverge:\nbaseline:  %+v\nfused:     %+v", got[0], got[1])
 			}
 		})
 	}
@@ -159,7 +160,7 @@ func TestEngineDifferentialFaults(t *testing.T) {
 // timestamps are derived from the cycle meter) is byte-identical across
 // engines.
 func TestEngineDifferentialTraces(t *testing.T) {
-	var traces [3]bytes.Buffer
+	var traces [2]bytes.Buffer
 	for i, engine := range allEngines {
 		prog, err := esplang.CompileFile("testdata/add5.esp", esplang.CompileOptions{})
 		if err != nil {
@@ -184,9 +185,9 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) || !bytes.Equal(traces[0].Bytes(), traces[2].Bytes()) {
-		t.Errorf("trace streams diverge:\n--- baseline ---\n%s\n--- fused ---\n%s\n--- procfused ---\n%s",
-			traces[0].String(), traces[1].String(), traces[2].String())
+	if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+		t.Errorf("trace streams diverge:\n--- baseline ---\n%s\n--- fused ---\n%s",
+			traces[0].String(), traces[1].String())
 	}
 }
 
@@ -198,7 +199,7 @@ func TestEngineDifferentialVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got [3]string
+	var got [2]string
 	for i, engine := range allEngines {
 		res := prog.Verify(esplang.VerifyOptions{Workers: 1, Engine: engine})
 		if res.Violation != nil {
@@ -206,8 +207,8 @@ func TestEngineDifferentialVerify(t *testing.T) {
 		}
 		got[i] = fmt.Sprintf("states=%d transitions=%d truncated=%v", res.States, res.Transitions, res.Truncated)
 	}
-	if got[0] != got[1] || got[0] != got[2] {
-		t.Errorf("search results diverge: baseline %s, fused %s, procfused %s", got[0], got[1], got[2])
+	if got[0] != got[1] {
+		t.Errorf("search results diverge: baseline %s, fused %s", got[0], got[1])
 	}
 }
 
@@ -217,7 +218,7 @@ func TestEngineDifferentialVerify(t *testing.T) {
 func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 	for _, bug := range []vmmc.MemBug{vmmc.BugNone, vmmc.BugLeak, vmmc.BugUseAfterFree, vmmc.BugDoubleFree} {
 		t.Run(bug.String(), func(t *testing.T) {
-			var got [3]string
+			var got [2]string
 			for i, engine := range allEngines {
 				res, err := vmmc.VerifyMemSafety(bug, esplang.VerifyOptions{Workers: 1, Engine: engine})
 				if err != nil {
@@ -229,13 +230,13 @@ func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 				}
 				got[i] = fmt.Sprintf("states=%d violation=%s", res.States, viol)
 			}
-			if got[0] != got[1] || got[0] != got[2] {
-				t.Errorf("verdicts diverge:\nbaseline:  %s\nfused:     %s\nprocfused: %s", got[0], got[1], got[2])
+			if got[0] != got[1] {
+				t.Errorf("verdicts diverge:\nbaseline:  %s\nfused:     %s", got[0], got[1])
 			}
 		})
 	}
 	t.Run("retrans-buggy", func(t *testing.T) {
-		var got [3]string
+		var got [2]string
 		for i, engine := range allEngines {
 			res, err := vmmc.VerifyRetrans(2, 3, true, esplang.VerifyOptions{Workers: 1, Engine: engine})
 			if err != nil {
@@ -246,8 +247,8 @@ func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 			}
 			got[i] = fmt.Sprintf("states=%d fault=%s", res.States, res.Violation.Fault.Error())
 		}
-		if got[0] != got[1] || got[0] != got[2] {
-			t.Errorf("verdicts diverge:\nbaseline:  %s\nfused:     %s\nprocfused: %s", got[0], got[1], got[2])
+		if got[0] != got[1] {
+			t.Errorf("verdicts diverge:\nbaseline:  %s\nfused:     %s", got[0], got[1])
 		}
 	})
 }
@@ -258,7 +259,7 @@ func TestEngineDifferentialVerifySeededBugs(t *testing.T) {
 func TestEngineDifferentialVMMC(t *testing.T) {
 	cfg := nic.DefaultConfig()
 	defer func(prev esplang.Engine) { vmmc.Engine = prev }(vmmc.Engine)
-	var lat [3]float64
+	var lat [2]float64
 	for i, engine := range allEngines {
 		vmmc.Engine = engine
 		v, err := vmmc.PingPong(vmmc.ESP, cfg, 64, 5)
@@ -267,8 +268,8 @@ func TestEngineDifferentialVMMC(t *testing.T) {
 		}
 		lat[i] = v
 	}
-	if lat[0] != lat[1] || lat[0] != lat[2] {
-		t.Errorf("firmware latency diverges: baseline %.3f ns, fused %.3f ns, procfused %.3f ns", lat[0], lat[1], lat[2])
+	if lat[0] != lat[1] {
+		t.Errorf("firmware latency diverges: baseline %.3f ns, fused %.3f ns", lat[0], lat[1])
 	}
 }
 
@@ -277,7 +278,7 @@ func TestEngineDifferentialVMMC(t *testing.T) {
 // charged from fused groups), so the profile and counters of a
 // fused-configured machine match a baseline machine exactly.
 func TestEngineProfilerParity(t *testing.T) {
-	var got [3]string
+	var got [2]string
 	for i, engine := range allEngines {
 		prog, err := esplang.CompileFile("testdata/pipeline.esp", esplang.CompileOptions{})
 		if err != nil {
@@ -292,15 +293,15 @@ func TestEngineProfilerParity(t *testing.T) {
 		}
 		got[i] = fmt.Sprintf("cycles=%d stats=%+v\n%s", m.Cycles, m.Stats, prof.Report(prog.Source, 20))
 	}
-	if got[0] != got[1] || got[0] != got[2] {
-		t.Errorf("profiles diverge:\n--- baseline ---\n%s\n--- fused ---\n%s\n--- procfused ---\n%s", got[0], got[1], got[2])
+	if got[0] != got[1] {
+		t.Errorf("profiles diverge:\n--- baseline ---\n%s\n--- fused ---\n%s", got[0], got[1])
 	}
 }
 
 // TestEngineDifferentialTracesTestdata: the full trace-event stream of
 // every sample program — timestamps derived from the cycle meter — is
-// byte-identical between the baseline and process-fused engines, so the
-// static schedule's fast paths (direct transfers, narrowed scans, heap
+// byte-identical between the baseline and fused engines, so the static
+// schedule's fast paths (direct transfers, narrowed scans, heap
 // recycling) are invisible to every observer.
 func TestEngineDifferentialTracesTestdata(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.esp")
@@ -310,7 +311,7 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 	for _, f := range files {
 		t.Run(filepath.Base(f), func(t *testing.T) {
 			var traces [2]bytes.Buffer
-			for i, engine := range []esplang.Engine{esplang.EngineBaseline, esplang.EngineProcFused} {
+			for i, engine := range allEngines {
 				prog, err := esplang.CompileFile(f, esplang.CompileOptions{})
 				if err != nil {
 					t.Fatalf("compile: %v", err)
@@ -325,7 +326,7 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
-				t.Errorf("trace streams diverge:\n--- baseline ---\n%s\n--- procfused ---\n%s",
+				t.Errorf("trace streams diverge:\n--- baseline ---\n%s\n--- fused ---\n%s",
 					traces[0].String(), traces[1].String())
 			}
 		})
@@ -333,15 +334,15 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 }
 
 // TestEngineDifferentialVerifyParallel: with several model-checker
-// workers racing over the frontier, the process-fused engine still
-// explores exactly the baseline's state space (the exhaustive search's
+// workers racing over the frontier, the fused engine still explores
+// exactly the baseline's state space (the exhaustive search's
 // state count is worker-count-invariant).
 func TestEngineDifferentialVerifyParallel(t *testing.T) {
 	prog, err := esplang.CompileFile("testdata/pipeline.esp", esplang.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got [3]string
+	var got [2]string
 	for i, engine := range allEngines {
 		res := prog.Verify(esplang.VerifyOptions{Workers: 4, Engine: engine})
 		if res.Violation != nil {
@@ -349,7 +350,7 @@ func TestEngineDifferentialVerifyParallel(t *testing.T) {
 		}
 		got[i] = fmt.Sprintf("states=%d transitions=%d", res.States, res.Transitions)
 	}
-	if got[0] != got[1] || got[0] != got[2] {
-		t.Errorf("parallel search diverges: baseline %s, fused %s, procfused %s", got[0], got[1], got[2])
+	if got[0] != got[1] {
+		t.Errorf("parallel search diverges: baseline %s, fused %s", got[0], got[1])
 	}
 }

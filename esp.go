@@ -62,12 +62,13 @@ type (
 	// Snapshot is a Go-native copy of a machine value.
 	Snapshot = vm.Snapshot
 	// Engine selects the VM's interpreter loop (MachineConfig.Engine,
-	// VerifyOptions.Engine): the fused hot-path engine (default), the
-	// process-fused engine (adds static rendezvous scheduling and direct
-	// transfers), the compiled engine (runs ahead-of-time generated Go
-	// step functions, see internal/gobackend), or the baseline
-	// one-instruction-at-a-time loop, kept as a differential-testing
-	// oracle. All four charge the identical cycle cost model.
+	// VerifyOptions.Engine): the fused hot-path engine (default; it runs
+	// the optimizer's static rendezvous schedule, with direct transfers,
+	// whenever the program carries one), the compiled engine (runs
+	// ahead-of-time generated Go step functions, see internal/gobackend),
+	// or the baseline one-instruction-at-a-time loop, kept as a
+	// differential-testing oracle. All three charge the identical cycle
+	// cost model.
 	Engine = vm.Engine
 	// ProcInst is one process instance inside a Machine. Compiled-engine
 	// step functions receive it alongside the machine.
@@ -127,10 +128,9 @@ const (
 
 // Execution engines (re-exported).
 const (
-	EngineFused     = vm.EngineFused
-	EngineBaseline  = vm.EngineBaseline
-	EngineProcFused = vm.EngineProcFused
-	EngineCompiled  = vm.EngineCompiled
+	EngineFused    = vm.EngineFused
+	EngineBaseline = vm.EngineBaseline
+	EngineCompiled = vm.EngineCompiled
 )
 
 // Run results (re-exported).
@@ -140,8 +140,8 @@ const (
 	RunFault  = vm.RunFault
 )
 
-// ParseEngine parses an engine name ("baseline", "fused", "procfused",
-// or "compiled"), for CLI -engine flags.
+// ParseEngine parses an engine name ("baseline", "fused", or
+// "compiled"), for CLI -engine flags.
 var ParseEngine = vm.ParseEngine
 
 // Process scheduling states (ProcInst.Status), re-exported for the
@@ -337,12 +337,12 @@ func (p *Program) DisasmFused() string {
 	return b.String()
 }
 
-// DumpSchedule renders the static rendezvous schedule the process-fused
-// engine executes: which channels were fused into direct transfers,
-// which stay on dynamic rendezvous and why, and the static interleave
-// order of the fusion groups. When the optimizer has not cached a
-// schedule (e.g. -O0 or -no-fuse), it is computed on the fly, exactly
-// as the fuseprocs pass would.
+// DumpSchedule renders the static rendezvous schedule the fused engine
+// executes: which channels were fused into direct transfers, which stay
+// on dynamic rendezvous and why, and the static interleave order of the
+// fusion groups. When the optimizer has not cached a schedule (e.g. -O0
+// or -no-fuse), it is computed on the fly, exactly as the fuseprocs pass
+// would.
 func (p *Program) DumpSchedule() string {
 	sched := p.IR.Schedule
 	if sched == nil {

@@ -14,7 +14,7 @@
 //     (testdata), producing near-miss programs that stress the parser,
 //     checker, and the engines' fault handling.
 //   - RunDifferential (oracle.go): one program through every backend —
-//     three VM engines × optimizer configurations, the model checker,
+//     both VM interpreters × optimizer configurations, the model checker,
 //     espvet, and the C/Promela generators — comparing everything
 //     observable.
 //   - Minimize (minimize.go): greedy delta debugging over the AST,

@@ -165,8 +165,8 @@ func (r *Report) guard(stage string, fn func()) (ok bool) {
 }
 
 // allEngines in baseline-first order: the baseline interpreter is the
-// semantics oracle the other two must match.
-var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused, esplang.EngineProcFused}
+// semantics oracle the fused engine must match.
+var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused}
 
 func engineName(e esplang.Engine) string {
 	return fmt.Sprint(e)
@@ -177,7 +177,7 @@ func engineName(e esplang.Engine) string {
 //
 //   - parse + formatter fixpoint (print, reparse, print again);
 //   - compile determinism (disassembly, fused disassembly, vet findings);
-//   - the three engines × {optimized, fusion-off}: outputs, faults with
+//   - both interpreters × {optimized, fusion-off}: outputs, faults with
 //     file:line, cycle meter, statistics, trace bytes — all must be
 //     byte-identical (Stats.DirectXfers excepted, as in the repo's
 //     differential suite);

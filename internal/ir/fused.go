@@ -92,13 +92,13 @@ const (
 	FLoadSend  // LoadLocal A; Send on B with flags C
 	FConstSend // Const Val; Send on B with flags C
 
-	// Direct-transfer instructions, emitted only by the schedule-aware
-	// translation (FuseProgramSched). Each replaces a communication site
-	// on a statically-matched channel: the schedule proves exactly one
-	// process can ever stand on the other side, so the engine checks that
-	// one partner's status instead of scanning every process. C names the
-	// partner's process index; the dynamic fallback (Manual mode, queue
-	// mode, no schedule) treats them exactly like FSend/FRecv.
+	// Direct-transfer instructions, emitted only when the program carries
+	// a static rendezvous schedule (see FuseProgram). Each replaces a
+	// communication site on a statically-matched channel: the schedule
+	// proves exactly one process can ever stand on the other side, so the
+	// engine checks that one partner's status instead of scanning every
+	// process. C names the partner's process index; the dynamic fallback
+	// (Manual mode, queue mode) treats them exactly like FSend/FRecv.
 	FSendDir // Send on A with flags B; partner C
 	FRecvDir // Recv on A into port B; partner C
 	FXferRec // NewRecord (Type, B fields, absorb Val); Send on A, FreeAfter=Sense; partner C
@@ -373,26 +373,18 @@ func fuseAt(code []Instr, pc int, interiorFree func(pc, n int) bool) (FInstr, in
 	return FInstr{Op: op, A: int32(in.A), B: int32(in.B), Val: in.Val}, 1
 }
 
-// FuseProgram translates every process. The result is independent of the
-// program's Fused field; callers that cache it there must do so before
-// sharing the program across machines.
+// FuseProgram translates every process. When the program carries a
+// static rendezvous schedule (prog.Schedule, set by the optimizer's
+// fuseprocs pass), the direct-transfer rewrite is applied at the
+// schedule's statically-matched communication sites; otherwise the
+// translation is the plain superinstruction form. The result is
+// independent of the program's Fused field; callers that cache it there
+// must do so before sharing the program across machines.
 func FuseProgram(prog *Program) []*FusedProc {
-	out := make([]*FusedProc, len(prog.Procs))
-	for i, p := range prog.Procs {
-		out[i] = FuseProc(p, prog.Universe)
-	}
-	return out
-}
-
-// FuseProgramSched translates every process with the direct-transfer
-// rewrite applied at the schedule's statically-matched communication
-// sites. The result is what EngineProcFused executes; like FuseProgram,
-// it is independent of the program's cached fields.
-func FuseProgramSched(prog *Program, sched *Schedule) []*FusedProc {
 	dirSend := make([]map[int]int32, len(prog.Procs))
 	dirRecv := make([]map[int]int32, len(prog.Procs))
-	if sched != nil {
-		for _, pr := range sched.Pairs {
+	if prog.Schedule != nil {
+		for _, pr := range prog.Schedule.Pairs {
 			if dirSend[pr.Sender] == nil {
 				dirSend[pr.Sender] = make(map[int]int32)
 			}

@@ -264,19 +264,16 @@ type Program struct {
 	// backends use it to report file:line locations.
 	File string
 	// Fused caches the fused-engine translation of every process (see
-	// fused.go). The optimizer driver populates it after its final
-	// rewrite; nil means not (or no longer) translated, and vm.New then
-	// fuses locally without touching the program.
+	// fused.go), with direct-transfer instructions at the schedule's
+	// statically-matched sites when Schedule is set. The optimizer driver
+	// populates it after its final rewrite; nil means not (or no longer)
+	// translated, and vm.New then fuses locally without touching the
+	// program.
 	Fused []*FusedProc
 	// Schedule is the static rendezvous schedule the optimizer's
-	// FuseProcesses pass computed (see schedule.go); nil when process
-	// fusion is off or the program has not been optimized.
+	// fuseprocs pass computed (see schedule.go); nil when process fusion
+	// is off or the program has not been optimized.
 	Schedule *Schedule
-	// FusedSched caches the schedule-aware translation with
-	// direct-transfer instructions at statically-matched sites. Only
-	// EngineProcFused machines execute it; it is always paired with
-	// Schedule.
-	FusedSched []*FusedProc
 	// Indep is the whole-program transition-independence table (see
 	// independence.go); nil when the program has not been optimized. The
 	// model checker recomputes it on demand when partial-order reduction

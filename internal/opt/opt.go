@@ -44,11 +44,11 @@ type Options struct {
 	Fuse bool
 	// FuseProcs runs the process-fusion pass after the fixpoint: it
 	// computes the static rendezvous schedule (analysis.ComputeSchedule)
-	// from the settled IR and caches the schedule-aware translation with
-	// direct-transfer instructions on Program.Schedule/FusedSched. Only
-	// vm.EngineProcFused executes that translation; a pipeline without
-	// FuseProcs leaves both nil and the engine falls back to the plain
-	// fused form.
+	// from the settled IR and stores it on Program.Schedule, so the fused
+	// translation carries direct-transfer instructions at the
+	// statically-matched sites and auto-mode fused machines narrow their
+	// partner scans. A pipeline without FuseProcs leaves Schedule nil and
+	// every rendezvous stays dynamic.
 	FuseProcs bool
 	// Verify runs ir.Verify after every pass; Run aborts with an error
 	// naming the offending pass if a rewrite corrupts the program.

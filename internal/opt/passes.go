@@ -41,19 +41,17 @@ func (crossProcPass) RunProgram(prog *ir.Program) bool {
 	return CrossProcConstants(prog) > 0
 }
 
-// fuseProcsPass computes the static rendezvous schedule and the
-// schedule-aware (direct-transfer) translation. It reports a change when
-// at least one channel fused. Unlike the rewrites it never touches the
-// base IR, so the driver runs it once after the fixpoint — the schedule
-// must be read off the settled code.
+// fuseProcsPass computes the static rendezvous schedule and stores it on
+// the program, where ir.FuseProgram picks it up for the direct-transfer
+// rewrite. It reports a change when at least one channel fused. Unlike
+// the rewrites it never touches the base IR, so the driver runs it once
+// after the fixpoint — the schedule must be read off the settled code.
 type fuseProcsPass struct{}
 
 func (fuseProcsPass) Name() string { return "fuseprocs" }
 func (fuseProcsPass) RunProgram(prog *ir.Program) bool {
-	sched := analysis.ComputeSchedule(prog)
-	prog.Schedule = sched
-	prog.FusedSched = ir.FuseProgramSched(prog, sched)
-	return len(sched.Pairs) > 0
+	prog.Schedule = analysis.ComputeSchedule(prog)
+	return len(prog.Schedule.Pairs) > 0
 }
 
 // PassStats accumulates per-pass counters across a driver run.
@@ -133,7 +131,7 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 	// Any rewrite invalidates a cached fused translation, schedule, and
 	// independence table.
 	prog.Fused = nil
-	prog.Schedule, prog.FusedSched = nil, nil
+	prog.Schedule = nil
 	prog.Indep = nil
 	rounds := opts.MaxRounds
 	if rounds == 0 {
@@ -201,9 +199,6 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 		}
 	}
 	stats.InstrsAfter = countInstrs(prog)
-	if opts.Fuse {
-		prog.Fused = ir.FuseProgram(prog)
-	}
 	if opts.FuseProcs {
 		pp := fuseProcsPass{}
 		ps := statFor(pp.Name())
@@ -211,6 +206,9 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 		if pp.RunProgram(prog) {
 			ps.Changed++
 		}
+	}
+	if opts.Fuse {
+		prog.Fused = ir.FuseProgram(prog)
 	}
 	// The independence table, like the schedule, is read off the settled
 	// code; the model checker's partial-order reduction consumes it.
@@ -237,12 +235,13 @@ func runExtra(prog *ir.Program, opts Options, extra ...Pass) (*Stats, error) {
 		}
 	}
 	stats.InstrsAfter = countInstrs(prog)
-	if opts.Fuse {
-		// The extras may have rewritten code after Run's translation.
-		prog.Fused = ir.FuseProgram(prog)
-	}
+	// The extras may have rewritten code after Run's schedule and
+	// translation.
 	if opts.FuseProcs {
 		fuseProcsPass{}.RunProgram(prog)
+	}
+	if opts.Fuse {
+		prog.Fused = ir.FuseProgram(prog)
 	}
 	prog.Indep = analysis.ComputeIndependence(prog)
 	return stats, nil

@@ -60,11 +60,12 @@ type Stats struct {
 	QueueOps     int64
 	Polls        int64
 	DeepCopied   int64 // words
-	// DirectXfers counts rendezvous completed through the process-fused
-	// engine's direct-transfer fast path. It is a diagnostic: each such
-	// transfer already appears in Rendezvous (and charges the same
-	// cycles), so DirectXfers contributes zero to the §6.2 cycle
-	// decomposition and the other engines always leave it zero.
+	// DirectXfers counts rendezvous completed through the fused engine's
+	// direct-transfer fast path (static schedule present, auto mode). It
+	// is a diagnostic: each such transfer already appears in Rendezvous
+	// (and charges the same cycles), so DirectXfers contributes zero to
+	// the §6.2 cycle decomposition and every other configuration leaves
+	// it zero.
 	DirectXfers int64
 }
 

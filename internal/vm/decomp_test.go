@@ -11,8 +11,8 @@ import (
 // engine: the cycle meter is exactly the dot product of the event counters
 // with the cost model. There is no Frees term (a free is bookkeeping the
 // collector does between instructions, never charged), and DirectXfers —
-// the process-fused engine's diagnostic — must contribute nothing: a
-// direct transfer is a rendezvous that already paid the Rendezvous price.
+// the static schedule's diagnostic — must contribute nothing: a direct
+// transfer is a rendezvous that already paid the Rendezvous price.
 func TestCycleDecompositionExact(t *testing.T) {
 	engines := []struct {
 		name string
@@ -20,9 +20,8 @@ func TestCycleDecompositionExact(t *testing.T) {
 	}{
 		{"baseline", vm.EngineBaseline},
 		{"fused", vm.EngineFused},
-		{"procfused", vm.EngineProcFused},
 	}
-	var cycles [3]int64
+	var cycles [2]int64
 	for i, e := range engines {
 		t.Run(e.name, func(t *testing.T) {
 			prog := compileSrc(t, pingPongSrc)
@@ -52,21 +51,68 @@ func TestCycleDecompositionExact(t *testing.T) {
 				t.Errorf("cycle meter %d, decomposition says %d (stats: %s)",
 					m.Cycles, want, s)
 			}
-			if e.eng == vm.EngineProcFused {
-				if s.DirectXfers == 0 {
-					t.Error("process-fused engine took no direct transfers on a fusable pair")
-				}
-				if s.DirectXfers > s.Rendezvous {
-					t.Errorf("directxfers %d exceeds rendezvous %d", s.DirectXfers, s.Rendezvous)
-				}
-			} else if s.DirectXfers != 0 {
-				t.Errorf("engine %s counted %d direct transfers", e.name, s.DirectXfers)
+			if s.DirectXfers > s.Rendezvous {
+				t.Errorf("directxfers %d exceeds rendezvous %d", s.DirectXfers, s.Rendezvous)
 			}
 			cycles[i] = m.Cycles
 		})
 	}
-	if cycles[0] != cycles[1] || cycles[0] != cycles[2] {
-		t.Errorf("engines disagree on total cycles: baseline=%d fused=%d procfused=%d",
-			cycles[0], cycles[1], cycles[2])
+	if cycles[0] != cycles[1] {
+		t.Errorf("engines disagree on total cycles: baseline=%d fused=%d", cycles[0], cycles[1])
+	}
+}
+
+// TestDirectTransfersNeedSchedule: the fused engine takes the static
+// schedule's direct transfers exactly when the program carries a
+// schedule and the machine runs in auto mode. Compiling without the
+// process-fusion pass, or driving the machine manually (the model
+// checker's mode), leaves every rendezvous dynamic; the baseline never
+// consults the schedule.
+func TestDirectTransfersNeedSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		fuseProcs bool
+		cfg       vm.Config
+		direct    bool
+	}{
+		{"fused-auto", true, vm.Config{}, true},
+		{"fused-nofuseprocs", false, vm.Config{}, false},
+		{"fused-manual", true, vm.Config{Manual: true}, false},
+		{"fused-waitqueues", true, vm.Config{UseWaitQueues: true}, false},
+		{"baseline-auto", true, vm.Config{Engine: vm.EngineBaseline}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := compileSrc(t, pingPongSrc)
+			o := opt.All()
+			o.FuseProcs = tc.fuseProcs
+			if _, err := opt.Run(prog, o); err != nil {
+				t.Fatalf("opt: %v", err)
+			}
+			if (prog.Schedule != nil) != tc.fuseProcs {
+				t.Fatalf("schedule present = %v, want %v", prog.Schedule != nil, tc.fuseProcs)
+			}
+			m := vm.New(prog, tc.cfg)
+			if err := m.BindReader("outC", &vm.CollectReader{}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.cfg.Manual {
+				m.Settle()
+				for cs := m.EnabledComms(); len(cs) > 0 && m.Fault() == nil; cs = m.EnabledComms() {
+					m.FireComm(cs[0])
+				}
+			} else {
+				m.Run()
+			}
+			if f := m.Fault(); f != nil {
+				t.Fatalf("fault: %v", f)
+			}
+			s := m.Stats
+			if s.Rendezvous < 200 {
+				t.Fatalf("only %d rendezvous: the run did not complete (stats: %s)", s.Rendezvous, s)
+			}
+			if got := s.DirectXfers > 0; got != tc.direct {
+				t.Errorf("directxfers = %d, want direct transfers %v (stats: %s)", s.DirectXfers, tc.direct, s)
+			}
+		})
 	}
 }

@@ -6,12 +6,12 @@ import "fmt"
 // default (the zero value): it runs the load-time translation of
 // ir.FuseProgram and is observably identical to the baseline — same
 // Stats, same cycle meter, same faults, same trace events — just faster.
-// The baseline engine remains as the differential-testing oracle. The
-// process-fused engine additionally executes the optimizer's static
-// rendezvous schedule: direct-transfer instructions on
-// statically-matched channels, narrowed partner scans everywhere else,
-// and heap-object recycling — still observably identical, with one
-// extra diagnostic counter (Stats.DirectXfers) that charges no cycles.
+// When the program carries the optimizer's static rendezvous schedule,
+// an auto-mode, bit-mask fused machine also executes it: direct-transfer
+// instructions on statically-matched channels and narrowed partner scans
+// everywhere else — still observably identical, with one extra
+// diagnostic counter (Stats.DirectXfers) that charges no cycles. The
+// baseline engine remains as the differential-testing oracle.
 // The compiled engine executes ahead-of-time generated Go code (see
 // internal/gobackend): one native function per process, installed with
 // Machine.InstallCompiled. A machine configured for EngineCompiled but
@@ -23,7 +23,6 @@ type Engine uint8
 const (
 	EngineFused Engine = iota
 	EngineBaseline
-	EngineProcFused
 	EngineCompiled
 )
 
@@ -33,8 +32,6 @@ func (e Engine) String() string {
 		return "fused"
 	case EngineBaseline:
 		return "baseline"
-	case EngineProcFused:
-		return "procfused"
 	case EngineCompiled:
 		return "compiled"
 	}
@@ -48,10 +45,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineFused, nil
 	case "baseline":
 		return EngineBaseline, nil
-	case "procfused":
-		return EngineProcFused, nil
 	case "compiled":
 		return EngineCompiled, nil
 	}
-	return EngineFused, fmt.Errorf("unknown engine %q (want baseline, fused, procfused, or compiled)", s)
+	return EngineFused, fmt.Errorf("unknown engine %q (want baseline, fused, or compiled)", s)
 }

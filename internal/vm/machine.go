@@ -119,7 +119,7 @@ type Machine struct {
 	compiled []CompiledProc
 
 	// sched is the runtime form of the static rendezvous schedule
-	// (process-fused engine, auto + bit-mask mode only; nil otherwise).
+	// (fused engine, auto + bit-mask mode only; nil otherwise).
 	// Immutable and shared by clones; schedStore is its backing storage
 	// so New performs no extra allocation for it.
 	sched      *schedRT
@@ -206,8 +206,7 @@ func New(prog *ir.Program, cfg Config) *Machine {
 		m.recvQ = make(map[int][]int)
 	}
 	m.heap.MaxLive = cfg.MaxLiveObjects
-	switch cfg.Engine {
-	case EngineFused:
+	if cfg.Engine == EngineFused {
 		m.fused = prog.Fused
 		if m.fused == nil {
 			// The program was not fused ahead of time (optimizer skipped or
@@ -215,17 +214,7 @@ func New(prog *ir.Program, cfg Config) *Machine {
 			// program.
 			m.fused = ir.FuseProgram(prog)
 		}
-	case EngineProcFused:
-		m.fused = prog.FusedSched
-		if m.fused == nil {
-			// No schedule-aware translation cached (process fusion off in
-			// the optimizer): run the plain fused form; the schedule fast
-			// paths stay off.
-			m.fused = prog.Fused
-			if m.fused == nil {
-				m.fused = ir.FuseProgram(prog)
-			}
-		} else if !cfg.Manual && !cfg.UseWaitQueues && prog.Schedule != nil {
+		if !cfg.Manual && !cfg.UseWaitQueues && prog.Schedule != nil {
 			// The static schedule drives the fast paths only in auto,
 			// bit-mask mode: Manual machines (the model checker) enumerate
 			// communications themselves, and queue mode's charges are tied
@@ -234,27 +223,18 @@ func New(prog *ir.Program, cfg Config) *Machine {
 				readers: prog.Schedule.Readers, internal: prog.Schedule.Internal}
 			m.sched = &m.schedStore
 		}
-		if !cfg.Manual {
-			// Recycle the element storage of freed objects: the snapshot
-			// machinery of Manual machines owns object lifetimes,
-			// everything else is free to reuse the backing arrays. Object
-			// shells are never reused (they tombstone dangling
-			// references), so this is observable on no program — buggy or
-			// not.
-			m.heap.recycle = true
-		}
-	case EngineCompiled:
-		// The compiled engine mirrors the baseline's rendezvous machinery
-		// exactly (full-table partner scans, no static schedule), so the
-		// generated code's accounting is bit-identical to the oracle by
-		// construction. Element-storage recycling is unobservable (see the
-		// ProcFused case above), so the native code gets it too. Until
-		// InstallCompiled provides the generated step functions, the
-		// machine runs the baseline loop.
-		if !cfg.Manual {
-			m.heap.recycle = true
-		}
 	}
+	// The compiled engine mirrors the baseline's rendezvous machinery
+	// exactly (full-table partner scans, no static schedule), so the
+	// generated code's accounting is bit-identical to the oracle by
+	// construction; until InstallCompiled provides the generated step
+	// functions, the machine runs the baseline loop. Both fast engines
+	// recycle the element storage of freed objects: the snapshot
+	// machinery of Manual machines owns object lifetimes, everything else
+	// is free to reuse the backing arrays. Object shells are never reused
+	// (they tombstone dangling references), so this is observable on no
+	// program — buggy or not.
+	m.heap.recycle = !cfg.Manual && (cfg.Engine == EngineFused || cfg.Engine == EngineCompiled)
 	// Process instances, locals, and stacks live in two block allocations:
 	// firmware benchmarks build a machine per run, and the per-process
 	// make calls were a measurable slice of their profiles. The full slice

@@ -37,12 +37,11 @@ var recEngines = []struct {
 }{
 	{"baseline", vm.EngineBaseline},
 	{"fused", vm.EngineFused},
-	{"procfused", vm.EngineProcFused},
 }
 
 // TestPostmortemIdenticalAcrossEngines asserts the engine-equivalence
 // contract extends to the flight recorder: the same fault produces a
-// bit-identical postmortem under all three engines.
+// bit-identical postmortem under both engines.
 func TestPostmortemIdenticalAcrossEngines(t *testing.T) {
 	var dumps []string
 	for _, e := range recEngines {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"esplang/internal/opt"
 	"esplang/internal/types"
 	"esplang/internal/vm"
 )
@@ -295,26 +296,61 @@ process pong {
 `, n, n)
 }
 
+// recordSrc is countSrc with a freshly allocated record per message: the
+// consumer's receive frees it, so every iteration is one allocate-send-
+// free cycle.
+func recordSrc(n int) string {
+	return fmt.Sprintf(`
+type pair = record of { a: int, b: int }
+channel c: pair
+channel doneC: int external reader
+process ping {
+    $i = 0;
+    while (i < %d) {
+        out( c, { i, i + 1});
+        i = i + 1;
+    }
+}
+process pong {
+    $i = 0;
+    while (i < %d) {
+        in( c, { $a, $b});
+        i = i + 1;
+    }
+    out( doneC, 1);
+}
+`, n, n)
+}
+
 // TestExecAllocsIndependentOfWorkload: the interpreter loops (both
 // engines) perform no per-instruction or per-context-switch heap
 // allocation: total Go allocations for a 10x longer scalar workload must
-// not grow with it.
+// not grow with it. With one ESP record allocated per message, an
+// optimized program on an auto fused machine (the firmware
+// configuration: static schedule, element-storage recycling) may grow
+// only by the object-shell slabs — far less than one Go allocation per
+// ESP allocation.
 func TestExecAllocsIndependentOfWorkload(t *testing.T) {
+	run := func(t *testing.T, src string, optimize bool, engine vm.Engine) float64 {
+		prog := compileSrc(t, src)
+		if optimize {
+			if _, err := opt.Run(prog, opt.All()); err != nil {
+				t.Fatalf("opt: %v", err)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			m := vm.New(prog, vm.Config{Engine: engine})
+			if err := m.BindReader("doneC", &vm.CollectReader{}); err != nil {
+				t.Fatal(err)
+			}
+			if res := m.Run(); res != vm.RunHalted {
+				t.Fatalf("run: %v (fault %v)", res, m.Fault())
+			}
+		})
+	}
 	for _, engine := range []vm.Engine{vm.EngineBaseline, vm.EngineFused} {
 		t.Run(engine.String(), func(t *testing.T) {
-			run := func(n int) float64 {
-				prog := compileSrc(t, countSrc(n))
-				return testing.AllocsPerRun(10, func() {
-					m := vm.New(prog, vm.Config{Engine: engine})
-					if err := m.BindReader("doneC", &vm.CollectReader{}); err != nil {
-						t.Fatal(err)
-					}
-					if res := m.Run(); res != vm.RunHalted {
-						t.Fatalf("run: %v (fault %v)", res, m.Fault())
-					}
-				})
-			}
-			short, long := run(50), run(500)
+			short, long := run(t, countSrc(50), false, engine), run(t, countSrc(500), false, engine)
 			// Machine construction allocates a fixed amount; the 10x longer
 			// run may only add scheduling-slice noise, not O(n) closures.
 			if long > short+8 {
@@ -323,6 +359,13 @@ func TestExecAllocsIndependentOfWorkload(t *testing.T) {
 			}
 		})
 	}
+	t.Run("fused-records", func(t *testing.T) {
+		short, long := run(t, recordSrc(50), true, vm.EngineFused), run(t, recordSrc(500), true, vm.EngineFused)
+		if limit := short + (450+31)/32; long > limit {
+			t.Errorf("record allocations cost Go allocations: %d iters -> %.0f allocs, %d iters -> %.0f allocs (limit %.0f)",
+				50, short, 500, long, limit)
+		}
+	})
 }
 
 // BenchmarkExecAllocs reports allocs/op for the scalar rendezvous loop

@@ -93,21 +93,22 @@ func (o *Object) String() string {
 	}
 }
 
-// Heap is the object store of one machine. By default objects are never
-// reused; freed objects keep their contents so use-after-free is
-// detectable, the property the verifier checks exhaustively (§5.2). The
-// process-fused engine turns on recycling (see Machine.New): freed
-// The element storage of freed objects goes on a free list and Alloc
-// reuses it, so the hot allocate-send-free cycle stops hitting the Go
-// allocator for the (dominant) backing arrays. The Object shell itself
-// is never reused: a freed shell survives as a permanent tombstone with
-// its original ID, type, and Freed flag, so a dangling reference in a
-// buggy program faults with exactly the same message as on a
-// non-recycling heap. (Recycling whole shells would let a stale
-// reference observe a *different, possibly live* object — the engines
-// would diverge on use-after-free programs, which the differential
-// fuzzer caught.) Recycling stays off in Manual (model checker)
-// machines, whose snapshot machinery owns object lifetimes.
+// Heap is the object store of one machine. Objects are never reused;
+// freed objects keep their contents so use-after-free is detectable, the
+// property the verifier checks exhaustively (§5.2). Object shells are
+// carved from per-heap slabs of shellChunk, so the hot
+// allocate-send-free cycle pays one Go allocation per chunk rather than
+// one per ESP object; a carved shell is never handed out again, so a
+// freed shell survives as a permanent tombstone with its original ID,
+// type, and Freed flag, and a dangling reference in a buggy program
+// faults with exactly the same message on every engine. (Recycling whole
+// shells would let a stale reference observe a *different, possibly
+// live* object — the engines would diverge on use-after-free programs,
+// which the differential fuzzer caught.) Auto-mode fused and compiled
+// machines additionally recycle the element storage of freed objects
+// (see Machine.New): it goes on a free list and Alloc reuses it.
+// Recycling stays off in Manual (model checker) machines, whose snapshot
+// machinery owns object lifetimes.
 type Heap struct {
 	// MaxLive, when positive, bounds the number of simultaneously live
 	// objects. Exceeding it faults — the paper's way of catching leaks
@@ -126,12 +127,18 @@ type Heap struct {
 	// Machine.hookHeap).
 	onFree func()
 
+	// shells is the unused tail of the current shell slab.
+	shells []Object
+
 	// recycle enables the free list; pool holds the element storage of
 	// freed objects awaiting reuse. Only the backing arrays are pooled —
 	// freed Object shells persist as tombstones (see the type comment).
 	recycle bool
 	pool    [][]Value
 }
+
+// shellChunk is the number of Object shells one slab allocation carves.
+const shellChunk = 64
 
 // MaxAllocElems bounds the element count of any single object — the
 // Go-VM counterpart of the C runtime's ESP_MAX_ELEMS. ESP targets
@@ -154,11 +161,11 @@ func (h *Heap) Frees() int64 { return h.frees }
 // Alloc creates a new object with reference count 1. It returns nil if
 // the live-object bound is exceeded (the caller faults). With recycling
 // on, a freed object's element storage is reused when available; the
-// Object shell itself is always fresh, so freed shells keep tombstoning
-// their old identity. Contract: every caller stores into all n elements
-// before the object becomes reachable (records pop every field, arrays
-// store init into every slot), so reused stale elements are never
-// observed and need no zeroing.
+// Object shell itself is always an unused slab slot, so freed shells
+// keep tombstoning their old identity. Contract: every caller stores
+// into all n elements before the object becomes reachable (records pop
+// every field, arrays store init into every slot), so reused stale
+// elements are never observed and need no zeroing.
 func (h *Heap) Alloc(t *types.Type, n int) *Object {
 	if h.MaxLive > 0 && h.live >= h.MaxLive {
 		return nil
@@ -171,7 +178,12 @@ func (h *Heap) Alloc(t *types.Type, n int) *Object {
 	} else {
 		elems = make([]Value, n)
 	}
-	o := &Object{ID: h.nextID, Type: t, RC: 1, Elems: elems}
+	if len(h.shells) == 0 {
+		h.shells = make([]Object, shellChunk)
+	}
+	o := &h.shells[0]
+	h.shells = h.shells[1:]
+	o.ID, o.Type, o.RC, o.Elems = h.nextID, t, 1, elems
 	h.nextID++
 	h.live++
 	h.allocs++

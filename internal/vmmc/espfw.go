@@ -33,10 +33,17 @@ type ESPFirmware struct {
 const maxLiveObjects = 512
 
 // Engine selects the VM interpreter the ESP firmware runs on (fused by
-// default). vmmcbench's -engine flag flips it for differential runs; the
-// latency figures are engine-independent because both engines charge the
-// same cycle cost model.
+// default; it runs the optimizer's static rendezvous schedule, with
+// direct transfers on the statically-matched channels). vmmcbench's
+// -engine flag flips it for differential runs; the latency figures are
+// engine-independent because every engine charges the same cycle cost
+// model.
 var Engine = vm.EngineFused
+
+// NoFuseProcs compiles the firmware without the optimizer's
+// process-fusion pass (vmmcbench -no-fuse): the program carries no
+// static schedule, so every rendezvous stays dynamic.
+var NoFuseProcs bool
 
 // Metrics, when non-nil, is attached to every cluster NewCluster builds
 // (sim-kernel and firmware-VM instruments, no tracer or profiler). The
@@ -53,17 +60,28 @@ var Metrics *obs.Metrics
 // all scalar fields, so it is a valid map key; a compiled Program is
 // immutable at runtime (machines copy what they mutate), so sharing one
 // across firmware instances is safe.
-var fwCache sync.Map // nic.Config -> *esplang.Program
+var fwCache sync.Map // fwKey -> *esplang.Program
+
+type fwKey struct {
+	cfg    nic.Config
+	noFuse bool
+}
 
 func compileFirmware(cfg nic.Config) (*esplang.Program, error) {
-	if p, ok := fwCache.Load(cfg); ok {
+	key := fwKey{cfg, NoFuseProcs}
+	if p, ok := fwCache.Load(key); ok {
 		return p.(*esplang.Program), nil
 	}
-	prog, err := esplang.Compile(ESPSource(cfg), esplang.CompileOptions{Name: "vmmcESP"})
+	co := esplang.CompileOptions{Name: "vmmcESP"}
+	if NoFuseProcs {
+		co.Passes = esplang.OptAll()
+		co.Passes.FuseProcs = false
+	}
+	prog, err := esplang.Compile(ESPSource(cfg), co)
 	if err != nil {
 		return nil, fmt.Errorf("vmmc: ESP firmware does not compile: %w", err)
 	}
-	if prev, loaded := fwCache.LoadOrStore(cfg, prog); loaded {
+	if prev, loaded := fwCache.LoadOrStore(key, prog); loaded {
 		return prev.(*esplang.Program), nil
 	}
 	return prog, nil

@@ -1,16 +1,16 @@
 #!/bin/sh
 # Record the PR's headline benchmarks — firmware latency/bandwidth,
-# verifier throughput across the four-tier engine matrix (baseline,
-# fused, process-fused, AOT-compiled), and the verification workloads
+# verifier throughput across the three-tier engine matrix (baseline,
+# fused, AOT-compiled), and the verification workloads
 # under ample-set partial-order reduction — into BENCH_PR10.json at the
 # repository root. Commit the file so performance claims travel with
 # the code.
 #
 # Usage:
-#   scripts/bench.sh                 # full four-tier engine matrix
-#   scripts/bench.sh -fuse procfused # one tier only (the engine axis:
-#                                    # baseline | fused | procfused |
-#                                    # compiled, or a comma list)
+#   scripts/bench.sh                 # full three-tier engine matrix
+#   scripts/bench.sh -fuse fused     # one tier only (the engine axis:
+#                                    # baseline | fused | compiled, or
+#                                    # a comma list)
 #   scripts/bench.sh -seed <gitref>  # also benchmark an earlier commit
 #                                    # in a worktree and record its
 #                                    # <workload>/<tier>_over_seed
