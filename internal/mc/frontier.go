@@ -18,11 +18,14 @@ import (
 // machine for the whole search and replays frontier states into it with
 // vm.RestoreState. Every successor is captured by one vm.SaveKey pass
 // into the worker's scratch snapshot, which also yields its visited-set
-// key; the key is hashed once and copied only when the visited set
-// admits the state, and the scratch snapshot of an admitted state becomes
-// its frontier snapshot (recycled through a pool once expanded). A
-// discovered state thus costs one compact vm.SavedState while it sits on
-// the frontier and one key forever. Under the baseline engine the search
+// key and the key's per-process segments. The collapse store (shard.go)
+// compares the segments with the expanded state's, interns only the
+// changed ones, and admits the state as a vector of segment IDs; the
+// scratch snapshot of an admitted state becomes its frontier snapshot,
+// and an expanded node returns to a pool with its snapshot arenas and
+// communication buffer. A discovered state thus costs one compact
+// vm.SavedState while it sits on the frontier and one ID vector forever
+// — no full key is stored. Under the baseline engine the search
 // expands by cloning the whole machine per transition instead of
 // restoring a snapshot — the differential oracle for Save/RestoreState:
 // both must report identical verdicts and state counts, which the
@@ -31,7 +34,7 @@ import (
 // In both modes counterexamples are kept as compact parent chains (one
 // CommChoice and one pointer per state) and materialized by replaying the
 // choices from the initial machine, so memory is O(frontier + visited
-// keys).
+// states × processes) plus the distinct segments, each stored once.
 //
 // With Workers: 1 the search is a deterministic breadth-first traversal:
 // states are expanded in FIFO order and successors generated in
@@ -91,12 +94,10 @@ type node struct {
 	// ample is the length of the ample prefix of comms (== len(comms)
 	// when the state is expanded in full; see por.go).
 	ample int
-	// hash and key identify the state in the visited set, so expansion
-	// can mark the state closed for the cycle proviso. The key is the
-	// set's own copy (empty for the bit-state set), so keeping it here
-	// costs no key bytes.
-	hash uint64
-	key  string
+	// ref is the state's visited-set handle: expansion marks it closed
+	// for the cycle proviso and loads its segments to compare successors
+	// against.
+	ref stateRef
 }
 
 // frontier is the shared work queue: a FIFO of unexpanded nodes plus an
@@ -187,7 +188,7 @@ type foundViolation struct {
 type search struct {
 	opts    Options
 	prog    *ir.Program
-	visited shardedSet
+	visited visitedSet
 	front   frontier
 
 	// oracle selects the baseline-engine Clone-per-transition expansion
@@ -199,10 +200,10 @@ type search struct {
 	reduce bool
 	ind    *ir.Independence
 
-	// snapPool recycles SavedStates of fully expanded nodes: in steady
-	// state a new frontier entry reuses the arenas of a retired one, so
-	// state discovery stops allocating.
-	snapPool sync.Pool
+	// nodePool recycles fully expanded nodes with their snapshot arenas
+	// and communication buffers: in steady state a new frontier entry
+	// reuses a retired one, so state discovery stops allocating.
+	nodePool sync.Pool
 
 	states      atomic.Int64
 	transitions atomic.Int64
@@ -220,15 +221,19 @@ type search struct {
 	vio   *foundViolation
 }
 
-// searchFrontier runs the Exhaustive/BitState search and fills res.
-func searchFrontier(prog *ir.Program, opts Options, res *Result) {
-	var visited shardedSet
+// newVisitedSet returns the visited set for opts.Mode: the bit array, or
+// the collapse store with one slot for the live-object count and one per
+// process.
+func newVisitedSet(prog *ir.Program, opts Options) visitedSet {
 	if opts.Mode == BitState {
-		visited = newShardedBitSet(opts.BitstateBits)
-	} else {
-		visited = newShardedMapSet()
+		return newShardedBitSet(opts.BitstateBits)
 	}
+	return newCollapseSet(1 + len(prog.Procs))
+}
 
+// searchFrontier runs the Exhaustive/BitState search over visited and
+// fills res.
+func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Result) {
 	m0 := newMachine(prog, opts)
 	m0.Settle()
 	if f := m0.Fault(); f != nil {
@@ -239,8 +244,8 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 		return
 	}
 	snap0, kb0 := m0.SaveKey(nil, nil)
-	h0 := hashKey(kb0)
-	key0, _ := visited.TryAdd(h0, kb0)
+	w0 := &worker{}
+	ref0, _ := visited.TryAdd(&w0.keys, kb0, snap0.KeySegments())
 	res.States = 1
 	res.MemBytes = visited.MemBytes()
 
@@ -260,8 +265,8 @@ func searchFrontier(prog *ir.Program, opts Options, res *Result) {
 		s.reduce = true
 		s.ind = independence(prog)
 	}
-	ample0 := s.ampleOrder(m0, comms0)
-	n0 := &node{comms: comms0, ample: ample0, hash: h0, key: key0}
+	ample0 := s.ampleOrder(w0, m0, comms0)
+	n0 := &node{comms: comms0, ample: ample0, ref: ref0}
 	if s.oracle {
 		n0.m = m0
 	} else {
@@ -399,12 +404,16 @@ func (s *search) progressLoop(start time.Time, done chan struct{}) {
 
 // worker is one search goroutine's private state: on the hot path the
 // machine it replays frontier snapshots into (the oracle clones instead),
-// the scratch snapshot the next successor is saved into, and the key
-// buffer.
+// the scratch snapshot the next successor is saved into, the key and
+// communication buffers, the visited set's scratch, and the ample-set
+// closure's.
 type worker struct {
-	m    *vm.Machine
-	snap *vm.SavedState
-	kb   []byte
+	m     *vm.Machine
+	snap  *vm.SavedState
+	kb    []byte
+	comms []vm.CommChoice
+	keys  keyScratch
+	ample ampleScratch
 }
 
 func (s *search) worker() {
@@ -436,7 +445,7 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 		limit = len(n.comms)
 	}
 	if s.reduce {
-		s.visited.MarkClosed(n.hash, n.key)
+		s.visited.MarkClosed(n.ref)
 		if limit < len(n.comms) {
 			s.porAmple.Add(1)
 		} else {
@@ -453,6 +462,7 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 // machine.
 func (s *search) expand(w *worker, n *node) {
 	limit, witness := s.noteAmple(n)
+	s.visited.Parent(&w.keys, n.ref)
 	for i, c := range n.comms {
 		if i == limit {
 			if witness > 0 {
@@ -485,12 +495,12 @@ func (s *search) expand(w *worker, n *node) {
 			return
 		}
 		// One pass saves the successor into the scratch snapshot and
-		// builds its key; the key is copied only if the state is new.
+		// builds its key; only its ID vector is stored, and only if the
+		// state is new.
 		w.snap, w.kb = m.SaveKey(w.snap, w.kb[:0])
-		h := hashKey(w.kb)
-		key, added := s.visited.TryAdd(h, w.kb)
+		ref, added := s.visited.TryAdd(&w.keys, w.kb, w.snap.KeySegments())
 		if !added {
-			if s.reduce && i < limit && !s.visited.Closed(h, w.kb) {
+			if s.reduce && i < limit && !s.visited.Closed(ref) {
 				witness++
 			}
 			continue
@@ -509,8 +519,10 @@ func (s *search) expand(w *worker, n *node) {
 		d := n.depth + 1
 		s.observeDepth(d)
 
-		comms := m.EnabledComms()
-		if len(comms) == 0 {
+		// Enumerate into the worker's buffer; only a frontier node keeps
+		// a copy.
+		w.comms = m.AppendEnabledComms(w.comms[:0])
+		if len(w.comms) == 0 {
 			if stuck(m, s.opts) {
 				s.violate(n.path, c, nil, true)
 				return
@@ -521,31 +533,29 @@ func (s *search) expand(w *worker, n *node) {
 			s.truncated.Store(true)
 			continue
 		}
-		n2 := &node{
-			comms: comms,
-			path:  &pathNode{choice: c, parent: n.path},
-			depth: d,
-			ample: s.ampleOrder(m, comms),
-			hash:  h,
-			key:   key,
+		n2, _ := s.nodePool.Get().(*node)
+		if n2 == nil {
+			n2 = &node{}
 		}
+		n2.comms = append(n2.comms[:0], w.comms...)
+		n2.path = &pathNode{choice: c, parent: n.path}
+		n2.depth = d
+		n2.ample = s.ampleOrder(w, m, n2.comms)
+		n2.ref = ref
 		if s.oracle {
 			n2.m = m
 		} else {
 			// The scratch snapshot becomes the frontier snapshot; the next
-			// successor saves into a recycled one.
-			n2.snap = w.snap
-			w.snap, _ = s.snapPool.Get().(*vm.SavedState)
+			// successor saves into the recycled node's.
+			n2.snap, w.snap = w.snap, n2.snap
 		}
 		s.front.push(n2)
 	}
-	// Every communication was fired from n's state; recycle its arenas.
+	// Every communication was fired from n's state; recycle the node.
 	// (The early returns above skip this — a shutting-down search doesn't
-	// need the pool, and the GC reclaims those snapshots.)
-	if n.snap != nil {
-		s.snapPool.Put(n.snap)
-	}
-	n.snap, n.m = nil, nil
+	// need the pool, and the GC reclaims those nodes.)
+	n.m, n.path = nil, nil
+	s.nodePool.Put(n)
 }
 
 // violate records the violation (first writer wins) and shuts the search

@@ -346,7 +346,7 @@ func Check(prog *ir.Program, opts Options) *Result {
 			})
 		}
 	} else {
-		searchFrontier(prog, opts, res)
+		searchFrontier(prog, opts, newVisitedSet(prog, opts), res)
 	}
 	res.Elapsed = time.Since(start)
 	return res

@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"math/bits"
+
 	"esplang/internal/analysis"
 	"esplang/internal/ir"
 	"esplang/internal/vm"
@@ -61,11 +63,18 @@ func independence(prog *ir.Program) *ir.Independence {
 	return analysis.ComputeIndependence(prog)
 }
 
+// ampleScratch is a worker's reusable scratch for ampleOrder: the
+// channels one process offers, and the partitioned communications.
+type ampleScratch struct {
+	chans []int
+	part  []vm.CommChoice
+}
+
 // ampleOrder partitions comms in place so that a valid ample set forms a
 // prefix, and returns the prefix length — len(comms) when no proper
 // ample set exists (full expansion). The relative order within both
 // partitions is preserved, so the sequential search stays deterministic.
-func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
+func (s *search) ampleOrder(w *worker, m *vm.Machine, comms []vm.CommChoice) int {
 	full := len(comms)
 	if !s.reduce || full < 2 || len(s.prog.Procs) > porProcLimit {
 		return full
@@ -79,14 +88,11 @@ func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
 	}
 
 	bestCount, bestSet := full, uint64(0)
-	var buf []int // reused channel scratch across candidates (worker-local)
 	for base := 0; base < len(s.prog.Procs); base++ {
 		if partic&(1<<uint(base)) == 0 {
 			continue
 		}
-		var set uint64
-		var ok bool
-		set, ok, buf = s.ampleClosure(m, base, buf)
+		set, ok := s.ampleClosure(&w.ample, m, base)
 		if !ok || set == bestSet {
 			continue
 		}
@@ -105,58 +111,60 @@ func (s *search) ampleOrder(m *vm.Machine, comms []vm.CommChoice) int {
 	}
 
 	// Stable partition: ample communications first.
-	tmp := make([]vm.CommChoice, 0, full)
+	part := w.ample.part[:0]
 	for _, c := range comms {
 		if bestSet&(1<<uint(c.Sender)) != 0 {
-			tmp = append(tmp, c)
+			part = append(part, c)
 		}
 	}
 	for _, c := range comms {
 		if bestSet&(1<<uint(c.Sender)) == 0 {
-			tmp = append(tmp, c)
+			part = append(part, c)
 		}
 	}
-	copy(comms, tmp)
+	copy(comms, part)
+	w.ample.part = part
 	return bestCount
 }
 
 // ampleClosure grows the closed process set from base on the current
 // quiescent state. It reports false when the closure crosses an
-// externally bound channel. buf is scratch space, returned for reuse.
-func (s *search) ampleClosure(m *vm.Machine, base int, buf []int) (uint64, bool, []int) {
+// externally bound channel. The worklist is a bitmask of members whose
+// offers are not yet followed; the closure is the same set whatever
+// order they are followed in.
+func (s *search) ampleClosure(sc *ampleScratch, m *vm.Machine, base int) (uint64, bool) {
 	ind := s.ind
-	var set uint64
-	var work []int
+	var set, work uint64
 	add := func(p int) {
 		if set&(1<<uint(p)) != 0 {
 			return
 		}
 		set |= 1 << uint(p)
-		work = append(work, p)
+		work |= 1 << uint(p)
 		// A dirty ref-flow region may share heap objects among its
 		// members: keep it whole on one side of the split.
 		if r := ind.Region[p]; r >= 0 && ind.DirtyRegion[r] {
 			for q := range ind.Region {
 				if ind.Region[q] == r && set&(1<<uint(q)) == 0 {
 					set |= 1 << uint(q)
-					work = append(work, q)
+					work |= 1 << uint(q)
 				}
 			}
 		}
 	}
 	add(base)
-	for len(work) > 0 {
-		p := work[len(work)-1]
-		work = work[:len(work)-1]
-		buf = m.OfferedChannels(p, buf[:0])
-		for _, ch := range buf {
+	for work != 0 {
+		p := bits.TrailingZeros64(work)
+		work &^= 1 << uint(p)
+		sc.chans = m.OfferedChannels(p, sc.chans[:0])
+		for _, ch := range sc.chans {
 			if ind.ChanExt[ch] {
-				return 0, false, buf
+				return 0, false
 			}
 			for _, q := range ind.Touch[ch] {
 				add(q)
 			}
 		}
 	}
-	return set, true, buf
+	return set, true
 }

@@ -158,3 +158,16 @@ process fc { in( f, $v); assert( v < 9); }
 		t.Fatalf("parallel POR missed the fault: %v", parF.Violation)
 	}
 }
+
+// TestAmpleOrderAllocFree: choosing an ample set reuses the worker's
+// scratch — the closure's channel buffer, its worklist, and the
+// partition — so a reduced state costs no allocation.
+func TestAmpleOrderAllocFree(t *testing.T) {
+	allocs, ample, full := mc.AmpleOrderAllocs(compileSrc(t, pipelinesSource(3, 3)))
+	if ample >= full {
+		t.Fatalf("no proper ample set: prefix %d of %d", ample, full)
+	}
+	if allocs != 0 {
+		t.Errorf("ampleOrder allocates %.1f times per call, want 0", allocs)
+	}
+}

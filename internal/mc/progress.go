@@ -47,29 +47,40 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 	}
 	// States are kept as compact snapshots and replayed into one scratch
 	// machine, so graph construction doesn't retain a full machine clone
-	// per state.
+	// per state. As in the frontier search, the collapse store tells
+	// states apart without storing their keys; each shard numbers its
+	// states densely, so dense maps a handle to the state's index.
 	var (
-		snaps []*vm.SavedState
-		idOf  = map[string]int{}
-		edges [][]edge
-		snap  *vm.SavedState
-		kb    []byte
+		visited = newCollapseSet(1 + len(prog.Procs))
+		ks      keyScratch
+		dense   [numShards][]int
+		snaps   []*vm.SavedState
+		refs    []stateRef
+		edges   [][]edge
+		snap    *vm.SavedState
+		kb      []byte
 	)
 	m := newMachine(prog, opts)
 	// visit returns the index of m's state, admitting it if new: one
 	// SaveKey pass yields both the key and the snapshot, which is kept
-	// only for a new state.
-	visit := func() int {
+	// only for a new state. It reports false when a new state would
+	// exceed MaxStates; the search then stops.
+	visit := func() (int, bool) {
 		snap, kb = m.SaveKey(snap, kb[:0])
-		j, ok := idOf[string(kb)]
-		if !ok {
-			j = len(snaps)
-			idOf[string(kb)] = j
-			snaps = append(snaps, snap)
-			edges = append(edges, nil)
-			snap = nil
+		ref, added := visited.TryAdd(&ks, kb, snap.KeySegments())
+		if !added {
+			return dense[ref.shard()][ref.index()], true
 		}
-		return j
+		if len(snaps) >= opts.MaxStates {
+			return 0, false
+		}
+		j := len(snaps)
+		dense[ref.shard()] = append(dense[ref.shard()], j)
+		snaps = append(snaps, snap)
+		refs = append(refs, ref)
+		edges = append(edges, nil)
+		snap = nil
+		return j, true
 	}
 
 	m.Settle()
@@ -79,8 +90,10 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 	}
 	visit()
 
-	for i := 0; i < len(snaps) && len(snaps) < opts.MaxStates; i++ {
+expansion:
+	for i := 0; i < len(snaps); i++ {
 		m.RestoreState(snaps[i])
+		visited.Parent(&ks, refs[i])
 		for _, c := range m.EnabledComms() {
 			m.RestoreState(snaps[i]) // each firing starts from state i
 			desc := newStep(m, prog, c).Desc
@@ -89,16 +102,21 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 			if f := m.Fault(); f != nil {
 				res.Violation = &Violation{Fault: f}
 				res.States = len(snaps)
+				res.MemBytes = visited.MemBytes()
 				return res
 			}
-			j := visit() // may grow edges: call it before indexing
+			j, ok := visit() // may grow edges: call it before indexing
+			if !ok {
+				// The state bound is reached: stop, as the frontier
+				// search does, and look for a cycle in the graph so far.
+				res.Truncated = true
+				break expansion
+			}
 			edges[i] = append(edges[i], edge{to: j, progress: progressChan[c.Chan], desc: desc})
 		}
 	}
 	res.States = len(snaps)
-	if len(snaps) >= opts.MaxStates {
-		res.Truncated = true
-	}
+	res.MemBytes = visited.MemBytes()
 
 	// Phase 2: a cycle using only non-progress edges. Iterative DFS with
 	// colors: 0 unvisited, 1 on stack, 2 done.

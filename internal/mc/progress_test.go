@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	esplang "esplang"
 	"esplang/internal/mc"
+	"esplang/internal/nic"
+	"esplang/internal/vmmc"
 )
 
 // chatterSrc: two processes ping-pong forever on chatC while a worker
@@ -132,5 +135,64 @@ process q { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
 	res := mc.CheckProgress(prog, []string{}, mc.Options{})
 	if res.Violation != nil {
 		t.Fatalf("terminating system reported a cycle: %v", res.Violation)
+	}
+}
+
+// TestProgressTruncationStopsAtBound: CheckProgress stops at exactly
+// MaxStates, as Check does (TestTruncationStopsPromptly), instead of
+// admitting the rest of the expansion that reaches the bound. The
+// program branches 3 ways at every state; the vmmc firmware model is the
+// reproducer, which used to report 11 states under a bound of 10.
+func TestProgressTruncationStopsAtBound(t *testing.T) {
+	prog := compileSrc(t, `
+channel c: int
+process counter {
+    $n = 0;
+    while (true) {
+        alt {
+            case( out( c, 3*n)) { skip; }
+            case( out( c, 3*n + 1)) { skip; }
+            case( out( c, 3*n + 2)) { skip; }
+        }
+        n = n + 1;
+    }
+}
+process sink {
+    $sum = 0;
+    while (true) { in( c, $v); sum = sum + v; }
+}
+`)
+	const bound = 300
+	res := mc.CheckProgress(prog, []string{"c"}, mc.Options{MaxStates: bound})
+	if res.Violation != nil {
+		t.Fatalf("unexpected violation: %v", res.Violation)
+	}
+	if !res.Truncated || res.States != bound {
+		t.Errorf("states=%d truncated=%v, want %d/true", res.States, res.Truncated, bound)
+	}
+	if maxT := 3*bound + 16; res.Transitions > maxT {
+		t.Errorf("%d transitions after a %d-state bound (want ≤ %d)", res.Transitions, bound, maxT)
+	}
+
+	fw, err := esplang.Compile(vmmc.FirmwareModel(nic.DefaultConfig(), 3), esplang.CompileOptions{Name: "vmmc-verify"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = mc.CheckProgress(fw.IR, nil, mc.Options{MaxStates: 10, EndRecvOK: true})
+	if !res.Truncated || res.States != 10 {
+		t.Errorf("firmware model: states=%d truncated=%v, want 10/true", res.States, res.Truncated)
+	}
+	// A search the bound does not cut is not truncated.
+	small := compileSrc(t, `
+channel c: int
+process p { $i = 0; while (i < 3) { out( c, i); i = i + 1; } }
+process q { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
+`)
+	full := mc.CheckProgress(small, nil, mc.Options{})
+	if full.Truncated {
+		t.Fatalf("unbounded search truncated at %d states", full.States)
+	}
+	if res := mc.CheckProgress(small, nil, mc.Options{MaxStates: full.States}); res.Truncated || res.States != full.States {
+		t.Errorf("bound = state count: states=%d truncated=%v, want %d/false", res.States, res.Truncated, full.States)
 	}
 }

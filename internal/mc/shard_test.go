@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -143,23 +145,52 @@ func TestHashKeyTailAndLength(t *testing.T) {
 	}
 }
 
-// TestShardedMapSetTryAddOnce: hammered from many goroutines, every key
-// is admitted exactly once — the property the parallel search's state
-// count rests on.
-func TestShardedMapSetTryAddOnce(t *testing.T) {
-	const keys, goroutines = 2000, 8
-	s := newShardedMapSet()
+// segKey builds key i of a corpus shaped like segmented machine-state
+// keys: segment 0 plays the live-object count, and segment j ≥ 1 is one
+// of five per-process values chosen by base-5 digit j-1 of i, so keys
+// share most of their segments with many others. It returns the key and
+// its segment ends.
+func segKey(i, nseg int) ([]byte, []int32) {
+	var key []byte
+	ends := make([]int32, 0, nseg)
+	key = append(key, byte(i%3))
+	ends = append(ends, int32(len(key)))
+	for j := 1; j < nseg; j++ {
+		d := i % 5
+		i /= 5
+		key = fmt.Appendf(key, "p%d:%s", j, strings.Repeat("x", d))
+		ends = append(ends, int32(len(key)))
+	}
+	return key, ends
+}
+
+// TestShardedCollapseSetTryAddOnce: hammered from many goroutines with
+// multi-segment keys that share most of their segments, every key is
+// admitted exactly once — the property the parallel search's state count
+// rests on — and every goroutine gets the same handle for it. Each
+// goroutine loads the state it last touched as the parent of its next
+// key, so segments are both reused from the parent and interned.
+func TestShardedCollapseSetTryAddOnce(t *testing.T) {
+	const keys, goroutines, nseg = 2000, 8, 6
+	s := newCollapseSet(nseg)
 	var wg sync.WaitGroup
 	wins := make([]int64, goroutines)
+	refs := make([][]stateRef, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				k := []byte(fmt.Sprintf("key-%d", i))
-				if _, ok := s.TryAdd(hashKey(k), k); ok {
+			var sc keyScratch
+			refs[g] = make([]stateRef, keys)
+			for n := 0; n < keys; n++ {
+				i := (n*7 + g*251) % keys // each goroutine its own order
+				k, ends := segKey(i, nseg)
+				ref, ok := s.TryAdd(&sc, k, ends)
+				if ok {
 					wins[g]++
 				}
+				refs[g][i] = ref
+				s.Parent(&sc, ref)
 			}
 		}(g)
 	}
@@ -171,8 +202,89 @@ func TestShardedMapSetTryAddOnce(t *testing.T) {
 	if total != keys {
 		t.Errorf("%d TryAdd wins for %d distinct keys", total, keys)
 	}
+	for g := 1; g < goroutines; g++ {
+		for i := range refs[g] {
+			if refs[g][i] != refs[0][i] {
+				t.Fatalf("key %d: goroutine %d got handle %#x, goroutine 0 %#x", i, g, refs[g][i], refs[0][i])
+			}
+		}
+	}
+	distinct := make([]map[string]bool, nseg)
+	for i := 0; i < keys; i++ {
+		k, ends := segKey(i, nseg)
+		start := int32(0)
+		for slot, end := range ends {
+			if distinct[slot] == nil {
+				distinct[slot] = map[string]bool{}
+			}
+			distinct[slot][string(k[start:end])] = true
+			start = end
+		}
+	}
+	for slot := range distinct {
+		if got, want := len(s.segs[slot].ends), len(distinct[slot]); got != want {
+			t.Errorf("slot %d interned %d segments, want %d", slot, got, want)
+		}
+	}
 	if s.MemBytes() == 0 {
 		t.Error("MemBytes = 0 after inserts")
+	}
+}
+
+// TestCollapseSetParentSegments: Parent reproduces the admitted key's
+// segments, and the closed flag is per state.
+func TestCollapseSetParentSegments(t *testing.T) {
+	const nseg = 4
+	s := newCollapseSet(nseg)
+	var sc keyScratch
+	var refs []stateRef
+	for i := 0; i < 200; i++ {
+		k, ends := segKey(i, nseg)
+		ref, ok := s.TryAdd(&sc, k, ends)
+		if !ok {
+			t.Fatalf("key %d not admitted", i)
+		}
+		refs = append(refs, ref)
+		s.Parent(&sc, ref)
+		if string(sc.key) != string(k) || !slices.Equal(sc.ends, ends) {
+			t.Fatalf("key %d: Parent loaded %q %v, want %q %v", i, sc.key, sc.ends, k, ends)
+		}
+	}
+	for i, ref := range refs {
+		if i%3 == 0 {
+			s.MarkClosed(ref)
+		}
+	}
+	for i, ref := range refs {
+		if got := s.Closed(ref); got != (i%3 == 0) {
+			t.Errorf("state %d: Closed = %v", i, got)
+		}
+	}
+}
+
+// TestCollapseTablesResolveHashCollisions: entries whose hashes collide
+// are told apart by their bytes (segments) or IDs (vectors), including
+// across a table's growth.
+func TestCollapseTablesResolveHashCollisions(t *testing.T) {
+	var segs segTable
+	var sh stateShard
+	for i := 0; i < 100; i++ {
+		seg := []byte(fmt.Sprintf("seg%d", i))
+		if id := segs.intern(seg, 7); id != uint32(i) {
+			t.Fatalf("segment %d interned as %d", i, id)
+		}
+		vec := []uint32{uint32(i), 1, 2}
+		if idx, added := sh.insert(vec, 7); !added || idx != i {
+			t.Fatalf("vector %d: index %d, added %v", i, idx, added)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if id := segs.intern([]byte(fmt.Sprintf("seg%d", i)), 7); id != uint32(i) {
+			t.Errorf("segment %d re-interned as %d", i, id)
+		}
+		if idx, added := sh.insert([]uint32{uint32(i), 1, 2}, 7); added || idx != i {
+			t.Errorf("vector %d re-inserted: index %d, added %v", i, idx, added)
+		}
 	}
 }
 
@@ -190,7 +302,7 @@ func TestShardedBitSetTryAddOnce(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
 				k := []byte(fmt.Sprintf("key-%d", i))
-				if _, ok := s.TryAdd(hashKey(k), k); ok {
+				if _, ok := s.TryAdd(nil, k, nil); ok {
 					wins[g]++
 				}
 			}

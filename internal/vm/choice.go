@@ -35,8 +35,12 @@ func (m *Machine) Settle() {
 // waits on the channel — whether the lazily evaluated value will match is
 // resolved when the transition fires, and a mismatch is a fault, exactly
 // as at run time.
-func (m *Machine) EnabledComms() []CommChoice {
-	var out []CommChoice
+func (m *Machine) EnabledComms() []CommChoice { return m.AppendEnabledComms(nil) }
+
+// AppendEnabledComms appends the communications EnabledComms enumerates
+// to out and returns the extended slice, so a caller can enumerate into
+// a reused buffer.
+func (m *Machine) AppendEnabledComms(out []CommChoice) []CommChoice {
 	for si, s := range m.Procs {
 		switch s.Status {
 		case PBlockedSend:

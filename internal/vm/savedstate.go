@@ -26,6 +26,7 @@ type SavedState struct {
 	objs    []objSnap
 	objVals []snapVal // object elements, blocked per object
 	ready   []int
+	keyEnds []int32 // see KeySegments
 
 	live         int
 	nextID       int
@@ -74,6 +75,12 @@ type objSnap struct {
 // assigned at different allocation times do not distinguish states (the
 // objectId canonicalization of §5.2). Object IDs, nextID, the allocation
 // counters, the ready list, and the commit pin are not part of the key.
+//
+// The key falls into segments (see KeySegments): the live-object count,
+// then one segment per process holding its fields, locals, stack,
+// pending value, and the heap objects first reached from it. Every value
+// is self-delimiting, so the boundaries are a function of the key's
+// bytes: two keys are equal iff their segments are pairwise equal.
 const (
 	keyInt   = 0xfb // an integer outside [0, keyInt): zigzag varint follows
 	keyNil   = 0xfc // a nil reference
@@ -161,7 +168,7 @@ func (m *Machine) SaveKey(dst *SavedState, kb []byte) (*SavedState, []byte) {
 	}
 	s := dst
 	if s == nil {
-		s = &SavedState{}
+		s = m.newSavedState()
 	}
 	s.procs = s.procs[:0]
 	s.vals = s.vals[:0]
@@ -178,11 +185,13 @@ func (m *Machine) SaveKey(dst *SavedState, kb []byte) (*SavedState, []byte) {
 
 	m.markGen++
 	w := saver{s: s, kb: kb, gen: m.markGen}
+	base := len(kb)
 	// The live-object count is part of the state: leaked objects are
 	// unreachable from the roots but still occupy objectIds, and it is
 	// exactly their accumulation that the verifier's fixed-size table
 	// catches (§5.2).
 	w.num(int64(m.heap.live))
+	s.keyEnds = append(s.keyEnds[:0], int32(len(w.kb)-base))
 	for _, p := range m.Procs {
 		w.num(int64(p.Status))
 		w.num(int64(p.PC))
@@ -214,8 +223,31 @@ func (m *Machine) SaveKey(dst *SavedState, kb []byte) (*SavedState, []byte) {
 			w.num(int64(p.PendingFlags))
 		}
 		s.procs = append(s.procs, ps)
+		s.keyEnds = append(s.keyEnds, int32(len(w.kb)-base))
 	}
 	return s, w.kb
+}
+
+// KeySegments returns where each segment of the key that the last
+// SaveKey into s appended ends, as offsets from the key's first byte:
+// one entry for the live-object count, then one per process (see
+// keyInt). The slice is s's own and is overwritten by the next SaveKey.
+func (s *SavedState) KeySegments() []int32 { return s.keyEnds }
+
+// newSavedState returns an empty snapshot whose arenas fit the machine's
+// processes, values, and live objects, so a first save does not grow
+// them step by step.
+func (m *Machine) newSavedState() *SavedState {
+	vals := 0
+	for _, p := range m.Procs {
+		vals += len(p.Locals) + len(p.Stack)
+	}
+	return &SavedState{
+		procs:   make([]procSnap, 0, len(m.Procs)),
+		vals:    make([]snapVal, 0, vals),
+		objs:    make([]objSnap, 0, m.heap.live),
+		keyEnds: make([]int32, 0, 1+len(m.Procs)),
+	}
 }
 
 // Save is SaveKey without the key.

@@ -258,6 +258,52 @@ func TestSaveKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveKeySegments: the key splits into the live-object count and one
+// segment per process, with offsets relative to the key's first byte;
+// the segments tile the key, and a change confined to one process
+// changes only that process's segment.
+func TestSaveKeySegments(t *testing.T) {
+	segments := func(m *vm.Machine) []string {
+		const prefix = "prefix"
+		snap, kb := m.SaveKey(nil, []byte(prefix))
+		key, ends := kb[len(prefix):], snap.KeySegments()
+		if len(ends) != 1+len(m.Procs) {
+			t.Fatalf("%d segments for %d processes", len(ends), len(m.Procs))
+		}
+		var segs []string
+		start := int32(0)
+		for _, end := range ends {
+			if end <= start {
+				t.Fatalf("segment ends %v not increasing", ends)
+			}
+			segs = append(segs, string(key[start:end]))
+			start = end
+		}
+		if int(start) != len(key) {
+			t.Fatalf("segments cover %d of %d key bytes", start, len(key))
+		}
+		return segs
+	}
+	base := segments(keyMachine(t, false, nil))
+	for _, tc := range []struct {
+		name    string
+		changed int // the one segment that must differ
+		mutate  func(m *vm.Machine, a, b *vm.Object)
+	}{
+		{"live count", 0, func(m *vm.Machine, a, b *vm.Object) { m.Heap().Alloc(a.Type, 1) }},
+		{"producer PC", 1, func(m *vm.Machine, a, b *vm.Object) { m.Procs[0].PC++ }},
+		{"consumer stack slot", 2, func(m *vm.Machine, a, b *vm.Object) { m.Procs[1].Stack[0] = vm.IntVal(10) }},
+		{"object reached from consumer", 2, func(m *vm.Machine, a, b *vm.Object) { b.Elems[1] = vm.IntVal(5) }},
+	} {
+		got := segments(keyMachine(t, false, tc.mutate))
+		for i := range got {
+			if (got[i] != base[i]) != (i == tc.changed) {
+				t.Errorf("%s: segment %d changed = %v", tc.name, i, got[i] != base[i])
+			}
+		}
+	}
+}
+
 // TestSaveRejectsWaitQueueMode: wait queues are derivable state the
 // snapshot does not carry, so Save must refuse rather than silently
 // drop them.
