@@ -1,19 +1,12 @@
 // Command benchrec records the PR's headline benchmarks — the Figure 5
-// firmware workloads and the §5.3 verification runs — under the three
-// execution engine tiers and writes the numbers (ns/op, allocs/op,
+// firmware workloads and the §5.3 verification runs — under both
+// execution engines and writes the numbers (ns/op, allocs/op,
 // verifier states and states/sec, and the cross-engine speedups) to a
 // JSON file, so performance claims are checked in, reproducible, and
 // easy to diff across commits:
 //
 // It also measures the flight recorder's hot-path overhead (the
 // VMThroughput workload with and without a recorder attached).
-//
-// The compiled tier runs the VMThroughput workload only: the program is
-// AOT-compiled to a native Go binary (cached) and iterated inside one
-// subprocess via the wire protocol's Repeat field, so the reported
-// ns/op amortizes child startup to nothing and measures the generated
-// code's steady state. It needs a host Go toolchain and is skipped with
-// a note when none is on PATH.
 //
 // The verification workloads also run under ample-set partial-order
 // reduction ("<workload>/por"); the "<workload>/por_state_reduction"
@@ -33,7 +26,6 @@ import (
 	"testing"
 
 	esplang "esplang"
-	"esplang/internal/gobackend"
 	"esplang/internal/nic"
 	"esplang/internal/obs"
 	"esplang/internal/vmmc"
@@ -58,8 +50,7 @@ type Report struct {
 	GOARCH  string  `json:"goarch"`
 	NumCPU  int     `json:"num_cpu"`
 	Benches []Bench `json:"benchmarks"`
-	// Speedups is the one ratio map: a "<workload>/<tier>_over_<tier>"
-	// key per adjacent-tier (and headline compiled-over-baseline) ratio,
+	// Speedups is the one ratio map: "<workload>/fused_over_baseline",
 	// "<workload>/<tier>_over_seed" against SeedBenches, and
 	// "<workload>/por_state_reduction".
 	Speedups map[string]float64 `json:"speedups"`
@@ -379,62 +370,6 @@ func recordPair(offName, onName string, engine esplang.Engine, repeat int) (Benc
 	return toBench(offName, engine, offR), toBench(onName, engine, onR), ratios[len(ratios)/2]
 }
 
-// recordCompiledVM measures the VMThroughput workload on the AOT tier:
-// one generated binary (warm build cache after the first call), iterated
-// inside the subprocess via the protocol's Repeat field. The child times
-// its own repeat loop, so process startup, request parsing, and the
-// child-side recompile are excluded — the number is the generated code's
-// steady-state ns per machine run, directly comparable to the in-process
-// tiers' ns/op. Iteration count is calibrated to ~300ms of child wall
-// time; best of `repeat` runs, like every other workload.
-func recordCompiledVM(repeat int) (Bench, error) {
-	runner, err := gobackend.Build(vmSrc, gobackend.BuildOptions{})
-	if err != nil {
-		return Bench{}, err
-	}
-	run := func(n int) (*gobackend.Result, error) {
-		res, err := runner.Run(&gobackend.Request{
-			Repeat:  n,
-			Readers: map[string]int{"done": 0},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if res.Fault != nil {
-			return nil, fmt.Errorf("workload faulted: %v", res.Fault)
-		}
-		return res, nil
-	}
-	const targetNS = 300e6
-	n := 50
-	res, err := run(n)
-	if err != nil {
-		return Bench{}, err
-	}
-	for res.NS < targetNS/2 && n < 1_000_000 {
-		n = int(float64(n) * targetNS / float64(res.NS+1))
-		if res, err = run(n); err != nil {
-			return Bench{}, err
-		}
-	}
-	best := float64(res.NS) / float64(n)
-	for i := 1; i < repeat; i++ {
-		if res, err = run(n); err != nil {
-			return Bench{}, err
-		}
-		if got := float64(res.NS) / float64(n); got < best {
-			best = got
-		}
-	}
-	return Bench{
-		Name:       "VMThroughput",
-		Engine:     esplang.EngineCompiled.String(),
-		Iterations: n,
-		NsPerOp:    best,
-		Metrics:    map[string]float64{},
-	}, nil
-}
-
 func toBench(name string, engine esplang.Engine, r testing.BenchmarkResult) Bench {
 	rec := Bench{
 		Name:        name,
@@ -461,8 +396,8 @@ func main() {
 	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
 	repeat := flag.Int("repeat", 5, "runs per benchmark; the fastest is recorded")
 	seedBench := flag.String("seed-bench", "", "optional `go test -bench` output from the pre-PR commit to compare against")
-	engineList := flag.String("engines", "baseline,fused,compiled",
-		"comma-separated engine tiers to record (the fusion axis; compiled records VMThroughput only and needs a host Go toolchain)")
+	engineList := flag.String("engines", "baseline,fused",
+		"comma-separated engine tiers to record")
 	only := flag.String("workloads", "",
 		"comma-separated workload name prefixes to record (default all)")
 	flag.Parse()
@@ -481,22 +416,15 @@ func main() {
 
 	var engines []esplang.Engine
 	for _, name := range strings.Split(*engineList, ",") {
-		switch strings.TrimSpace(name) {
-		case "baseline":
-			engines = append(engines, esplang.EngineBaseline)
-		case "fused":
-			engines = append(engines, esplang.EngineFused)
-		case "compiled":
-			if _, err := gobackend.Toolchain(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchrec: skipping the compiled tier: %v\n", err)
-				continue
-			}
-			engines = append(engines, esplang.EngineCompiled)
-		case "":
-		default:
-			fmt.Fprintf(os.Stderr, "benchrec: unknown engine %q (want baseline, fused, compiled)\n", name)
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		engine, err := esplang.ParseEngine(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchrec: %v\n", err)
 			os.Exit(1)
 		}
+		engines = append(engines, engine)
 	}
 
 	rep := Report{
@@ -525,15 +453,6 @@ func main() {
 			// The recorder-overhead pair is measured interleaved (see
 			// recordPair) because its on/off ratio is the headline number.
 			for _, engine := range engines {
-				if engine == esplang.EngineCompiled {
-					rec, err := recordCompiledVM(*repeat)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "benchrec: compiled tier: %v\n", err)
-						os.Exit(1)
-					}
-					report(rec)
-					continue
-				}
 				off, on, ratio := recordPair("VMThroughput", "VMThroughput/recorder", engine, *repeat)
 				report(off)
 				report(on)
@@ -543,21 +462,14 @@ func main() {
 			// Recorded pairwise with VMThroughput above.
 		default:
 			for _, engine := range engines {
-				if engine == esplang.EngineCompiled {
-					continue // the compiled tier records VMThroughput only
-				}
 				report(record(wl.name, engine, *repeat))
 			}
 		}
 	}
 	for _, wl := range workloads {
 		base, fused := byKey[wl.name+"/baseline"], byKey[wl.name+"/fused"]
-		compiled := byKey[wl.name+"/compiled"]
 		if base.NsPerOp > 0 && fused.NsPerOp > 0 {
 			rep.Speedups[wl.name+"/fused_over_baseline"] = base.NsPerOp / fused.NsPerOp
-		}
-		if base.NsPerOp > 0 && compiled.NsPerOp > 0 {
-			rep.Speedups[wl.name+"/compiled_over_baseline"] = base.NsPerOp / compiled.NsPerOp
 		}
 	}
 	// POR state reduction: full-search states over ample-set states for

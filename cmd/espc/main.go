@@ -25,7 +25,6 @@ import (
 
 	esplang "esplang"
 	"esplang/internal/diag"
-	"esplang/internal/gobackend"
 )
 
 func main() {
@@ -49,7 +48,6 @@ func main() {
 		maxObjs   = flag.Int("max-objects", 1024, "C target: static heap size")
 		instances = flag.Int("instances", 1, "Promela target: program copies")
 		bound     = flag.Int("bound", 16, "Promela target: default objectId table size")
-		emitGo    = flag.String("emit-go", "", "write the AOT Go backend's generated source tree (main.go + go.mod) into this directory; `go build` there produces the compiled-engine binary")
 		mcRun     = flag.Bool("mc", false, "model-check the program with the bundled checker (the program must be closed); a violation exits nonzero")
 		mcWorkers = flag.Int("mc-workers", 0, "model checker: parallel search workers (0 = all cores; 1 = deterministic)")
 		mcProg    = flag.Bool("mc-progress", false, "model checker: print periodic search progress to stderr")
@@ -147,26 +145,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", path)
-	}
-	if *emitGo != "" {
-		if *noFuse {
-			// The generated harness recompiles the embedded source with
-			// default passes; a custom pass set would produce different IR
-			// than the step functions were generated from.
-			fmt.Fprintln(os.Stderr, "espc: -emit-go does not support -no-fuse")
-			os.Exit(2)
-		}
-		mainSrc, err := gobackend.Emit(prog, gobackend.Options{NoOptimize: *noOpt, VerifyIR: *verifyIR})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "espc: %v\n", err)
-			os.Exit(1)
-		}
-		if err := gobackend.WriteTree(*emitGo, mainSrc); err != nil {
-			fmt.Fprintf(os.Stderr, "espc: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", filepath.Join(*emitGo, "main.go"))
-		fmt.Printf("wrote %s\n", filepath.Join(*emitGo, "go.mod"))
 	}
 	if *mcRun {
 		engine, err := esplang.ParseEngine(*engineN)

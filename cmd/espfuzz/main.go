@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"esplang/internal/fuzz"
-	"esplang/internal/gobackend"
 	"esplang/internal/obs"
 )
 
@@ -38,7 +37,6 @@ func main() {
 		minBudget   = flag.Int("minimize", 300, "max candidate evaluations per minimization")
 		mcStates    = flag.Int("mc-states", 20000, "model-checker state bound per program")
 		skipMC      = flag.Bool("no-mc", false, "skip the model-checker oracle stages")
-		compiledOn  = flag.Bool("compiled", false, "add the AOT-compiled engine oracle stage: build every program into a generated Go binary and compare it against the baseline (needs a host Go toolchain; by far the slowest stage)")
 		verbose     = flag.Bool("v", false, "print every program's outcome")
 		maxFailures = flag.Int("max-failures", 20, "stop after this many distinct failures")
 		progress    = flag.Bool("progress", false, "print a periodic progress line to stderr (programs/s, compile rate, divergences)")
@@ -51,13 +49,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	opts := fuzz.Options{MCMaxStates: *mcStates, SkipMC: *skipMC, Compiled: *compiledOn}
-	if *compiledOn {
-		if _, err := gobackend.Toolchain(); err != nil {
-			fmt.Fprintf(os.Stderr, "espfuzz: -compiled: %v (the stage would skip on every program; drop the flag or install Go)\n", err)
-			os.Exit(2)
-		}
-	}
+	opts := fuzz.Options{MCMaxStates: *mcStates, SkipMC: *skipMC}
 
 	start := time.Now()
 	// Campaign counters live in a metrics registry so the stderr progress

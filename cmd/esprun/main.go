@@ -24,7 +24,6 @@ import (
 	"time"
 
 	esplang "esplang"
-	"esplang/internal/gobackend"
 	"esplang/internal/ir"
 	"esplang/internal/obs"
 	"esplang/internal/vm"
@@ -46,7 +45,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles)")
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
-		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus static rendezvous scheduling when the optimizer fused processes), compiled (AOT-generated native code in a subprocess; needs a host Go toolchain), or baseline; identical semantics and cycle accounting")
+		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus static rendezvous scheduling when the optimizer fused processes) or baseline; identical semantics and cycle accounting")
 		noFuse     = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
@@ -74,21 +73,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(1)
-	}
-	if engine == esplang.EngineCompiled {
-		// The compiled engine executes in a generated subprocess; the
-		// in-process observability hooks below cannot attach to it.
-		for _, bad := range []struct {
-			set  bool
-			flag string
-		}{{*tracePath != "", "-trace"}, {*profile, "-profile"}, {*telemetry != "", "-telemetry"},
-			{*pmPath != "", "-postmortem"}, {*noFuse, "-no-fuse"}} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "esprun: %s is not supported with -engine compiled (the program runs in a generated subprocess)\n", bad.flag)
-				os.Exit(2)
-			}
-		}
-		os.Exit(runCompiledEngine(prog, *maxObjects, *maxCycles, *showStats, *showCycles))
 	}
 	m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: *maxObjects, MaxCycles: *maxCycles, Engine: engine})
 
@@ -203,87 +187,6 @@ func main() {
 	if *showStats {
 		fmt.Fprintf(os.Stderr, "stats: %s\n", m.Stats)
 	}
-}
-
-// runCompiledEngine is the -engine compiled path: build the generated
-// package (cached), feed the stdin integers round-robin as wire trees,
-// and print the collected outputs per reader channel in declaration
-// order. Returns the process exit code.
-func runCompiledEngine(prog *esplang.Program, maxObjects int, maxCycles int64, showStats, showCycles bool) int {
-	if _, err := gobackend.Toolchain(); err != nil {
-		fmt.Fprintf(os.Stderr, "esprun: -engine compiled needs a host Go toolchain: %v\n", err)
-		fmt.Fprintln(os.Stderr, "esprun: install Go or use -engine fused/baseline (identical semantics, interpreted)")
-		return 1
-	}
-	runner, err := gobackend.BuildProgram(prog, gobackend.BuildOptions{Name: prog.Name, File: prog.File})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "esprun: building generated package: %v\n", err)
-		return 1
-	}
-	var inputs []int64
-	if hasExtWriter(prog) {
-		sc := bufio.NewScanner(os.Stdin)
-		sc.Split(bufio.ScanWords)
-		for sc.Scan() {
-			v, err := strconv.ParseInt(sc.Text(), 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "esprun: bad input %q\n", sc.Text())
-				return 1
-			}
-			inputs = append(inputs, v)
-		}
-		if err := sc.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "esprun: reading stdin: %v\n", err)
-			return 1
-		}
-	}
-	req := &gobackend.Request{
-		MaxLive:   maxObjects,
-		MaxCycles: maxCycles,
-		Writers:   map[string][]gobackend.Item{},
-		Readers:   map[string]int{},
-	}
-	var writers []*ir.Channel
-	for _, ch := range prog.IR.Channels {
-		switch ch.Ext {
-		case ir.ExtWriter:
-			if len(ch.Cases) != 1 || len(ch.Cases[0].ParamTypes) != 1 || !ch.Cases[0].ParamTypes[0].IsScalar() {
-				fmt.Fprintf(os.Stderr, "esprun: channel %s needs a single one-scalar interface case to read from stdin\n", ch.Name)
-				return 1
-			}
-			writers = append(writers, ch)
-		case ir.ExtReader:
-			req.Readers[ch.Name] = 0
-		}
-	}
-	for i, feed := range distributeInputs(inputs, len(writers)) {
-		items := make([]gobackend.Item, len(feed))
-		for j, v := range feed {
-			items[j] = gobackend.Item{Case: 0, Val: gobackend.Scalar(v)}
-		}
-		req.Writers[writers[i].Name] = items
-	}
-	res, err := runner.Run(req)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "esprun: running generated binary: %v\n", err)
-		return 1
-	}
-	for _, ch := range prog.IR.Channels {
-		for _, s := range res.Outputs[ch.Name] {
-			fmt.Printf("%s: %s\n", ch.Name, format(s))
-		}
-	}
-	if res.Result == vm.RunFault {
-		fmt.Fprintf(os.Stderr, "esprun: %v\n", res.Fault)
-		return 1
-	}
-	if showCycles {
-		fmt.Fprintf(os.Stderr, "cycles: %d\n", res.Cycles)
-	}
-	if showStats {
-		fmt.Fprintf(os.Stderr, "stats: %s\n", res.Stats)
-	}
-	return 0
 }
 
 // hasExtWriter reports whether the program declares any external-writer

@@ -51,6 +51,21 @@ process drain { while (true) { in( c, $v); } }
 	}
 }
 
+// TestUnknownEngineExits2: -engine accepts only baseline and fused; any
+// other name is a usage error (exit 2) that names the accepted engines.
+func TestUnknownEngineExits2(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-engine", "compiled", filepath.Join("..", "..", "testdata", "pipeline.esp"))
+	cmd.Env = append(os.Environ(), "ESPRUN_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Fatalf("esprun -engine compiled exited with %v, want exit status 2; output:\n%s", err, out)
+	}
+	if want := `esprun: unknown engine "compiled" (want baseline or fused)`; !strings.Contains(string(out), want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
 func TestDistributeInputsRoundRobin(t *testing.T) {
 	got := distributeInputs([]int64{1, 2, 3, 4, 5}, 2)
 	want := [][]int64{{1, 3, 5}, {2, 4}}

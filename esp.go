@@ -64,21 +64,10 @@ type (
 	// Engine selects the VM's interpreter loop (MachineConfig.Engine,
 	// VerifyOptions.Engine): the fused hot-path engine (default; it runs
 	// the optimizer's static rendezvous schedule, with direct transfers,
-	// whenever the program carries one), the compiled engine (runs
-	// ahead-of-time generated Go step functions, see internal/gobackend),
-	// or the baseline one-instruction-at-a-time loop, kept as a
-	// differential-testing oracle. All three charge the identical cycle
-	// cost model.
+	// whenever the program carries one) or the baseline
+	// one-instruction-at-a-time loop, kept as a differential-testing
+	// oracle. Both charge the identical cycle cost model.
 	Engine = vm.Engine
-	// ProcInst is one process instance inside a Machine. Compiled-engine
-	// step functions receive it alongside the machine.
-	ProcInst = vm.ProcInst
-	// ProcStatus is a process's scheduling state; generated fused code
-	// compares it against the re-exported constants below.
-	ProcStatus = vm.ProcStatus
-	// CompiledProc is one generated native step function of the compiled
-	// engine, installed with Machine.InstallCompiled.
-	CompiledProc = vm.CompiledProc
 	// MachineStats is the machine's event-statistics counters
 	// (Machine.Stats).
 	MachineStats = vm.Stats
@@ -130,7 +119,6 @@ const (
 const (
 	EngineFused    = vm.EngineFused
 	EngineBaseline = vm.EngineBaseline
-	EngineCompiled = vm.EngineCompiled
 )
 
 // Run results (re-exported).
@@ -140,25 +128,9 @@ const (
 	RunFault  = vm.RunFault
 )
 
-// ParseEngine parses an engine name ("baseline", "fused", or
-// "compiled"), for CLI -engine flags.
+// ParseEngine parses an engine name ("baseline" or "fused"), for CLI
+// -engine flags.
 var ParseEngine = vm.ParseEngine
-
-// Process scheduling states (ProcInst.Status), re-exported for the
-// generated fused fast path's inline rendezvous checks.
-const (
-	PReady       = vm.PReady
-	PBlockedSend = vm.PBlockedSend
-	PBlockedRecv = vm.PBlockedRecv
-	PBlockedAlt  = vm.PBlockedAlt
-	PHalted      = vm.PHalted
-)
-
-// CGSpill exposes a process's architectural operand stack to generated
-// compiled-engine code (see internal/gobackend): it resizes the stack to
-// the given depth so the generated function can spill its Go-local slots
-// before a blocking point or stack-consuming operation.
-var CGSpill = vm.CGSpill
 
 // OptAll returns the full optimizer pipeline — the default when
 // CompileOptions.Passes is zero. CLIs start from it to switch single

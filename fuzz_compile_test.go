@@ -1,0 +1,77 @@
+package esplang_test
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	esplang "esplang"
+	"esplang/internal/diag"
+	"esplang/internal/token"
+)
+
+// FuzzCompile feeds arbitrary bytes to the whole compiler. Compile must
+// answer every input with a program or an error — never a panic — and
+// every positioned diagnostic (errors, espvet findings, and their notes)
+// must point inside the input or at its end. The seeds are the repo's
+// ESP corpora, so plain `go test` replays them; `go test -run xxx -fuzz
+// FuzzCompile .` explores beyond them (docs/FUZZING.md).
+func FuzzCompile(f *testing.F) {
+	for _, pattern := range []string{"*.esp", "fuzz/*.esp", "vet/*.esp"} {
+		files, err := filepath.Glob(filepath.Join("testdata", pattern))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, path := range files {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(string(src))
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := esplang.Compile(src, esplang.CompileOptions{})
+		var spans []token.Pos
+		var diags diag.List
+		if errors.As(err, &diags) {
+			for _, d := range diags {
+				spans = append(spans, d.Pos)
+				for _, n := range d.Notes {
+					spans = append(spans, n.Pos)
+				}
+			}
+		}
+		if prog != nil {
+			for _, fd := range prog.Findings {
+				spans = append(spans, fd.Pos)
+				for _, n := range fd.Notes {
+					spans = append(spans, n.Pos)
+				}
+			}
+		}
+		for _, pos := range spans {
+			if pos.IsValid() && !posInInput(src, pos) {
+				t.Errorf("diagnostic at %s (offset %d) lies outside the %d-byte input; err = %v", pos, pos.Offset, len(src), err)
+			}
+		}
+	})
+}
+
+// posInInput reports whether pos names a byte of src, or the end of src,
+// with the line and column that offset really has.
+func posInInput(src string, pos token.Pos) bool {
+	if pos.Offset < 0 || pos.Offset > len(src) {
+		return false
+	}
+	line, col := 1, 1
+	for i := 0; i < pos.Offset; i++ {
+		if src[i] == '\n' {
+			line, col = line+1, 1
+		} else {
+			col++
+		}
+	}
+	return pos.Line == line && pos.Column == col
+}

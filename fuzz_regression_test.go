@@ -46,39 +46,6 @@ func TestFuzzRegressions(t *testing.T) {
 	}
 }
 
-// TestFuzzRegressionsCompiled replays the same corpus with the
-// AOT-compiled oracle stage enabled: every minimized program must also
-// build through the Go backend and run bit-identically to the baseline
-// engine in its generated subprocess. The model-checker stages are
-// skipped — this test isolates the fourth engine column. Skips cleanly
-// without a host toolchain.
-func TestFuzzRegressionsCompiled(t *testing.T) {
-	requireToolchain(t)
-	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.esp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no fuzz regression corpus found")
-	}
-	for _, path := range files {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := fuzz.RunDifferential(strings.TrimSuffix(filepath.Base(path), ".esp"), string(src), fuzz.Options{
-				SkipMC:   true,
-				Compiled: true,
-			})
-			for _, b := range rep.Bugs {
-				t.Errorf("oracle bug [%s @ %s]:\n%s", b.Kind, b.Stage, b.Detail)
-			}
-		})
-	}
-}
-
 // expectedOutcome extracts the "//fuzz: outcome=<label>" header.
 func expectedOutcome(t *testing.T, src string) string {
 	t.Helper()

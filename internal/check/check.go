@@ -501,9 +501,8 @@ func (c *checker) stmt(s ast.Stmt) {
 		if ast.IsPattern(x.LHS) {
 			rhsT := c.expr(x.RHS, nil)
 			if rhsT == nil {
-				// Composite RHS with no inferable type: peek at an explicit
-				// pattern is no help; require a typed RHS.
-				c.errorf(x.RHS.Pos(), "cannot infer type of right-hand side of pattern match")
+				// The untyped right-hand side was already reported; a
+				// pattern cannot supply the type.
 				return
 			}
 			c.pattern(x.LHS, rhsT)
@@ -537,12 +536,12 @@ func (c *checker) stmt(s ast.Stmt) {
 		c.altStmt(x)
 	case *ast.Link:
 		t := c.expr(x.X, nil)
-		if !t.IsRef() {
+		if t != nil && !t.IsRef() {
 			c.errorf(x.X.Pos(), "link() requires a record, union, or array value, got %s", t)
 		}
 	case *ast.Unlink:
 		t := c.expr(x.X, nil)
-		if !t.IsRef() {
+		if t != nil && !t.IsRef() {
 			c.errorf(x.X.Pos(), "unlink() requires a record, union, or array value, got %s", t)
 		}
 	case *ast.Assert:
@@ -661,6 +660,9 @@ func (c *checker) pattern(p ast.Expr, expected *types.Type) *Shape {
 			return &Shape{Kind: ShapeAny}
 		}
 		c.info.Uses[x] = v
+		if v.Type == nil {
+			return &Shape{Kind: ShapeDyn} // its declaration already failed
+		}
 		if !v.Type.IsScalar() {
 			c.errorf(p.Pos(), "pattern equality test requires a scalar variable, %s has type %s", x.Name, v.Type)
 			return &Shape{Kind: ShapeAny}
@@ -729,6 +731,9 @@ func (c *checker) lvalue(e ast.Expr) *types.Type {
 		return v.Type
 	case *ast.Index:
 		xt := c.expr(x.X, nil)
+		if xt == nil {
+			return nil
+		}
 		if xt.Kind != types.Array {
 			c.errorf(x.X.Pos(), "indexing requires an array, got %s", xt)
 			return nil
@@ -743,6 +748,9 @@ func (c *checker) lvalue(e ast.Expr) *types.Type {
 		return xt.Elem
 	case *ast.FieldSel:
 		xt := c.expr(x.X, nil)
+		if xt == nil {
+			return nil
+		}
 		if xt.Kind != types.Record {
 			c.errorf(x.X.Pos(), "field assignment requires a record, got %s", xt)
 			return nil
@@ -764,13 +772,19 @@ func (c *checker) lvalue(e ast.Expr) *types.Type {
 }
 
 // expr type-checks e with an optional expected type (used to type
-// composite literals) and returns its type. It never returns nil except
-// for composite literals that cannot be inferred.
+// composite literals) and returns its type. A nil type means e's type is
+// unknown because an error was already reported: a composite literal
+// that cannot be inferred, or an expression built on one, such as a
+// variable declared from it. In a context that expects a type, such an
+// expression takes the expected type, so the one diagnostic does not
+// cascade; without an expected type, nil is returned and callers skip
+// their own checks on it.
 func (c *checker) expr(e ast.Expr, expected *types.Type) *types.Type {
 	t := c.exprInner(e, expected)
-	if t != nil {
-		c.info.Types[e] = t
+	if t == nil {
+		return expected
 	}
+	c.info.Types[e] = t
 	return t
 }
 
@@ -834,9 +848,12 @@ func (c *checker) exprInner(e ast.Expr, expected *types.Type) *types.Type {
 		case token.EQL, token.NEQ:
 			lt := c.expr(x.X, nil)
 			rt := c.expr(x.Y, lt)
+			if lt == nil || rt == nil {
+				return u.BoolType
+			}
 			if lt != rt {
 				c.errorf(e.Pos(), "%s requires operands of the same type, got %s and %s", x.Op, lt, rt)
-			} else if lt != nil && !lt.IsScalar() {
+			} else if !lt.IsScalar() {
 				c.errorf(e.Pos(), "%s compares scalars only; %s values have no equality", x.Op, lt)
 			}
 			return u.BoolType
@@ -852,7 +869,10 @@ func (c *checker) exprInner(e ast.Expr, expected *types.Type) *types.Type {
 		return u.IntType
 	case *ast.Index:
 		xt := c.expr(x.X, nil)
-		if xt == nil || xt.Kind != types.Array {
+		if xt == nil {
+			return nil
+		}
+		if xt.Kind != types.Array {
 			c.errorf(x.X.Pos(), "indexing requires an array, got %s", xt)
 			return u.IntType
 		}
@@ -862,7 +882,10 @@ func (c *checker) exprInner(e ast.Expr, expected *types.Type) *types.Type {
 		return xt.Elem
 	case *ast.FieldSel:
 		xt := c.expr(x.X, nil)
-		if xt == nil || xt.Kind != types.Record {
+		if xt == nil {
+			return nil
+		}
+		if xt.Kind != types.Record {
 			c.errorf(x.X.Pos(), "field selection requires a record, got %s", xt)
 			return u.IntType
 		}

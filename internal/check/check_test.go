@@ -175,6 +175,37 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestUntypedLiteralReportedOnce: a composite literal whose type cannot
+// be inferred is one diagnostic, wherever the literal or a variable
+// declared from it is used — never a crash and never a cascade of
+// "<nil type>" follow-ups.
+func TestUntypedLiteralReportedOnce(t *testing.T) {
+	for _, body := range []string{
+		`$d = { 0}; link( d);`,
+		`$d = { 0}; unlink( d);`,
+		`while { unlink( { 0}); }`,
+		`$d = { 0}; if (d) { skip; }`,
+		`$d = { 0}; while (d) { skip; }`,
+		`$d = { 0}; assert( d);`,
+		`$d = { 0}; $e = d + 1;`,
+		`$d = { 0}; $e = d == 1;`,
+		`$d = { 0}; $e = d[0]; $f = d.x;`,
+		`$d = { 0}; d[0] = 1; d.x = 1;`,
+		`$d = { 0}; { $a} = d;`,
+		`$d = { 0}; in( c, d);`,
+	} {
+		prog, err := parser.Parse([]byte("channel c: int\nprocess p { " + body + " }\nprocess q { out( c, 1); }"))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", body, err)
+		}
+		_, err = Check(prog)
+		errs, _ := err.(ErrorList)
+		if len(errs) != 1 || !strings.Contains(errs[0].Msg, "cannot infer type") {
+			t.Errorf("%s: got %v, want the one \"cannot infer type\" diagnostic", body, err)
+		}
+	}
+}
+
 func TestChannelDirectionRules(t *testing.T) {
 	checkErr(t, `
 channel c: int external writer

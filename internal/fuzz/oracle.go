@@ -36,12 +36,6 @@ type Options struct {
 	InputsPerChannel int
 	// SkipMC disables the model-checker stages.
 	SkipMC bool
-	// Compiled enables the AOT-compiled engine oracle stage: the
-	// default-compiled program is built into a generated Go binary and
-	// its run compared byte-for-byte against the baseline render. Off by
-	// default — each new program costs a host-toolchain build (cached,
-	// but still the slowest stage by far).
-	Compiled bool
 }
 
 func (o Options) withDefaults() Options {
@@ -190,11 +184,7 @@ func engineName(e esplang.Engine) string {
 //     stable at Workers:4, verdict class stable without the optimizer;
 //   - espvet findings identical across optimizer configurations;
 //   - C and Promela generation: deterministic, panic-free, and carrying
-//     their structural markers;
-//   - with Options.Compiled, the AOT-compiled engine: the generated Go
-//     binary's run must match the baseline render byte-for-byte (build
-//     failures and run failures are their own bug kinds; no toolchain on
-//     PATH is an explained Note).
+//     their structural markers.
 //
 // Every stage is panic-guarded: a crash anywhere becomes a Bug, not a
 // fuzzer crash.
@@ -324,9 +314,6 @@ func RunDifferential(name, src string, opts Options) *Report {
 		return rs
 	}
 	runs := runMatrix("opt", full)
-	if opts.Compiled && len(runs) > 0 {
-		rep.compiledStage(name, full, runs[0].render, opts)
-	}
 	if nofuse != nil && nofuseErr == nil {
 		nofuseRuns := runMatrix("nofuse", nofuse)
 		if len(runs) > 0 && len(nofuseRuns) > 0 && runs[0].render != nofuseRuns[0].render {

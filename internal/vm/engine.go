@@ -12,18 +12,12 @@ import "fmt"
 // everywhere else — still observably identical, with one extra
 // diagnostic counter (Stats.DirectXfers) that charges no cycles. The
 // baseline engine remains as the differential-testing oracle.
-// The compiled engine executes ahead-of-time generated Go code (see
-// internal/gobackend): one native function per process, installed with
-// Machine.InstallCompiled. A machine configured for EngineCompiled but
-// without installed functions falls back to the baseline loop, so the
-// configuration is always safe to run in-process.
 type Engine uint8
 
 // Engines.
 const (
 	EngineFused Engine = iota
 	EngineBaseline
-	EngineCompiled
 )
 
 func (e Engine) String() string {
@@ -32,8 +26,6 @@ func (e Engine) String() string {
 		return "fused"
 	case EngineBaseline:
 		return "baseline"
-	case EngineCompiled:
-		return "compiled"
 	}
 	return "engine?"
 }
@@ -45,8 +37,6 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineFused, nil
 	case "baseline":
 		return EngineBaseline, nil
-	case "compiled":
-		return EngineCompiled, nil
 	}
-	return EngineFused, fmt.Errorf("unknown engine %q (want baseline, fused, or compiled)", s)
+	return EngineFused, fmt.Errorf("unknown engine %q (want baseline or fused)", s)
 }

@@ -41,10 +41,6 @@ func (m *Machine) checkObj(v Value, p *ProcInst) *Object {
 // per-instruction charge points of the baseline loop, and profiled runs
 // are not on the hot path.
 func (m *Machine) exec(p *ProcInst) {
-	if m.compiled != nil && m.prof == nil {
-		m.compiled[p.ID](m, p)
-		return
-	}
 	if m.fused != nil && m.prof == nil {
 		m.execFused(p)
 		return

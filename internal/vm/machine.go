@@ -112,12 +112,6 @@ type Machine struct {
 	// baseline engine was selected. It is immutable and shared by clones.
 	fused []*ir.FusedProc
 
-	// compiled holds the generated native step functions of the compiled
-	// engine (one per process, installed by InstallCompiled); nil for
-	// every other engine, in which case an EngineCompiled machine runs
-	// the baseline loop.
-	compiled []CompiledProc
-
 	// sched is the runtime form of the static rendezvous schedule
 	// (fused engine, auto + bit-mask mode only; nil otherwise).
 	// Immutable and shared by clones; schedStore is its backing storage
@@ -224,17 +218,12 @@ func New(prog *ir.Program, cfg Config) *Machine {
 			m.sched = &m.schedStore
 		}
 	}
-	// The compiled engine mirrors the baseline's rendezvous machinery
-	// exactly (full-table partner scans, no static schedule), so the
-	// generated code's accounting is bit-identical to the oracle by
-	// construction; until InstallCompiled provides the generated step
-	// functions, the machine runs the baseline loop. Both fast engines
-	// recycle the element storage of freed objects: the snapshot
-	// machinery of Manual machines owns object lifetimes, everything else
-	// is free to reuse the backing arrays. Object shells are never reused
-	// (they tombstone dangling references), so this is observable on no
-	// program — buggy or not.
-	m.heap.recycle = !cfg.Manual && (cfg.Engine == EngineFused || cfg.Engine == EngineCompiled)
+	// The fused engine recycles the element storage of freed objects:
+	// the snapshot machinery of Manual machines owns object lifetimes,
+	// everything else is free to reuse the backing arrays. Object shells
+	// are never reused (they tombstone dangling references), so this is
+	// observable on no program — buggy or not.
+	m.heap.recycle = !cfg.Manual && cfg.Engine == EngineFused
 	// Process instances, locals, and stacks live in two block allocations:
 	// firmware benchmarks build a machine per run, and the per-process
 	// make calls were a measurable slice of their profiles. The full slice

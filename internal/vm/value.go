@@ -104,9 +104,9 @@ func (o *Object) String() string {
 // faults with exactly the same message on every engine. (Recycling whole
 // shells would let a stale reference observe a *different, possibly
 // live* object — the engines would diverge on use-after-free programs,
-// which the differential fuzzer caught.) Auto-mode fused and compiled
-// machines additionally recycle the element storage of freed objects
-// (see Machine.New): it goes on a free list and Alloc reuses it.
+// which the differential fuzzer caught.) Auto-mode fused machines
+// additionally recycle the element storage of freed objects (see
+// Machine.New): it goes on a free list and Alloc reuses it.
 // Recycling stays off in Manual (model checker) machines, whose snapshot
 // machinery owns object lifetimes.
 type Heap struct {

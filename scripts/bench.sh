@@ -1,33 +1,25 @@
 #!/bin/sh
 # Record the PR's headline benchmarks — firmware latency/bandwidth,
-# verifier throughput across the three-tier engine matrix (baseline,
-# fused, AOT-compiled), and the verification workloads
-# under ample-set partial-order reduction — into BENCH_PR10.json at the
-# repository root. Commit the file so performance claims travel with
-# the code.
+# verifier throughput on both engines (baseline, fused), and the
+# verification workloads under ample-set partial-order reduction — into
+# BENCH_PR10.json at the repository root. Commit the file so performance
+# claims travel with the code.
 #
 # Usage:
-#   scripts/bench.sh                 # full three-tier engine matrix
-#   scripts/bench.sh -fuse fused     # one tier only (the engine axis:
-#                                    # baseline | fused | compiled, or
-#                                    # a comma list)
-#   scripts/bench.sh -seed <gitref>  # also benchmark an earlier commit
-#                                    # in a worktree and record its
-#                                    # <workload>/<tier>_over_seed
-#                                    # entries in the speedups map
+#   scripts/bench.sh                    # both engines
+#   scripts/bench.sh -engines fused     # one engine only
+#   scripts/bench.sh -seed <gitref>     # also benchmark an earlier commit
+#                                       # in a worktree and record its
+#                                       # <workload>/<tier>_over_seed
+#                                       # entries in the speedups map
 # Extra arguments are passed through to cmd/benchrec.
 set -eu
 cd "$(dirname "$0")/.."
 
-engines=""
 seed_file=""
 wt=""
 while [ $# -gt 0 ]; do
     case "$1" in
-    -fuse)
-        engines="$2"
-        shift 2
-        ;;
     -seed)
         ref="$2"
         shift 2
@@ -45,9 +37,6 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-if [ -n "$engines" ]; then
-    set -- -engines "$engines" "$@"
-fi
 if [ -n "$seed_file" ]; then
     set -- -seed-bench "$seed_file" "$@"
 fi
