@@ -42,7 +42,7 @@ func main() {
 		maxCycles  = flag.Int64("max-cycles", defaultMaxCycles, "total cycle budget; exceeding it is a step-budget fault, so a program that never terminates still exits (0 = unlimited — firmware runs forever)")
 		showStats  = flag.Bool("stats", false, "print machine statistics at exit")
 		showCycles = flag.Bool("cycles", false, "print consumed cycles at exit")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles)")
+		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles); the flight recorder then keeps every event instead of a -flight ring")
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
 		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus static rendezvous scheduling when the optimizer fused processes) or baseline; identical semantics and cycle accounting")
@@ -76,21 +76,21 @@ func main() {
 	}
 	m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: *maxObjects, MaxCycles: *maxCycles, Engine: engine})
 
-	var tr *obs.ChromeTracer
-	if *tracePath != "" {
-		tr = obs.NewChromeTracer(1) // timestamps are VM cycles
-		m.SetTracer(tr)
-	}
 	var prof *obs.Profiler
 	if *profile {
 		prof = obs.NewProfiler(flag.Arg(0))
 		m.SetProfiler(prof)
 	}
+	// The recorder is the machine's one event sink: -trace needs every
+	// event, so it swaps the -flight ring for a growing one.
 	var rec *obs.FlightRecorder
-	if *flight > 0 {
+	switch {
+	case *tracePath != "":
+		rec = obs.NewEventLog()
+	case *flight > 0:
 		rec = obs.NewFlightRecorder(*flight)
-		m.SetRecorder(rec)
 	}
+	m.SetRecorder(rec)
 	var srv *obs.Server
 	if *telemetry != "" {
 		reg := obs.NewMetrics()
@@ -141,10 +141,12 @@ func main() {
 
 	// The trace and profile are written even when the run faulted — a
 	// fault is exactly when the timeline is most useful.
-	if tr != nil {
+	if *tracePath != "" {
+		rec.Sync() // WriteChrome sees only published events
 		f, err := os.Create(*tracePath)
+		n := 0
 		if err == nil {
-			err = tr.Write(f)
+			n, err = rec.WriteChrome(f, 0) // timestamps are VM cycles
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -153,7 +155,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "esprun: writing trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", tr.Len(), *tracePath)
+		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", n, *tracePath)
 	}
 	if prof != nil {
 		fmt.Fprint(os.Stderr, prof.Report(prog.Source, *profileTop))

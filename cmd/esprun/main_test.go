@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	esplang "esplang"
+	"esplang/internal/obs"
 	"esplang/internal/vm"
 )
 
@@ -63,6 +66,49 @@ func TestUnknownEngineExits2(t *testing.T) {
 	}
 	if want := `esprun: unknown engine "compiled" (want baseline or fused)`; !strings.Contains(string(out), want) {
 		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestTraceGolden pins the exact bytes of `esprun -trace` on two sample
+// programs fed "1 10 37", and the event count esprun reports for them on
+// stderr. Regenerate with ESP_UPDATE_GOLDEN=1.
+func TestTraceGolden(t *testing.T) {
+	for _, name := range []string{"add5", "pipeline"} {
+		t.Run(name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "trace.json")
+			cmd := exec.Command(os.Args[0], "-trace", out, filepath.Join("..", "..", "testdata", name+".esp"))
+			cmd.Env = append(os.Environ(), "ESPRUN_AS_MAIN=1")
+			cmd.Stdin = strings.NewReader("1 10 37\n")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("esprun -trace: %v\n%s", err, stderr.String())
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", name+".trace.json")
+			if os.Getenv("ESP_UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with ESP_UPDATE_GOLDEN=1 to create)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("trace differs from %s\ngot:\n%s\nwant:\n%s", golden, got, want)
+			}
+			n, err := obs.ValidateChromeTrace(got)
+			if err != nil {
+				t.Fatalf("invalid trace: %v", err)
+			}
+			if line := fmt.Sprintf("trace: wrote %d events to %s\n", n, out); !strings.Contains(stderr.String(), line) {
+				t.Errorf("stderr lacks %q:\n%s", line, stderr.String())
+			}
+		})
 	}
 }
 

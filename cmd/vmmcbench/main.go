@@ -52,6 +52,15 @@ func main() {
 		telem  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rounds", *round}, {"count", *count}, {"trace-size", *tsize}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "vmmcbench: -%s must be at least 1, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	mcWorkers = *mcW
 	engine, err := esplang.ParseEngine(*engN)
 	if err != nil {
@@ -205,7 +214,7 @@ func fig5c(count int) {
 	for _, size := range bwSizes {
 		row := [3]float64{}
 		for i, fl := range flavors {
-			v, err := vmmc.Bidirectional(fl, cfg, size, count/2)
+			v, err := vmmc.Bidirectional(fl, cfg, size, max(count/2, 1))
 			die(err)
 			row[i] = v
 		}

@@ -167,8 +167,8 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := prog.Machine(esplang.MachineConfig{Engine: engine})
-		tr := obs.NewChromeTracer(1)
-		m.SetTracer(tr)
+		rec := obs.NewEventLog()
+		m.SetRecorder(rec)
 		w := &esplang.QueueWriter{}
 		for _, v := range []int64{1, 10, 37} {
 			v := v
@@ -181,7 +181,8 @@ func TestEngineDifferentialTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Run()
-		if err := tr.Write(&traces[i]); err != nil {
+		rec.Sync()
+		if _, err := rec.WriteChrome(&traces[i], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,11 +318,12 @@ func TestEngineDifferentialTracesTestdata(t *testing.T) {
 					t.Fatalf("compile: %v", err)
 				}
 				m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: 64, Engine: engine})
-				tr := obs.NewChromeTracer(1)
-				m.SetTracer(tr)
+				rec := obs.NewEventLog()
+				m.SetRecorder(rec)
 				feedInputs(t, prog, m)
 				m.Run()
-				if err := tr.Write(&traces[i]); err != nil {
+				rec.Sync()
+				if _, err := rec.WriteChrome(&traces[i], 0); err != nil {
 					t.Fatal(err)
 				}
 			}

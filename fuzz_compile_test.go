@@ -7,14 +7,18 @@ import (
 	"testing"
 
 	esplang "esplang"
+	"esplang/internal/ast"
 	"esplang/internal/diag"
+	"esplang/internal/parser"
 	"esplang/internal/token"
 )
 
 // FuzzCompile feeds arbitrary bytes to the whole compiler. Compile must
 // answer every input with a program or an error — never a panic — and
 // every positioned diagnostic (errors, espvet findings, and their notes)
-// must point inside the input or at its end. The seeds are the repo's
+// must point inside the input or at its end. Every input the parser
+// accepts must also survive the formatter round trip: ast.Print's output
+// parses again and prints to itself. The seeds are the repo's
 // ESP corpora, so plain `go test` replays them; `go test -run xxx -fuzz
 // FuzzCompile .` explores beyond them (docs/FUZZING.md).
 func FuzzCompile(f *testing.F) {
@@ -55,6 +59,19 @@ func FuzzCompile(f *testing.F) {
 			if pos.IsValid() && !posInInput(src, pos) {
 				t.Errorf("diagnostic at %s (offset %d) lies outside the %d-byte input; err = %v", pos, pos.Offset, len(src), err)
 			}
+		}
+
+		tree, err := parser.Parse([]byte(src))
+		if err != nil {
+			return
+		}
+		once := ast.Print(tree)
+		tree2, err := parser.Parse([]byte(once))
+		if err != nil {
+			t.Fatalf("formatted output does not parse: %v\n%s", err, once)
+		}
+		if twice := ast.Print(tree2); twice != once {
+			t.Errorf("formatting is not idempotent\n--- once ---\n%s--- twice ---\n%s", once, twice)
 		}
 	})
 }

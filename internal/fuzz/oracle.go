@@ -582,11 +582,12 @@ func divergenceSig(e obs.Event) string {
 // external bindings and renders everything observable: run result, fault
 // (with file:line), cycle meter, statistics (DirectXfers zeroed — the
 // one deliberate cross-engine difference), per-channel outputs, and a
-// hash of the recorded event stream. The raw events ride along so a
-// divergence names its first divergent event, and a faulting run carries
-// its flight-recorder postmortem — the strict matrix requires it to be
-// bit-identical across engines, and espfuzz attaches it to the repro
-// report.
+// hash of the recorded event stream. One growing recorder
+// (obs.NewEventLog) supplies both the stream and the postmortem: the raw
+// events ride along so a divergence names its first divergent event, and
+// a faulting run carries its postmortem — the strict matrix requires it
+// to be bit-identical across engines, and espfuzz attaches it to the
+// repro report.
 func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 	m := prog.Machine(esplang.MachineConfig{
 		MaxLiveObjects: opts.MaxLiveObjects,
@@ -594,9 +595,7 @@ func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 		MaxCycles:      opts.MaxCycles,
 		Engine:         engine,
 	})
-	log := obs.NewEventLog()
-	m.SetTracer(log)
-	rec := obs.NewFlightRecorder(0)
+	rec := obs.NewEventLog()
 	m.SetRecorder(rec)
 	readers := bindExternals(prog, m, opts.InputsPerChannel)
 	res := m.Run()
@@ -623,8 +622,10 @@ func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "trace: %s\n", eventSum(log.Events()))
-	out := vmRun{render: b.String(), events: log.Events()}
+	rec.Sync()
+	events := rec.Snapshot(0)
+	fmt.Fprintf(&b, "trace: %s\n", eventSum(events))
+	out := vmRun{render: b.String(), events: events}
 	if m.Fault() != nil {
 		out.pm = m.Postmortem(obs.PostmortemEvents)
 	}

@@ -226,7 +226,7 @@ type NIC struct {
 	// DMA/wire transfer. Durations are known at issue time, so Begin/End
 	// pairs are emitted together and the trace is balanced even if the
 	// simulation stops early.
-	trace obs.SpanEmitter
+	trace *obs.ChromeTracer
 
 	// Stats.
 	CPUCycles   int64
@@ -317,11 +317,11 @@ func (n *NIC) engineTrack(e *Engine) int64 {
 	}
 }
 
-// SetTrace attaches a span emitter for the hardware timeline (firmware
-// runs, DMA transfers, wire arrivals). nil detaches. Timestamps are the
-// kernel's nanosecond clock; pair with a ChromeTracer built with
-// NewChromeTracer(1e-3) so they land in microseconds.
-func (n *NIC) SetTrace(tr obs.SpanEmitter) {
+// SetTrace attaches a trace for the hardware timeline (firmware runs,
+// DMA transfers, wire arrivals). nil detaches. Timestamps are the
+// kernel's nanosecond clock; build the tracer with NewChromeTracer(1e-3)
+// so they land in microseconds.
+func (n *NIC) SetTrace(tr *obs.ChromeTracer) {
 	n.trace = tr
 	if tr == nil {
 		return

@@ -8,15 +8,15 @@ import (
 
 // ChromeTracer records events in the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// the JSON that chrome://tracing and Perfetto load directly. Each ESP
-// process becomes a named thread track; rendezvous, allocations, faults,
-// and polls are instant events; the live-object count is a counter
-// series; NIC DMA engines add hardware tracks through the SpanEmitter
-// methods.
+// the JSON that chrome://tracing and Perfetto load directly. AddEvents
+// renders a flight recorder's VM events: each ESP process becomes a
+// named thread track; rendezvous, faults, and polls are instant events;
+// the live-object count is a counter series. NIC DMA engines add
+// hardware tracks through the span methods (SetTrackName, Begin, End,
+// Instant).
 //
-// It implements both Tracer (VM events) and SpanEmitter (generic spans).
-// It is not safe for concurrent use; the VM and the sim kernel are
-// single-threaded, which is the only place it is installed.
+// It is not safe for concurrent use; the sim kernel that emits spans is
+// single-threaded, and recorded events are rendered after the fact.
 type ChromeTracer struct {
 	// Scale converts clock timestamps to the format's microseconds
 	// (events are emitted at ts×Scale µs). Leave 1 for the VM cycle
@@ -68,23 +68,68 @@ func (t *ChromeTracer) ensureName(tid int64, name string) {
 		Args: map[string]any{"name": name}})
 }
 
-// --- Tracer (VM events) ---
+// --- VM events ---
 
-// ProcStart implements Tracer.
-func (t *ChromeTracer) ProcStart(ts int64, proc int, name string) {
+// AddEvents renders recorded VM events. trackOff shifts every process
+// track id and prefix is prepended to process, channel, fault, and
+// counter names, so several machines can share one trace (vmmc gives
+// each NIC's firmware its own offset and a "nic<i> " prefix); esprun
+// passes 0 and "". Spans cut by a recorder's window are repaired: a stop whose start
+// fell off the ring gets a synthetic start at the first event's
+// timestamp, and a span still open at the last event is closed there, so
+// live snapshots of a running machine still balance.
+func (t *ChromeTracer) AddEvents(evs []Event, trackOff int, prefix string) {
+	track := func(proc int) int {
+		if proc < 0 {
+			return proc // -1 = external environment or no process
+		}
+		return proc + trackOff
+	}
+	depth := map[int]int{}
+	for _, e := range evs {
+		p := track(e.Proc)
+		switch e.Kind {
+		case EvProcStart:
+			t.procStart(e.Ts, p, prefix+e.Name)
+			depth[p]++
+		case EvProcStop:
+			if depth[p] == 0 {
+				t.procStart(evs[0].Ts, p, fmt.Sprintf("%sproc%d", prefix, e.Proc))
+				depth[p]++
+			}
+			t.procStop(e.Ts, p, e.Name)
+			depth[p]--
+		case EvRendezvous:
+			t.rendezvous(e.Ts, prefix+e.Name, p, track(e.Arg))
+		case EvAlloc, EvFree:
+			t.counterLive(e.Ts, prefix, e.Arg)
+		case EvFault:
+			t.fault(e.Ts, p, prefix+e.Name)
+		case EvPoll:
+			t.poll(e.Ts, prefix+e.Name)
+		}
+	}
+	if n := len(evs); n > 0 {
+		for p, d := range depth {
+			for ; d > 0; d-- {
+				t.procStop(evs[n-1].Ts, p, "(snapshot)")
+			}
+		}
+	}
+}
+
+func (t *ChromeTracer) procStart(ts int64, proc int, name string) {
 	tid := int64(proc)
 	t.ensureName(tid, name)
 	t.add(chromeEvent{Name: name, Ph: "B", Tid: tid, Ts: t.ts(ts)})
 }
 
-// ProcStop implements Tracer.
-func (t *ChromeTracer) ProcStop(ts int64, proc int, status string) {
+func (t *ChromeTracer) procStop(ts int64, proc int, status string) {
 	t.add(chromeEvent{Ph: "E", Tid: int64(proc), Ts: t.ts(ts),
 		Args: map[string]any{"status": status}})
 }
 
-// Rendezvous implements Tracer.
-func (t *ChromeTracer) Rendezvous(ts int64, ch string, sender, receiver int) {
+func (t *ChromeTracer) rendezvous(ts int64, ch string, sender, receiver int) {
 	tid := int64(sender)
 	if sender < 0 {
 		tid = int64(receiver)
@@ -93,23 +138,15 @@ func (t *ChromeTracer) Rendezvous(ts int64, ch string, sender, receiver int) {
 		Args: map[string]any{"chan": ch, "sender": sender, "receiver": receiver}})
 }
 
-// Alloc implements Tracer.
-func (t *ChromeTracer) Alloc(ts int64, proc int, live int) {
-	t.counterLive(ts, live)
-}
-
-// Free implements Tracer.
-func (t *ChromeTracer) Free(ts int64, proc int, live int) {
-	t.counterLive(ts, live)
-}
-
-func (t *ChromeTracer) counterLive(ts int64, live int) {
-	t.add(chromeEvent{Name: "heap live objects", Ph: "C", Ts: t.ts(ts),
+// counterLive adds one sample of a machine's live-object series; each
+// prefix names its own series, since two heaps' counts do not add up
+// to one meaningful step.
+func (t *ChromeTracer) counterLive(ts int64, prefix string, live int) {
+	t.add(chromeEvent{Name: prefix + "heap live objects", Ph: "C", Ts: t.ts(ts),
 		Args: map[string]any{"live": live}})
 }
 
-// Fault implements Tracer.
-func (t *ChromeTracer) Fault(ts int64, proc int, msg string) {
+func (t *ChromeTracer) fault(ts int64, proc int, msg string) {
 	tid := int64(proc)
 	if proc < 0 {
 		tid = runtimeTid
@@ -122,28 +159,30 @@ func (t *ChromeTracer) Fault(ts int64, proc int, msg string) {
 // loop's external polls, unattributed faults).
 const runtimeTid = 999
 
-// Poll implements Tracer.
-func (t *ChromeTracer) Poll(ts int64, ch string) {
+func (t *ChromeTracer) poll(ts int64, ch string) {
 	t.ensureName(runtimeTid, "runtime (idle loop)")
 	t.add(chromeEvent{Name: "poll " + ch, Ph: "i", S: "t", Tid: runtimeTid, Ts: t.ts(ts)})
 }
 
-// --- SpanEmitter (hardware / generic tracks) ---
+// --- Hardware / generic tracks ---
+//
+// Tracks are identified by a caller-chosen tid that must not collide
+// with the VM's process tracks (the NIC uses 100 and up).
 
-// SetTrackName implements SpanEmitter.
+// SetTrackName labels a track.
 func (t *ChromeTracer) SetTrackName(tid int64, name string) { t.ensureName(tid, name) }
 
-// Begin implements SpanEmitter.
+// Begin opens a duration span on the track.
 func (t *ChromeTracer) Begin(tid int64, name string, ts int64) {
 	t.add(chromeEvent{Name: name, Ph: "B", Tid: tid, Ts: t.ts(ts)})
 }
 
-// End implements SpanEmitter.
+// End closes the innermost open span on the track.
 func (t *ChromeTracer) End(tid int64, ts int64) {
 	t.add(chromeEvent{Ph: "E", Tid: tid, Ts: t.ts(ts)})
 }
 
-// Instant implements SpanEmitter.
+// Instant records a point event on the track.
 func (t *ChromeTracer) Instant(tid int64, name string, ts int64) {
 	t.add(chromeEvent{Name: name, Ph: "i", S: "t", Tid: tid, Ts: t.ts(ts)})
 }

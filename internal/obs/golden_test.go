@@ -17,15 +17,15 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // Regenerate with: go test ./internal/obs -run Golden -update
 func TestChromeTraceGolden(t *testing.T) {
 	tr := NewChromeTracer(1)
-	tr.ProcStart(10, 0, "producer")
-	tr.Rendezvous(14, "c", 0, 1)
-	tr.Alloc(16, 0, 1)
-	tr.ProcStop(20, 0, "blocked(send)")
-	tr.ProcStart(20, 1, "consumer")
-	tr.Free(24, 1, 0)
-	tr.Poll(26, "inC")
-	tr.Fault(28, 1, "assertion failed")
-	tr.ProcStop(30, 1, "faulted")
+	tr.procStart(10, 0, "producer")
+	tr.rendezvous(14, "c", 0, 1)
+	tr.counterLive(16, "", 1)
+	tr.procStop(20, 0, "blocked(send)")
+	tr.procStart(20, 1, "consumer")
+	tr.counterLive(24, "", 0)
+	tr.poll(26, "inC")
+	tr.fault(28, 1, "assertion failed")
+	tr.procStop(30, 1, "faulted")
 	tr.SetTrackName(100, "nic0 hostDMA")
 	tr.Begin(100, "hostDMA 4096B", 12)
 	tr.Instant(100, "lead 64B ready", 18)

@@ -6,10 +6,11 @@
 // firmware cycles go — context switches, rendezvous, reference counting —
 // so every execution layer of this repository reports into this package:
 //
-//   - the VM calls a Tracer on every context switch, rendezvous,
-//     allocation, free, fault, and external poll (nil-check-only overhead
-//     when tracing is off);
-//   - ChromeTracer renders those events as Chrome trace-event JSON
+//   - the VM records every context switch, rendezvous, allocation, free,
+//     fault, and external poll into a FlightRecorder, its one event sink
+//     (nil-check-only overhead when none is attached): a fixed ring for
+//     postmortems, or a growing one (NewEventLog) that keeps a whole run;
+//   - ChromeTracer renders recorded events as Chrome trace-event JSON
 //     (Perfetto / chrome://tracing compatible), one track per ESP process
 //     plus hardware tracks for the simulated NIC's DMA engines;
 //   - Profiler attributes CostModel cycle charges to source lines,
@@ -62,48 +63,4 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return "kind?"
-}
-
-// Tracer receives the VM's execution events. Implementations must be
-// cheap: the VM calls these from its hot path whenever a tracer is
-// installed. A nil Tracer field on the machine is the off switch — the
-// only overhead then is one nil check per event site.
-//
-// Timestamps come from the machine's clock: the cycle counter by
-// default, the sim kernel's nanosecond clock when a NIC testbed is
-// attached.
-type Tracer interface {
-	// ProcStart marks a context switch to proc: it begins running.
-	ProcStart(ts int64, proc int, name string)
-	// ProcStop marks proc leaving the CPU (blocked, halted, or faulted).
-	ProcStop(ts int64, proc int, status string)
-	// Rendezvous marks one completed message transfer on the named
-	// channel. sender/receiver are process ids; -1 means the external
-	// environment side of an external channel.
-	Rendezvous(ts int64, ch string, sender, receiver int)
-	// Alloc marks one heap allocation; live is the live-object count
-	// after it. proc is -1 when the allocation has no process context
-	// (external bindings).
-	Alloc(ts int64, proc int, live int)
-	// Free marks one heap free; live is the live-object count after it.
-	Free(ts int64, proc int, live int)
-	// Fault marks a runtime fault.
-	Fault(ts int64, proc int, msg string)
-	// Poll marks one readiness poll of an external channel binding.
-	Poll(ts int64, ch string)
-}
-
-// SpanEmitter is the generic track/span surface of a trace sink, used by
-// non-VM layers (the simulated NIC's DMA engines and packet events).
-// ChromeTracer implements it; tracks are identified by a caller-chosen
-// tid that must not collide with the VM's process ids.
-type SpanEmitter interface {
-	// SetTrackName labels a track.
-	SetTrackName(tid int64, name string)
-	// Begin opens a duration span on the track.
-	Begin(tid int64, name string, ts int64)
-	// End closes the innermost open span on the track.
-	End(tid int64, ts int64)
-	// Instant records a point event on the track.
-	Instant(tid int64, name string, ts int64)
 }

@@ -9,15 +9,15 @@ import (
 
 func TestChromeTracerWritesValidTrace(t *testing.T) {
 	tr := NewChromeTracer(1)
-	tr.ProcStart(0, 0, "producer")
-	tr.Rendezvous(3, "c", 0, 1)
-	tr.Alloc(4, 0, 2)
-	tr.ProcStop(10, 0, "blocked")
-	tr.ProcStart(10, 1, "consumer")
-	tr.Free(12, 1, 1)
-	tr.ProcStop(20, 1, "halted")
-	tr.Poll(25, "inC")
-	tr.Fault(30, 1, "nil deref")
+	tr.procStart(0, 0, "producer")
+	tr.rendezvous(3, "c", 0, 1)
+	tr.counterLive(4, "", 2)
+	tr.procStop(10, 0, "blocked")
+	tr.procStart(10, 1, "consumer")
+	tr.counterLive(12, "", 1)
+	tr.procStop(20, 1, "halted")
+	tr.poll(25, "inC")
+	tr.fault(30, 1, "nil deref")
 	tr.SetTrackName(100, "nic0 hostDMA")
 	tr.Begin(100, "dma 64B", 30)
 	tr.Instant(100, "pkt arrive", 40)
@@ -48,8 +48,8 @@ func TestChromeTracerWritesValidTrace(t *testing.T) {
 
 func TestChromeTracerScale(t *testing.T) {
 	tr := NewChromeTracer(0.001) // ns clock → µs timestamps
-	tr.ProcStart(2500, 0, "p")
-	tr.ProcStop(4500, 0, "halted")
+	tr.procStart(2500, 0, "p")
+	tr.procStop(4500, 0, "halted")
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// EventKind classifies one recorded execution event — exactly the seven
-// Tracer callbacks, so a flight recorder can stand in for any tracer.
+// EventKind classifies one recorded execution event — one kind per VM
+// event site, so a recording holds everything a Chrome trace renders.
 type EventKind uint8
 
 // Recorded event kinds.
@@ -114,13 +114,14 @@ func NK(k EventKind, name uint32) uint64 {
 	return uint64(k)<<32 | uint64(name)
 }
 
-// FlightRecorder is a fixed-size ring buffer of execution events,
-// implementing Tracer. Unlike ChromeTracer it never grows: the ring and
-// staging buffer are allocated once, every record overwrites the oldest
-// slot, and recording allocates nothing — cheap enough to leave
-// attached to a production machine so that when a fault finally
-// happens, the last events leading up to it are already in hand
-// (WriteDump / WriteChrome).
+// FlightRecorder is a ring buffer of execution events, the VM's one
+// event sink. NewFlightRecorder's ring is fixed: the ring and staging
+// buffer are allocated once, every record overwrites the oldest slot,
+// and recording allocates nothing — cheap enough to leave attached to a
+// production machine so that when a fault finally happens, the last
+// events leading up to it are already in hand (WriteDump / WriteChrome).
+// NewEventLog's ring instead doubles whenever Sync would wrap it, so it
+// keeps a whole run for trace files and differential event streams.
 //
 // The recorder is single-writer, multi-reader: one goroutine records
 // (the VM), while any number of goroutines snapshot (Snapshot, Dump,
@@ -131,12 +132,11 @@ func NK(k EventKind, name uint32) uint64 {
 // publish the tail before reading its own dump.
 //
 // Event names (channel names, process names, fault messages) are
-// interned: Intern maps a string to a stable uint32 once, and the
-// ...ID record methods take the ID, keeping strings — and their GC
-// write barriers — out of the hot path entirely. The VM interns every
-// name it can emit at SetRecorder time. The string-taking Tracer
-// methods intern on each call (one map hit) and remain allocation-free
-// for already-seen names.
+// interned: Intern maps a string to a stable uint32 once, and Record
+// takes the ID, keeping strings — and their GC write barriers — out of
+// the hot path entirely. The VM interns every name it can emit at
+// SetRecorder time; only fault messages, which are not known ahead, go
+// through the string-taking Fault.
 type FlightRecorder struct {
 	// Writer-local state: owned by the recording goroutine, untouched
 	// by snapshots. seq is the next event's global sequence number (its
@@ -152,6 +152,17 @@ type FlightRecorder struct {
 	ring  []rawEvent // power-of-two length; guarded by mu
 	total uint64     // events flushed into the ring; guarded by mu
 	names []string   // id → name; appended by Intern, read by snapshots
+	grow  bool       // double the ring instead of wrapping (NewEventLog)
+}
+
+// NewEventLog returns a recorder that keeps every event: its ring starts
+// at DefaultRingSize and doubles in Sync instead of wrapping, so Dropped
+// stays 0. esprun -trace, vmmc's traced runs, and the differential
+// fuzzer's event streams use it.
+func NewEventLog() *FlightRecorder {
+	r := NewFlightRecorder(0)
+	r.grow = true
+	return r
 }
 
 // NewFlightRecorder returns a recorder with the given ring capacity,
@@ -185,9 +196,6 @@ func (r *FlightRecorder) Intern(name string) uint32 {
 	return id
 }
 
-// record appends one event to the staging buffer, flushing to the ring
-// first when it is full. No allocation, no pointer stores: the rawEvent
-// is built in place.
 // Record appends one event, with proc/arg packed by PA and kind/name
 // packed by NK. This is the recorder's hot path, kept small enough for
 // the compiler to inline into the VM's trace sites: the steady-state
@@ -209,7 +217,9 @@ func (r *FlightRecorder) Record(ts int64, pa, nk uint64) {
 // are always current); snapshots from other goroutines simply see the
 // ring as of the last flush. Unflushed events never span a stage
 // boundary — Record flushes when it laps — so the unflushed run is
-// contiguous in the stage.
+// contiguous in the stage. A growing recorder (NewEventLog) doubles its
+// ring here, under the mutex, so a concurrent snapshot never sees a
+// half-copied ring.
 func (r *FlightRecorder) Sync() {
 	s := r.seq
 	if s == r.flushed {
@@ -218,12 +228,19 @@ func (r *FlightRecorder) Sync() {
 	first := r.flushed
 	lo := int(first & (stageSize - 1))
 	src := r.stage[lo : lo+int(s-first)]
+	r.mu.Lock()
+	for r.grow && uint64(len(r.ring)) < s {
+		// Nothing was ever dropped, so sequence i sits in slot i and the
+		// old ring is the doubled ring's prefix.
+		ring := make([]rawEvent, 2*len(r.ring))
+		copy(ring, r.ring)
+		r.ring = ring
+	}
 	if len(src) > len(r.ring) {
 		// Stage bigger than the whole ring: only the tail survives.
 		first += uint64(len(src) - len(r.ring))
 		src = src[len(src)-len(r.ring):]
 	}
-	r.mu.Lock()
 	// Consecutive sequence numbers land in consecutive ring slots, so
 	// the flush is at most two contiguous copies (one wrap).
 	i := int(first & uint64(len(r.ring)-1))
@@ -234,29 +251,10 @@ func (r *FlightRecorder) Sync() {
 	r.flushed = s
 }
 
-// FlightRecorder implements Tracer. These string-taking methods intern
-// on every call (one map hit for an already-seen name); the VM bypasses
-// them and calls Record with IDs it interned at SetRecorder time.
-func (r *FlightRecorder) ProcStart(ts int64, proc int, name string) {
-	r.Record(ts, PA(int32(proc), 0), NK(EvProcStart, r.Intern(name)))
-}
-func (r *FlightRecorder) ProcStop(ts int64, proc int, status string) {
-	r.Record(ts, PA(int32(proc), 0), NK(EvProcStop, r.Intern(status)))
-}
-func (r *FlightRecorder) Rendezvous(ts int64, ch string, sender, receiver int) {
-	r.Record(ts, PA(int32(sender), int32(receiver)), NK(EvRendezvous, r.Intern(ch)))
-}
-func (r *FlightRecorder) Alloc(ts int64, proc int, live int) {
-	r.Record(ts, PA(int32(proc), int32(live)), NK(EvAlloc, 0))
-}
-func (r *FlightRecorder) Free(ts int64, proc int, live int) {
-	r.Record(ts, PA(int32(proc), int32(live)), NK(EvFree, 0))
-}
+// Fault records a fault event, interning its message (one map hit when
+// the message was seen before).
 func (r *FlightRecorder) Fault(ts int64, proc int, msg string) {
 	r.Record(ts, PA(int32(proc), 0), NK(EvFault, r.Intern(msg)))
-}
-func (r *FlightRecorder) Poll(ts int64, ch string) {
-	r.Record(ts, PA(-1, 0), NK(EvPoll, r.Intern(ch)))
 }
 
 // Total returns the number of events ever recorded.
@@ -395,88 +393,15 @@ func (r *FlightRecorder) WriteDump(w io.Writer, last int) error {
 }
 
 // WriteChrome renders the last `last` retained events (all when last <= 0)
-// as Chrome trace-event JSON, the same format ChromeTracer writes and
-// obscheck -trace validates. Spans cut by the ring window are repaired:
-// a stop whose start was overwritten gets a synthetic start at the
-// window's first timestamp, and a span still open at the window's end is
-// closed at the last timestamp — so live snapshots from a running
-// machine still balance.
-func (r *FlightRecorder) WriteChrome(w io.Writer, last int) error {
-	evs := r.Snapshot(last)
+// as Chrome trace-event JSON, the same format obscheck -trace validates,
+// and returns how many trace events (metadata records included) it
+// wrote. ChromeTracer.AddEvents does the rendering, window repair
+// included.
+func (r *FlightRecorder) WriteChrome(w io.Writer, last int) (int, error) {
 	tr := NewChromeTracer(1)
-	depth := map[int]int{}
-	for _, e := range evs {
-		switch e.Kind {
-		case EvProcStart:
-			tr.ProcStart(e.Ts, e.Proc, e.Name)
-			depth[e.Proc]++
-		case EvProcStop:
-			if depth[e.Proc] == 0 {
-				// The matching start fell off the ring; open the span at
-				// the window boundary so B/E still balance.
-				tr.ProcStart(evs[0].Ts, e.Proc, fmt.Sprintf("proc%d", e.Proc))
-				depth[e.Proc]++
-			}
-			tr.ProcStop(e.Ts, e.Proc, e.Name)
-			depth[e.Proc]--
-		case EvRendezvous:
-			tr.Rendezvous(e.Ts, e.Name, e.Proc, e.Arg)
-		case EvAlloc:
-			tr.Alloc(e.Ts, e.Proc, e.Arg)
-		case EvFree:
-			tr.Free(e.Ts, e.Proc, e.Arg)
-		case EvFault:
-			tr.Fault(e.Ts, e.Proc, e.Name)
-		case EvPoll:
-			tr.Poll(e.Ts, e.Name)
-		}
-	}
-	if n := len(evs); n > 0 {
-		end := evs[n-1].Ts
-		for proc, d := range depth {
-			for ; d > 0; d-- {
-				tr.ProcStop(end, proc, "(snapshot)")
-			}
-		}
-	}
-	return tr.Write(w)
+	tr.AddEvents(r.Snapshot(last), 0, "")
+	return tr.Len(), tr.Write(w)
 }
-
-// EventLog is an unbounded Tracer that retains every event — the offline
-// sibling of FlightRecorder, for harnesses (the differential fuzzer)
-// that compare whole event streams with DiffTraces. Not safe for
-// concurrent use, like ChromeTracer.
-type EventLog struct {
-	events []Event
-}
-
-// NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
-
-func (l *EventLog) add(ts int64, k EventKind, proc, arg int, name string) {
-	l.events = append(l.events, Event{Seq: uint64(len(l.events)), Ts: ts, Kind: k, Proc: proc, Arg: arg, Name: name})
-}
-
-// EventLog implements Tracer.
-func (l *EventLog) ProcStart(ts int64, proc int, name string) { l.add(ts, EvProcStart, proc, 0, name) }
-func (l *EventLog) ProcStop(ts int64, proc int, status string) {
-	l.add(ts, EvProcStop, proc, 0, status)
-}
-func (l *EventLog) Rendezvous(ts int64, ch string, sender, receiver int) {
-	l.add(ts, EvRendezvous, sender, receiver, ch)
-}
-func (l *EventLog) Alloc(ts int64, proc int, live int) { l.add(ts, EvAlloc, proc, live, "") }
-func (l *EventLog) Free(ts int64, proc int, live int)  { l.add(ts, EvFree, proc, live, "") }
-func (l *EventLog) Fault(ts int64, proc int, msg string) {
-	l.add(ts, EvFault, proc, 0, msg)
-}
-func (l *EventLog) Poll(ts int64, ch string) { l.add(ts, EvPoll, -1, 0, ch) }
-
-// Events returns the recorded stream (not a copy).
-func (l *EventLog) Events() []Event { return l.events }
-
-// Len returns the number of recorded events.
-func (l *EventLog) Len() int { return len(l.events) }
 
 // ValidatePostmortem parses data as a WriteDump flight-recorder dump and
 // checks its structural invariants:

@@ -3,24 +3,31 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// ev records one event with its name interned, as the VM's event sites
+// do with the names they intern at SetRecorder time.
+func ev(r *FlightRecorder, ts int64, k EventKind, proc, arg int, name string) {
+	r.Record(ts, PA(int32(proc), int32(arg)), NK(k, r.Intern(name)))
+}
+
 // fill records n synthetic events shaped like a real run — a process
 // start, alternating rendezvous/allocs, and a matching stop — and
 // publishes them (the writer-side Sync a Machine.Postmortem performs).
 func fill(r *FlightRecorder, n int) {
-	r.ProcStart(0, 0, "p")
+	ev(r, 0, EvProcStart, 0, 0, "p")
 	for i := 1; i < n-1; i++ {
 		if i%2 == 0 {
-			r.Rendezvous(int64(i), "c", 0, 1)
+			ev(r, int64(i), EvRendezvous, 0, 1, "c")
 		} else {
-			r.Alloc(int64(i), 0, i)
+			ev(r, int64(i), EvAlloc, 0, i, "")
 		}
 	}
-	r.ProcStop(int64(n-1), 0, "done")
+	ev(r, int64(n-1), EvProcStop, 0, 0, "done")
 	r.Sync()
 }
 
@@ -30,7 +37,7 @@ func TestRecorderWraparound(t *testing.T) {
 		t.Fatalf("RingSize = %d, want 8", r.RingSize())
 	}
 	for i := 0; i < 100; i++ {
-		r.Poll(int64(i), "ext")
+		ev(r, int64(i), EvPoll, -1, 0, "ext")
 	}
 	r.Sync()
 	if r.Total() != 100 {
@@ -151,7 +158,7 @@ func TestValidatePostmortemRejectsCorruption(t *testing.T) {
 func TestValidatePostmortemRejectsSpanViolations(t *testing.T) {
 	// A start with no stop by the end of the dump is an unclosed span.
 	r := NewFlightRecorder(0)
-	r.ProcStart(0, 0, "p")
+	ev(r, 0, EvProcStart, 0, 0, "p")
 	r.Sync()
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf, 0); err != nil {
@@ -164,7 +171,7 @@ func TestValidatePostmortemRejectsSpanViolations(t *testing.T) {
 	// A stop without a start is only legal when the ring dropped events;
 	// with dropped=0 it must be rejected.
 	r = NewFlightRecorder(0)
-	r.ProcStop(0, 0, "done")
+	ev(r, 0, EvProcStop, 0, 0, "done")
 	r.Sync()
 	buf.Reset()
 	if err := r.WriteDump(&buf, 0); err != nil {
@@ -176,10 +183,10 @@ func TestValidatePostmortemRejectsSpanViolations(t *testing.T) {
 
 	// Double start without an intervening stop.
 	r = NewFlightRecorder(0)
-	r.ProcStart(0, 0, "p")
-	r.ProcStart(1, 0, "p")
-	r.ProcStop(2, 0, "done")
-	r.ProcStop(3, 0, "done")
+	ev(r, 0, EvProcStart, 0, 0, "p")
+	ev(r, 1, EvProcStart, 0, 0, "p")
+	ev(r, 2, EvProcStop, 0, 0, "done")
+	ev(r, 3, EvProcStop, 0, 0, "done")
 	r.Sync()
 	buf.Reset()
 	if err := r.WriteDump(&buf, 0); err != nil {
@@ -223,14 +230,14 @@ func TestRecorderWriteChromeBalances(t *testing.T) {
 	// A window that opens mid-run (wrapped ring) has stops without starts
 	// and starts without stops; the Chrome rendering must still balance.
 	r := NewFlightRecorder(4)
-	r.ProcStart(0, 0, "a")
-	r.Rendezvous(1, "c", 0, 1)
-	r.ProcStop(2, 0, "done")   // start falls out of the window below
-	r.ProcStart(3, 1, "b")     // never stopped
-	r.Rendezvous(4, "c", 1, 0) // keeps the window busy
+	ev(r, 0, EvProcStart, 0, 0, "a")
+	ev(r, 1, EvRendezvous, 0, 1, "c")
+	ev(r, 2, EvProcStop, 0, 0, "done") // start falls out of the window below
+	ev(r, 3, EvProcStart, 1, 0, "b")   // never stopped
+	ev(r, 4, EvRendezvous, 1, 0, "c")  // keeps the window busy
 	r.Sync()
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf, 3); err != nil {
+	if _, err := r.WriteChrome(&buf, 3); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateChromeTrace(buf.Bytes())
@@ -251,7 +258,7 @@ func TestRecorderConcurrentRecording(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			r.Rendezvous(int64(i), "c", 0, 1)
+			ev(r, int64(i), EvRendezvous, 0, 1, "c")
 		}
 		r.Sync() // writer-side publish, like Machine.Postmortem
 	}()
@@ -272,34 +279,77 @@ func TestRecorderZeroAllocSteadyState(t *testing.T) {
 	r := NewFlightRecorder(32)
 	// Warm up so every Name string the ring retains is already in place.
 	for i := 0; i < 64; i++ {
-		r.Rendezvous(int64(i), "chan", 0, 1)
+		ev(r, int64(i), EvRendezvous, 0, 1, "chan")
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		r.Rendezvous(1, "chan", 0, 1)
-		r.Alloc(2, 0, 3)
-		r.Free(3, 0, 2)
+		ev(r, 1, EvRendezvous, 0, 1, "chan")
+		ev(r, 2, EvAlloc, 0, 3, "")
+		ev(r, 3, EvFree, 0, 2, "")
 	})
 	if avg != 0 {
 		t.Errorf("steady-state recording allocates %.2f objects/op, want 0", avg)
 	}
 }
 
+// TestEventLogRecordsEverything: NewEventLog's ring doubles in Sync
+// instead of wrapping, so thousands of events survive many doublings in
+// order and none is dropped.
 func TestEventLogRecordsEverything(t *testing.T) {
-	l := NewEventLog()
-	l.ProcStart(0, 0, "p")
-	l.Rendezvous(1, "c", 0, 1)
-	l.Fault(2, 0, "x")
-	l.ProcStop(3, 0, "fault")
-	if l.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", l.Len())
+	r := NewEventLog()
+	const n = 10000
+	for i := 0; i < n; i++ {
+		ev(r, int64(i), EvRendezvous, i%7, i, "c")
 	}
-	evs := l.Events()
-	for i, want := range []EventKind{EvProcStart, EvRendezvous, EvFault, EvProcStop} {
-		if evs[i].Kind != want {
-			t.Errorf("event %d kind = %v, want %v", i, evs[i].Kind, want)
+	r.Sync()
+	if r.Total() != n || r.Dropped() != 0 {
+		t.Fatalf("Total = %d, Dropped = %d; want %d, 0", r.Total(), r.Dropped(), n)
+	}
+	if r.RingSize() != 16384 {
+		t.Errorf("RingSize = %d, want 16384 (%d doubled six times)", r.RingSize(), DefaultRingSize)
+	}
+	evs := r.Snapshot(0)
+	if len(evs) != n {
+		t.Fatalf("Snapshot returned %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		want := Event{Seq: uint64(i), Ts: int64(i), Kind: EvRendezvous, Proc: i % 7, Arg: i, Name: "c"}
+		if e != want {
+			t.Fatalf("event %d = %+v, want %+v", i, e, want)
 		}
-		if evs[i].Seq != uint64(i) {
-			t.Errorf("event %d seq = %d, want %d", i, evs[i].Seq, i)
+	}
+}
+
+// TestEventLogSnapshotDuringGrowth: the ring doubles under the mutex in
+// Sync, so a snapshot taken while the writer grows it sees an in-order
+// prefix of the stream, never a half-copied ring (run with -race).
+func TestEventLogSnapshotDuringGrowth(t *testing.T) {
+	r := NewEventLog()
+	const n = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			ev(r, int64(i), EvPoll, -1, 0, "ext")
+			if i%stageSize == 0 {
+				runtime.Gosched()
+			}
+		}
+		r.Sync()
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		evs := r.Snapshot(0)
+		for i, e := range evs {
+			if e.Seq != uint64(i) || e.Ts != int64(i) || e.Kind != EvPoll || e.Name != "ext" {
+				t.Fatalf("snapshot of %d events: event %d = %+v", len(evs), i, e)
+			}
+		}
+		if finished && len(evs) != n {
+			t.Fatalf("final snapshot has %d events, want %d", len(evs), n)
 		}
 	}
 }

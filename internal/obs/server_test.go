@@ -33,9 +33,9 @@ func TestServerEndpoints(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	rec := NewFlightRecorder(0)
-	rec.ProcStart(0, 0, "p")
-	rec.Rendezvous(1, "c", 0, 1)
-	rec.ProcStop(2, 0, "done")
+	ev(rec, 0, EvProcStart, 0, 0, "p")
+	ev(rec, 1, EvRendezvous, 0, 1, "c")
+	ev(rec, 2, EvProcStop, 0, 0, "done")
 	rec.Sync()
 	srv.SetRecorder(rec)
 	srv.SetStatus(func(w io.Writer) { fmt.Fprintln(w, "program: test.esp") })

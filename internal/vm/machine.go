@@ -83,7 +83,7 @@ type Config struct {
 	// once exceeded, the next process resumption faults. StepBudget
 	// cannot catch a program that rendezvouses forever (each blocking
 	// point resets the per-process counter), so an infinite producer/
-	// consumer ping-pong runs — and a tracer accumulates — without
+	// consumer ping-pong runs — and an event log accumulates — without
 	// bound. Cycle accounting is bit-identical across engines, so every
 	// engine truncates the same program at the same process and point.
 	// Zero means unlimited (the firmware default: a switch program is
@@ -155,8 +155,7 @@ type Machine struct {
 	// source line of the instruction being executed, maintained only while
 	// a profiler is installed. allIdx caches the all-processes index list
 	// the bit-mask candidate scan returns, built lazily on first use.
-	tracer obs.Tracer
-	rec    *obs.FlightRecorder
+	rec *obs.FlightRecorder
 	// Pre-packed Record arguments, built by SetRecorder so every trace
 	// site is two loads and a call: PA(id, 0) words by proc ID, and NK
 	// words (kind + interned name) by proc ID, channel ID, or status.
@@ -306,17 +305,12 @@ func (m *Machine) setFault(f *Fault, p *ProcInst) {
 		f.File = m.Prog.File
 	}
 	m.flt = f
-	if m.tracer != nil || m.rec != nil {
+	if m.rec != nil {
 		proc := -1
 		if p != nil {
 			proc = p.ID
 		}
-		if m.tracer != nil {
-			m.tracer.Fault(m.now(), proc, f.Msg)
-		}
-		if m.rec != nil {
-			m.rec.Fault(m.now(), proc, f.Msg)
-		}
+		m.rec.Fault(m.now(), proc, f.Msg)
 	}
 }
 
@@ -388,22 +382,10 @@ func (m *Machine) RunReady() {
 			m.mCtx.Inc()
 			m.mReady.Observe(int64(len(m.ready)))
 		}
-		if m.tracer != nil || m.rec != nil {
-			ts := m.now()
-			if m.tracer != nil {
-				m.tracer.ProcStart(ts, p.ID, p.Def.Name)
-			}
-			if m.rec != nil {
-				m.rec.Record(ts, m.recPA[p.ID], m.recStart[p.ID])
-			}
+		if m.rec != nil {
+			m.rec.Record(m.now(), m.recPA[p.ID], m.recStart[p.ID])
 			m.exec(p)
-			ts = m.now()
-			if m.tracer != nil {
-				m.tracer.ProcStop(ts, p.ID, p.Status.String())
-			}
-			if m.rec != nil {
-				m.rec.Record(ts, m.recPA[p.ID], m.recStop[p.Status&7])
-			}
+			m.rec.Record(m.now(), m.recPA[p.ID], m.recStop[p.Status&7])
 			continue
 		}
 		m.exec(p)

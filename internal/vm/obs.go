@@ -7,27 +7,24 @@ import (
 )
 
 // Observability hooks. All of them are nil by default; every hot-path
-// site guards with one nil check, so a machine with no tracer, profiler,
-// or metrics attached pays nothing beyond those checks (the tentpole's
+// site guards with one nil check, so a machine with no recorder,
+// profiler, or metrics attached pays nothing beyond those checks (the
 // zero-cost-when-disabled contract, verified by the equivalence and
-// allocation tests in obs_vm_test.go).
-
-// SetTracer installs (or removes, with nil) an execution tracer. The
-// tracer receives every context switch, rendezvous, alloc/free, fault,
-// and external poll.
-func (m *Machine) SetTracer(t obs.Tracer) { m.tracer = t }
+// allocation tests in obsvm_test.go).
 
 // SetProfiler installs (or removes, with nil) a cycle profiler. While
 // installed, every CostModel charge is attributed to the source line of
 // the instruction being executed (PR 1's spans).
 func (m *Machine) SetProfiler(p *obs.Profiler) { m.prof = p }
 
-// SetRecorder installs (or removes, with nil) a flight recorder: a
-// fixed-size ring buffer fed from the same event sites as the tracer.
-// Unlike a profiler it does not force the baseline interpreter loop, so
-// it is cheap enough to leave attached in production; Postmortem renders
-// its last events after a fault. Clones do not inherit it (like every
-// other observability sink).
+// SetRecorder installs (or removes, with nil) a flight recorder, the
+// machine's one event sink: it receives every context switch,
+// rendezvous, alloc/free, fault, and external poll. Unlike a profiler it
+// does not force the baseline interpreter loop, so a fixed ring is cheap
+// enough to leave attached in production; Postmortem renders its last
+// events after a fault, and obs.ChromeTracer.AddEvents renders a
+// recording as a trace. Clones do not inherit it (like every other
+// observability sink).
 //
 // Every name the machine can emit — channel names, process names,
 // scheduling statuses — is interned into the recorder here, and the
@@ -162,9 +159,6 @@ func (m *Machine) traceRendezvous(chanID, sender, receiver int) {
 	if m.mRend != nil {
 		m.mRend[chanID].Inc()
 	}
-	if m.tracer != nil {
-		m.tracer.Rendezvous(m.now(), m.Prog.Channels[chanID].Name, sender, receiver)
-	}
 	if m.rec != nil {
 		m.rec.Record(m.now(), obs.PA(int32(sender), int32(receiver)), m.recRend[chanID])
 	}
@@ -174,9 +168,6 @@ func (m *Machine) traceRendezvous(chanID, sender, receiver int) {
 func (m *Machine) traceAlloc(proc int) {
 	if m.mAllocs != nil {
 		m.mAllocs.Inc()
-	}
-	if m.tracer != nil {
-		m.tracer.Alloc(m.now(), proc, m.heap.live)
 	}
 	if m.rec != nil {
 		m.rec.Record(m.now(), obs.PA(int32(proc), int32(m.heap.live)), obs.NK(obs.EvAlloc, 0))
@@ -188,16 +179,13 @@ func (m *Machine) tracePoll(chanID int) {
 	if m.mPolls != nil {
 		m.mPolls.Inc()
 	}
-	if m.tracer != nil {
-		m.tracer.Poll(m.now(), m.Prog.Channels[chanID].Name)
-	}
 	if m.rec != nil {
 		m.rec.Record(m.now(), obs.PA(-1, 0), m.recPoll[chanID])
 	}
 }
 
 // hookHeap installs the heap free callback that keeps Stats.Frees, the
-// free metric, and the tracer's live-object counter in step with the
+// free metric, and the recorder's live-object count in step with the
 // reference counter. Called from New and Clone (the closure must capture
 // the owning machine).
 func (m *Machine) hookHeap() {
@@ -205,9 +193,6 @@ func (m *Machine) hookHeap() {
 		m.Stats.Frees++
 		if m.mFrees != nil {
 			m.mFrees.Inc()
-		}
-		if m.tracer != nil {
-			m.tracer.Free(m.now(), -1, m.heap.live)
 		}
 		if m.rec != nil {
 			m.rec.Record(m.now(), obs.PA(-1, int32(m.heap.live)), obs.NK(obs.EvFree, 0))

@@ -76,11 +76,11 @@ func runOnce(t *testing.T, attach func(m *vm.Machine)) (*vm.Machine, []int64) {
 func TestObsEquivalence(t *testing.T) {
 	plain, plainOut := runOnce(t, nil)
 
-	tr := obs.NewChromeTracer(1)
+	rec := obs.NewEventLog()
 	prof := obs.NewProfiler("pingpong")
 	reg := obs.NewMetrics()
 	traced, tracedOut := runOnce(t, func(m *vm.Machine) {
-		m.SetTracer(tr)
+		m.SetRecorder(rec)
 		m.SetProfiler(prof)
 		m.SetMetrics(reg)
 	})
@@ -94,12 +94,13 @@ func TestObsEquivalence(t *testing.T) {
 	if d := traced.Stats.Sub(plain.Stats); d != (vm.Stats{}) {
 		t.Errorf("stats differ under tracing: delta %s", d)
 	}
-	if tr.Len() == 0 {
-		t.Error("tracer collected no events")
+	rec.Sync()
+	if rec.Total() == 0 {
+		t.Error("recorder collected no events")
 	}
 
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if _, err := rec.WriteChrome(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -185,7 +186,7 @@ func TestProfileTopIsRendezvous(t *testing.T) {
 }
 
 // TestDisabledObsZeroAlloc asserts the steady-state rendezvous path
-// allocates nothing when no tracer is attached — the zero-cost-when-off
+// allocates nothing when no recorder is attached — the zero-cost-when-off
 // property. The machine fires the same communication repeatedly in
 // manual mode (the state cycles back to the same blocking point), so
 // after warm-up every Go allocation would be the instrumentation's.
@@ -209,24 +210,25 @@ process consumer {
 		m.FireComm(c)
 	}
 	if avg := testing.AllocsPerRun(200, func() { m.FireComm(c) }); avg != 0 {
-		t.Errorf("disabled-tracer rendezvous path allocates %.2f objects/op, want 0", avg)
+		t.Errorf("disabled-observability rendezvous path allocates %.2f objects/op, want 0", avg)
 	}
 }
 
-// BenchmarkRendezvousDisabledTracer measures the steady-state rendezvous
-// path with observability off — the configuration every production run
-// uses, which must stay allocation-free.
-func BenchmarkRendezvousDisabledTracer(b *testing.B) {
+// BenchmarkRendezvousObsOff measures the steady-state rendezvous path
+// with observability off — the configuration every production run uses,
+// which must stay allocation-free.
+func BenchmarkRendezvousObsOff(b *testing.B) {
 	benchRendezvous(b, false)
 }
 
-// BenchmarkRendezvousChromeTracer measures the same path with the Chrome
-// tracer attached, for comparison against the disabled baseline.
-func BenchmarkRendezvousChromeTracer(b *testing.B) {
+// BenchmarkRendezvousEventLog measures the same path recording into a
+// growing event log (esprun -trace's sink), for comparison against the
+// disabled baseline.
+func BenchmarkRendezvousEventLog(b *testing.B) {
 	benchRendezvous(b, true)
 }
 
-func benchRendezvous(b *testing.B, traced bool) {
+func benchRendezvous(b *testing.B, logged bool) {
 	prog, err := compileBench(`
 channel c: int
 process producer {
@@ -240,8 +242,8 @@ process consumer {
 		b.Fatal(err)
 	}
 	m := vm.New(prog, vm.Config{Manual: true})
-	if traced {
-		m.SetTracer(obs.NewChromeTracer(1))
+	if logged {
+		m.SetRecorder(obs.NewEventLog())
 	}
 	m.Settle()
 	c := m.EnabledComms()[0]

@@ -127,17 +127,22 @@ func (f *ESPFirmware) Name() string { return "vmmcESP" }
 // Machine exposes the underlying VM (stats, fault inspection).
 func (f *ESPFirmware) Machine() *vm.Machine { return f.m }
 
-// AttachObs wires the VM's observability hooks to this firmware: tr
-// receives one timeline track per ESP process, prof attributes cycle
-// charges to ESP source lines, and reg collects the VM counters. The
-// VM's trace clock is anchored to the NIC's simulated nanosecond time
-// (see runStartNs), so VM process spans line up with the hardware spans
-// on the same timeline. Pass nils to detach.
-func (f *ESPFirmware) AttachObs(tr obs.Tracer, prof *obs.Profiler, reg *obs.Metrics) {
-	f.m.SetTracer(tr)
+// AttachObs wires the VM's observability hooks to this firmware: with
+// trace set, the machine records every event into an obs.NewEventLog
+// (Machine().Recorder()); prof attributes cycle charges to ESP source
+// lines, and reg collects the VM counters. The VM's event clock is
+// anchored to the NIC's simulated nanosecond time (see runStartNs), so VM
+// process spans line up with the hardware spans on the same timeline.
+// Pass false and nils to detach.
+func (f *ESPFirmware) AttachObs(trace bool, prof *obs.Profiler, reg *obs.Metrics) {
+	var rec *obs.FlightRecorder
+	if trace {
+		rec = obs.NewEventLog()
+	}
+	f.m.SetRecorder(rec)
 	f.m.SetProfiler(prof)
 	f.m.SetMetrics(reg)
-	if tr == nil && prof == nil {
+	if !trace && prof == nil {
 		f.m.SetClock(nil)
 		return
 	}

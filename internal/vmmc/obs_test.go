@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -45,12 +46,49 @@ func TestTracePingPongTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("invalid trace: %v", err)
 	}
-	if n == 0 {
-		t.Fatal("trace is empty")
+	// Hardware spans, process spans, rendezvous, polls, heap counters and
+	// track-name metadata of both NICs at 1024 B × 4 rounds.
+	if n != 1416 {
+		t.Errorf("trace has %d events, want 1416", n)
 	}
 	for _, want := range []string{"nic0 hostDMA", "nic1 sendDMA", "recvDMA", "vmmcESP run"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("trace missing %q", want)
+		}
+	}
+
+	// Each firmware VM's heap has its own live-object series. Merged into
+	// one, the two heaps' samples interleave into steps no single heap
+	// can take; per machine, every alloc or free moves the count by one.
+	var f struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Args struct{ Live int }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string][]int{}
+	for _, e := range f.TraceEvents {
+		if e.Ph == "C" {
+			series[e.Name] = append(series[e.Name], e.Args.Live)
+		}
+	}
+	if n := len(series["heap live objects"]); n != 0 {
+		t.Errorf("trace has %d samples of an unprefixed heap series shared by both machines", n)
+	}
+	for _, name := range []string{"nic0 heap live objects", "nic1 heap live objects"} {
+		s := series[name]
+		if len(s) == 0 {
+			t.Errorf("trace has no %q series", name)
+		}
+		for i := 1; i < len(s); i++ {
+			if d := s[i] - s[i-1]; d != 1 && d != -1 {
+				t.Errorf("%s: sample %d steps %d -> %d, want a step of 1", name, i, s[i-1], s[i])
+				break
+			}
 		}
 	}
 

@@ -105,65 +105,25 @@ func (c *Cluster) Run(maxNs int64) {
 // procTrackStride separates the two firmware VMs' process tracks in a
 // shared trace file: NIC i's ESP processes get track ids i*stride,
 // i*stride+1, … — well clear of the NIC hardware tracks (100–130) for
-// i > 0, and equal to the raw process ids for NIC 0.
+// i > 0, and equal to the raw process ids for NIC 0. Their names, and
+// their channel, fault and heap-counter names, get the prefix "nic<i> ".
 const procTrackStride = 1000
-
-// fwTracer adapts a shared obs.Tracer for one firmware VM: process ids
-// are offset and track names prefixed so the two machines of a cluster
-// do not collide on the same timeline tracks.
-type fwTracer struct {
-	t      obs.Tracer
-	off    int
-	prefix string
-}
-
-func (w fwTracer) shift(proc int) int {
-	if proc < 0 {
-		return proc // -1 = external environment, not a track
-	}
-	return proc + w.off
-}
-
-func (w fwTracer) ProcStart(ts int64, proc int, name string) {
-	w.t.ProcStart(ts, w.shift(proc), w.prefix+name)
-}
-func (w fwTracer) ProcStop(ts int64, proc int, status string) {
-	w.t.ProcStop(ts, w.shift(proc), status)
-}
-func (w fwTracer) Rendezvous(ts int64, ch string, sender, receiver int) {
-	w.t.Rendezvous(ts, w.prefix+ch, w.shift(sender), w.shift(receiver))
-}
-func (w fwTracer) Alloc(ts int64, proc, live int) { w.t.Alloc(ts, w.shift(proc), live) }
-func (w fwTracer) Free(ts int64, proc, live int)  { w.t.Free(ts, w.shift(proc), live) }
-func (w fwTracer) Fault(ts int64, proc int, msg string) {
-	w.t.Fault(ts, w.shift(proc), w.prefix+msg)
-}
-func (w fwTracer) Poll(ts int64, ch string) { w.t.Poll(ts, w.prefix+ch) }
 
 // AttachObs attaches the observability stack to the whole cluster:
 // sim-kernel metrics, hardware timeline spans on both NICs, and — when
-// the firmware is the ESP flavor — VM process timelines, a shared
+// the firmware is the ESP flavor — an event log per VM when tr is set
+// (TracePingPong renders them into tr after the run), a shared
 // source-line cycle profile, and VM metrics from both machines. Any
 // argument may be nil to skip that sink.
 func (c *Cluster) AttachObs(tr *obs.ChromeTracer, prof *obs.Profiler, reg *obs.Metrics) {
 	if c.K != nil {
 		c.K.SetMetrics(reg)
 	}
-	var span obs.SpanEmitter
-	if tr != nil {
-		span = tr
-	}
-	for i, n := range c.NICs {
-		n.SetTrace(span)
-		fw, ok := n.FW.(*ESPFirmware)
-		if !ok {
-			continue
+	for _, n := range c.NICs {
+		n.SetTrace(tr)
+		if fw, ok := n.FW.(*ESPFirmware); ok {
+			fw.AttachObs(tr != nil, prof, reg)
 		}
-		var vt obs.Tracer
-		if tr != nil {
-			vt = fwTracer{t: tr, off: i * procTrackStride, prefix: fmt.Sprintf("nic%d ", i)}
-		}
-		fw.AttachObs(vt, prof, reg)
 	}
 }
 
@@ -249,9 +209,10 @@ func PingPong(flavor Flavor, cfg nic.Config, size, rounds int) (float64, error) 
 // and returns the populated sinks along with the latency: a Chrome trace
 // with one track per DMA engine, per NIC CPU, and (ESP flavor) per ESP
 // process; a source-line cycle profile aggregated over both firmware
-// VMs; and the metrics registry. Trace timestamps are simulation
-// nanoseconds (the tracer is built with scale 1e-3, so they land in
-// trace-standard microseconds).
+// VMs; and the metrics registry. The VM tracks are rendered from each
+// machine's event log after the run, so they follow the hardware spans
+// in the file. Trace timestamps are simulation nanoseconds (the tracer is
+// built with scale 1e-3, so they land in trace-standard microseconds).
 func TracePingPong(flavor Flavor, cfg nic.Config, size, rounds int) (float64, *obs.ChromeTracer, *obs.Profiler, *obs.Metrics, error) {
 	c, err := NewCluster(flavor, cfg)
 	if err != nil {
@@ -262,6 +223,13 @@ func TracePingPong(flavor Flavor, cfg nic.Config, size, rounds int) (float64, *o
 	reg := obs.NewMetrics()
 	c.AttachObs(tr, prof, reg)
 	lat, err := pingPong(c, flavor, size, rounds)
+	for i, n := range c.NICs {
+		if fw, ok := n.FW.(*ESPFirmware); ok {
+			rec := fw.m.Recorder()
+			rec.Sync() // the run is over; publish the staged tail
+			tr.AddEvents(rec.Snapshot(0), i*procTrackStride, fmt.Sprintf("nic%d ", i))
+		}
+	}
 	return lat, tr, prof, reg, err
 }
 
