@@ -18,6 +18,7 @@ import (
 	"time"
 
 	esplang "esplang"
+	"esplang/internal/mc"
 	"esplang/internal/obs"
 )
 
@@ -27,7 +28,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel search workers (0 = all cores; 1 = deterministic)")
 		maxStates = flag.Int("max-states", 0, "state bound (0 = default)")
 		maxDepth  = flag.Int("max-depth", 0, "depth bound (0 = default)")
-		bits      = flag.Uint("bits", 24, "bitstate mode: log2 of the bit array size")
+		bits      = flag.Uint("bits", 24, fmt.Sprintf("bitstate mode: log2 of the bit array size (at most %d)", mc.MaxBitstateBits))
 		seed      = flag.Int64("seed", 1, "simulation mode: random seed")
 		runs      = flag.Int("runs", 100, "simulation mode: number of walks")
 		maxLive   = flag.Int("max-objects", 0, "objectId table size; exhausting it is a leak (§5.2)")
@@ -49,6 +50,21 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: espverify [flags] program.esp")
 		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	// Zero selects a bound's default; a negative bound would silently
+	// cut the search short or, for -max-objects, switch leak detection off.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"max-states", *maxStates}, {"max-depth", *maxDepth}, {"runs", *runs}, {"max-objects", *maxLive}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "espverify: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if *bits > mc.MaxBitstateBits {
+		fmt.Fprintf(os.Stderr, "espverify: -bits must be at most %d, got %d\n", mc.MaxBitstateBits, *bits)
 		os.Exit(2)
 	}
 	engine, err := esplang.ParseEngine(*engineN)
@@ -154,7 +170,7 @@ func main() {
 	} else {
 		res = prog.Verify(opts)
 	}
-	if reg != nil {
+	if *metricsF != "" {
 		f, err := os.Create(*metricsF)
 		if err == nil {
 			err = reg.WriteJSON(f)

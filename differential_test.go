@@ -18,10 +18,7 @@ import (
 // element-storage recycling) must be observationally indistinguishable
 // from the baseline interpreter — same outputs, same faults (down to
 // file:line), same cycle meter, same event statistics, same trace bytes,
-// and same model-checker verdicts and state counts. Stats.DirectXfers is
-// the one deliberate exception: it is a diagnostic counter only the
-// schedule's fast path increments (charging zero cycles), so comparisons
-// zero it first.
+// and same model-checker verdicts and state counts.
 
 var allEngines = []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused}
 
@@ -43,9 +40,7 @@ func engineRun(t *testing.T, path string, engine esplang.Engine) string {
 	} else {
 		b.WriteString("fault: none\n")
 	}
-	st := m.Stats
-	st.DirectXfers = 0 // diagnostic-only; see the package comment above
-	fmt.Fprintf(&b, "cycles: %d\nstats: %+v\n", m.Cycles, st)
+	fmt.Fprintf(&b, "cycles: %d\nstats: %+v\n", m.Cycles, m.Stats)
 	for _, ch := range prog.IR.Channels {
 		r, ok := readers[ch.Name]
 		if !ok {
@@ -145,9 +140,7 @@ func TestEngineDifferentialFaults(t *testing.T) {
 				if f.Location() == "" {
 					t.Fatalf("engine %v: fault carries no source location: %v", engine, f)
 				}
-				st := m.Stats
-				st.DirectXfers = 0
-				got[i] = outcome{fault: *f, cycles: m.Cycles, stats: fmt.Sprintf("%+v", st)}
+				got[i] = outcome{fault: *f, cycles: m.Cycles, stats: fmt.Sprintf("%+v", m.Stats)}
 			}
 			if got[0] != got[1] {
 				t.Errorf("fault outcomes diverge:\nbaseline:  %+v\nfused:     %+v", got[0], got[1])

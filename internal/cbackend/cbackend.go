@@ -368,41 +368,6 @@ func (g *cgen) portFns() {
 	g.w("")
 }
 
-// patsCompat conservatively tests whether a send arm's static value shape
-// can match a receive pattern (the C-side analogue of the VM's dispatch
-// filtering).
-func patsCompat(a, b *ir.Pat) bool {
-	wild := func(p *ir.Pat) bool {
-		return p.Kind == ir.PatAny || p.Kind == ir.PatBind || p.Kind == ir.PatDynEq || p.Kind == ir.PatSelf
-	}
-	if wild(a) || wild(b) {
-		return true
-	}
-	switch a.Kind {
-	case ir.PatConst:
-		return b.Kind != ir.PatConst || a.Val == b.Val
-	case ir.PatRecord:
-		if b.Kind != ir.PatRecord || len(a.Elems) != len(b.Elems) {
-			return true
-		}
-		for i := range a.Elems {
-			if !patsCompat(a.Elems[i], b.Elems[i]) {
-				return false
-			}
-		}
-		return true
-	case ir.PatUnion:
-		if b.Kind != ir.PatUnion {
-			return true
-		}
-		if a.Tag != b.Tag {
-			return false
-		}
-		return patsCompat(a.Elems[0], b.Elems[0])
-	}
-	return true
-}
-
 func (g *cgen) tables() {
 	g.w("/* ---- static tables: ports and alt arms ---- */")
 	g.w("typedef int (*esp_match_fn)(esp_val);")
@@ -435,7 +400,7 @@ func (g *cgen) tables() {
 						v := "1"
 						if pi < len(rp.Ports) {
 							if rp.Ports[pi].Chan != arm.Chan ||
-								(arm.OutPat != nil && !patsCompat(arm.OutPat, rp.Ports[pi].Pat)) {
+								(arm.OutPat != nil && !ir.PatsOverlap(arm.OutPat, rp.Ports[pi].Pat)) {
 								v = "0"
 							}
 						} else {

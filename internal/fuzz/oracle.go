@@ -173,8 +173,7 @@ func engineName(e esplang.Engine) string {
 //   - compile determinism (disassembly, fused disassembly, vet findings);
 //   - both interpreters × {optimized, fusion-off}: outputs, faults with
 //     file:line, cycle meter, statistics, trace bytes — all must be
-//     byte-identical (Stats.DirectXfers excepted, as in the repo's
-//     differential suite);
+//     byte-identical;
 //   - unoptimized vs optimized: same fault message and outputs (the
 //     TestOptimizedEquivalence contract; cycle counts legitimately
 //     differ, and out-of-objects faults are exempted because the
@@ -580,8 +579,7 @@ func divergenceSig(e obs.Event) string {
 
 // runVM executes the program under one engine with deterministic
 // external bindings and renders everything observable: run result, fault
-// (with file:line), cycle meter, statistics (DirectXfers zeroed — the
-// one deliberate cross-engine difference), per-channel outputs, and a
+// (with file:line), cycle meter, statistics, per-channel outputs, and a
 // hash of the recorded event stream. One growing recorder
 // (obs.NewEventLog) supplies both the stream and the postmortem: the raw
 // events ride along so a divergence names its first divergent event, and
@@ -607,9 +605,7 @@ func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 	} else {
 		b.WriteString("fault: none\n")
 	}
-	st := m.Stats
-	st.DirectXfers = 0
-	fmt.Fprintf(&b, "cycles: %d\nstats: %+v\n", m.Cycles, st)
+	fmt.Fprintf(&b, "cycles: %d\nstats: %+v\n", m.Cycles, m.Stats)
 	for _, ch := range prog.IR.Channels {
 		r, ok := readers[ch.Name]
 		if !ok {

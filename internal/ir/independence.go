@@ -17,7 +17,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -74,12 +73,6 @@ func (ind *Independence) HeapCompatible(p, q int) bool {
 // Independent reports the derived pair relation (false on the diagonal).
 func (ind *Independence) Independent(p, q int) bool {
 	return p != q && ind.Pairs[p][q]
-}
-
-// Touches reports whether process p has a reachable site on channel ch.
-func (ind *Independence) Touches(ch, p int) bool {
-	i := sort.SearchInts(ind.Touch[ch], p)
-	return i < len(ind.Touch[ch]) && ind.Touch[ch][i] == p
 }
 
 // FormatIndependence renders the table for espc -dump-indep:

@@ -163,6 +163,43 @@ type Pat struct {
 	Elems []*Pat
 }
 
+// PatsOverlap conservatively tests whether two patterns can match a
+// common value: it answers false only when a constant or a union tag
+// proves them disjoint. The VM's alt and external-channel dispatch and
+// the C backend's static dispatch tables both filter receivers with it,
+// so the two cannot disagree on which port a message may reach.
+func PatsOverlap(a, b *Pat) bool {
+	wild := func(p *Pat) bool {
+		return p.Kind == PatAny || p.Kind == PatBind || p.Kind == PatDynEq || p.Kind == PatSelf
+	}
+	if wild(a) || wild(b) {
+		return true
+	}
+	switch a.Kind {
+	case PatConst:
+		return b.Kind != PatConst || a.Val == b.Val
+	case PatRecord:
+		if b.Kind != PatRecord || len(a.Elems) != len(b.Elems) {
+			return true
+		}
+		for i := range a.Elems {
+			if !PatsOverlap(a.Elems[i], b.Elems[i]) {
+				return false
+			}
+		}
+		return true
+	case PatUnion:
+		if b.Kind != PatUnion {
+			return true
+		}
+		if a.Tag != b.Tag {
+			return false
+		}
+		return PatsOverlap(a.Elems[0], b.Elems[0])
+	}
+	return true
+}
+
 // Port is one receive pattern registration on a channel.
 type Port struct {
 	Chan int // channel id

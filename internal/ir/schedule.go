@@ -43,16 +43,6 @@ type Schedule struct {
 	Reason []string
 }
 
-// PairFor returns the fused pair for channel ch, or nil.
-func (s *Schedule) PairFor(ch int) *SchedPair {
-	for i := range s.Pairs {
-		if s.Pairs[i].Chan == ch {
-			return &s.Pairs[i]
-		}
-	}
-	return nil
-}
-
 // FusionGroups returns the connected components of the fused-pair graph,
 // each in static interleave order: senders before their receivers where
 // the component is acyclic (Kahn's algorithm, ties broken by process

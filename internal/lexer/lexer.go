@@ -96,9 +96,6 @@ func (l *Lexer) Next() token.Token {
 	}
 }
 
-// NextWithComments returns the next token including COMMENT tokens.
-func (l *Lexer) NextWithComments() token.Token { return l.next() }
-
 func (l *Lexer) next() token.Token {
 	l.skipSpace()
 	pos := l.pos()

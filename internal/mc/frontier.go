@@ -14,27 +14,23 @@ import (
 // modes. A pool of Options.Workers goroutines expands a shared FIFO of
 // unexpanded states.
 //
-// Under the fused engine (the default hot path) each worker owns one
-// machine for the whole search and replays frontier states into it with
-// vm.RestoreState. Every successor is captured by one vm.SaveKey pass
-// into the worker's scratch snapshot, which also yields its visited-set
-// key and the key's per-process segments. The collapse store (shard.go)
-// compares the segments with the expanded state's, interns only the
-// changed ones, and admits the state as a vector of segment IDs; the
-// scratch snapshot of an admitted state becomes its frontier snapshot,
-// and an expanded node returns to a pool with its snapshot arenas and
-// communication buffer. A discovered state thus costs one compact
-// vm.SavedState while it sits on the frontier and one ID vector forever
-// — no full key is stored. Under the baseline engine the search
-// expands by cloning the whole machine per transition instead of
-// restoring a snapshot — the differential oracle for Save/RestoreState:
-// both must report identical verdicts and state counts, which the
-// engine-differential tests check.
+// Each worker owns one machine for the whole search and replays frontier
+// states into it with vm.RestoreState; Options.Engine only chooses that
+// machine's interpreter loop. Every successor is captured by one
+// vm.SaveKey pass into the worker's scratch snapshot, which also yields
+// its visited-set key and the key's per-process segments. The collapse
+// store (shard.go) compares the segments with the expanded state's,
+// interns only the changed ones, and admits the state as a vector of
+// segment IDs; the scratch snapshot of an admitted state becomes its
+// frontier snapshot, and an expanded node returns to a pool with its
+// snapshot arenas and communication buffer. A discovered state thus
+// costs one compact vm.SavedState while it sits on the frontier and one
+// ID vector forever — no full key is stored.
 //
-// In both modes counterexamples are kept as compact parent chains (one
-// CommChoice and one pointer per state) and materialized by replaying the
-// choices from the initial machine, so memory is O(frontier + visited
-// states × processes) plus the distinct segments, each stored once.
+// Counterexamples are kept as compact parent chains (one CommChoice and
+// one pointer per state) and materialized by replaying the choices from
+// the initial machine, so memory is O(frontier + visited states ×
+// processes) plus the distinct segments, each stored once.
 //
 // With Workers: 1 the search is a deterministic breadth-first traversal:
 // states are expanded in FIFO order and successors generated in
@@ -79,15 +75,11 @@ func (p *pathNode) choices() []vm.CommChoice {
 	return out
 }
 
-// node is one frontier entry: a quiescent state, its enabled
+// node is one frontier entry: a quiescent state's snapshot, its enabled
 // communications (computed once, at discovery), the parent chain that
-// reached it, and its depth in transitions from the initial state. The
-// state is held either as a compact snapshot (snap, the fused-engine hot
-// path) or as a full machine clone (m, the baseline-engine oracle path);
-// exactly one of the two is set.
+// reached it, and its depth in transitions from the initial state.
 type node struct {
 	snap  *vm.SavedState
-	m     *vm.Machine
 	comms []vm.CommChoice
 	path  *pathNode
 	depth int
@@ -191,10 +183,6 @@ type search struct {
 	visited visitedSet
 	front   frontier
 
-	// oracle selects the baseline-engine Clone-per-transition expansion
-	// instead of restoring SavedStates.
-	oracle bool
-
 	// reduce enables the ample-set partial-order reduction; ind is the
 	// static independence table it selects ample sets from.
 	reduce bool
@@ -257,8 +245,7 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Res
 		return
 	}
 
-	s := &search{opts: opts, prog: prog, visited: visited,
-		oracle: opts.Engine == vm.EngineBaseline}
+	s := &search{opts: opts, prog: prog, visited: visited}
 	s.front.cond.L = &s.front.mu
 	s.states.Store(1)
 	if opts.Reduction == AmpleSets {
@@ -266,13 +253,7 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Res
 		s.ind = independence(prog)
 	}
 	ample0 := s.ampleOrder(w0, m0, comms0)
-	n0 := &node{comms: comms0, ample: ample0, ref: ref0}
-	if s.oracle {
-		n0.m = m0
-	} else {
-		n0.snap = snap0
-	}
-	s.front.push(n0)
+	s.front.push(&node{snap: snap0, comms: comms0, ample: ample0, ref: ref0})
 
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Workers; i++ {
@@ -402,11 +383,10 @@ func (s *search) progressLoop(start time.Time, done chan struct{}) {
 	}
 }
 
-// worker is one search goroutine's private state: on the hot path the
-// machine it replays frontier snapshots into (the oracle clones instead),
-// the scratch snapshot the next successor is saved into, the key and
-// communication buffers, the visited set's scratch, and the ample-set
-// closure's.
+// worker is one search goroutine's private state: the machine it
+// replays frontier snapshots into, the scratch snapshot the next
+// successor is saved into, the key and communication buffers, the
+// visited set's scratch, and the ample-set closure's.
 type worker struct {
 	m     *vm.Machine
 	snap  *vm.SavedState
@@ -417,12 +397,9 @@ type worker struct {
 }
 
 func (s *search) worker() {
-	// On the hot path each worker owns one machine for the whole search —
-	// no per-transition machine allocation.
-	w := &worker{}
-	if !s.oracle {
-		w.m = newMachine(s.prog, s.opts)
-	}
+	// Each worker owns one machine for the whole search — no
+	// per-transition machine allocation.
+	w := &worker{m: newMachine(s.prog, s.opts)}
 	for {
 		n := s.front.pop()
 		if n == nil {
@@ -457,8 +434,7 @@ func (s *search) noteAmple(n *node) (limit, witness int) {
 
 // expand fires every enabled communication of n, recording newly
 // discovered states and enqueueing them for expansion. Each transition
-// starts from n's state: restored from its snapshot into the worker's
-// machine, or — on the baseline-engine oracle path — cloned from n's
+// starts from n's state, restored from its snapshot into the worker's
 // machine.
 func (s *search) expand(w *worker, n *node) {
 	limit, witness := s.noteAmple(n)
@@ -478,11 +454,7 @@ func (s *search) expand(w *worker, n *node) {
 			return
 		}
 		m := w.m
-		if s.oracle {
-			m = n.m.Clone()
-		} else {
-			m.RestoreState(n.snap)
-		}
+		m.RestoreState(n.snap)
 		m.FireComm(c)
 		s.transitions.Add(1)
 
@@ -542,19 +514,15 @@ func (s *search) expand(w *worker, n *node) {
 		n2.depth = d
 		n2.ample = s.ampleOrder(w, m, n2.comms)
 		n2.ref = ref
-		if s.oracle {
-			n2.m = m
-		} else {
-			// The scratch snapshot becomes the frontier snapshot; the next
-			// successor saves into the recycled node's.
-			n2.snap, w.snap = w.snap, n2.snap
-		}
+		// The scratch snapshot becomes the frontier snapshot; the next
+		// successor saves into the recycled node's.
+		n2.snap, w.snap = w.snap, n2.snap
 		s.front.push(n2)
 	}
 	// Every communication was fired from n's state; recycle the node.
 	// (The early returns above skip this — a shutting-down search doesn't
 	// need the pool, and the GC reclaims those nodes.)
-	n.m, n.path = nil, nil
+	n.path = nil
 	s.nodePool.Put(n)
 }
 

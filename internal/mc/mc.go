@@ -140,7 +140,8 @@ type Options struct {
 	// state (0 = 100000).
 	MaxDepth int
 	// BitstateBits is log2 of the bit array size for BitState mode
-	// (0 = 24, i.e. 16M bits / 2 MB).
+	// (0 = 24, i.e. 16M bits / 2 MB; larger than MaxBitstateBits means
+	// MaxBitstateBits).
 	BitstateBits uint
 	// Seed and SimRuns configure Simulation mode (SimRuns 0 = 100).
 	Seed    int64
@@ -223,6 +224,12 @@ func (p ProgressInfo) ETA() (time.Duration, bool) {
 	return time.Duration(float64(remaining) / p.StatesPerSec * float64(time.Second)), true
 }
 
+// MaxBitstateBits is the largest bit array BitState mode allocates: 2^32
+// bits, 512 MB. Options.BitstateBits is capped at it, so no setting
+// overflows the array size (1<<64 bits is 0 words) or asks the host for
+// more memory than a workstation has.
+const MaxBitstateBits = 32
+
 func (o *Options) fill() {
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -238,6 +245,9 @@ func (o *Options) fill() {
 	}
 	if o.BitstateBits == 0 {
 		o.BitstateBits = 24
+	}
+	if o.BitstateBits > MaxBitstateBits {
+		o.BitstateBits = MaxBitstateBits
 	}
 	if o.SimRuns == 0 {
 		o.SimRuns = 100
@@ -392,16 +402,6 @@ func newStep(m *vm.Machine, prog *ir.Program, c vm.CommChoice) TraceStep {
 		st.Desc += fmt.Sprintf(" (%s:%d)", prog.File, st.Pos.Line)
 	}
 	return st
-}
-
-// cloneTrace returns a fresh slice holding trace plus step, so a
-// Violation's trace never aliases the checker's working trace stack
-// (which keeps mutating as the search backtracks).
-func cloneTrace(trace []TraceStep, step TraceStep) []TraceStep {
-	out := make([]TraceStep, len(trace)+1)
-	copy(out, trace)
-	out[len(trace)] = step
-	return out
 }
 
 // describe renders a transition in terms of source names.

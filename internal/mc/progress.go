@@ -46,8 +46,8 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		desc     string
 	}
 	// States are kept as compact snapshots and replayed into one scratch
-	// machine, so graph construction doesn't retain a full machine clone
-	// per state. As in the frontier search, the collapse store tells
+	// machine, so graph construction doesn't retain a full machine per
+	// state. As in the frontier search, the collapse store tells
 	// states apart without storing their keys; each shard numbers its
 	// states densely, so dense maps a handle to the state's index.
 	var (

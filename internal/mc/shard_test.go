@@ -326,3 +326,25 @@ func TestShardedBitSetMemBytes(t *testing.T) {
 		t.Errorf("MemBytes = %d, want %d", got, 1<<16/8)
 	}
 }
+
+// TestFillCapsBitstateBits: a bit-array size above MaxBitstateBits is
+// capped, so a library caller cannot ask for 1<<64 bits (an empty array
+// that panics on the first insert) or for more memory than the host has.
+// Smaller sizes, and the zero value's default, pass through unchanged.
+func TestFillCapsBitstateBits(t *testing.T) {
+	for _, c := range []struct{ bits, want uint }{
+		{0, 24},
+		{20, 20},
+		{MaxBitstateBits, MaxBitstateBits},
+		{MaxBitstateBits + 1, MaxBitstateBits},
+		{36, MaxBitstateBits},
+		{64, MaxBitstateBits},
+		{1000, MaxBitstateBits},
+	} {
+		o := Options{BitstateBits: c.bits}
+		o.fill()
+		if o.BitstateBits != c.want {
+			t.Errorf("BitstateBits %d filled to %d, want %d", c.bits, o.BitstateBits, c.want)
+		}
+	}
+}

@@ -371,9 +371,6 @@ func (n *NIC) PopDMADone() (DMADone, bool) {
 	return d, true
 }
 
-// HaveDMADone reports whether a DMA completion is pending.
-func (n *NIC) HaveDMADone() bool { return len(n.dmaDone) > 0 }
-
 // PopPacket dequeues the next arrived packet.
 func (n *NIC) PopPacket() (*Packet, bool) {
 	if len(n.recvRing) == 0 {

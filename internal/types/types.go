@@ -235,7 +235,3 @@ func (u *Universe) WithMutability(t *Type, mutable bool) *Type {
 	nt := &Type{Kind: t.Kind, Mutable: mutable, Fields: t.Fields, Elem: t.Elem, Bound: t.Bound}
 	return u.Intern(nt)
 }
-
-// AssignableTo reports whether a value of type src can be used where dst
-// is expected. ESP types are structural, so this is identity.
-func AssignableTo(src, dst *Type) bool { return src == dst }

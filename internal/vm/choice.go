@@ -98,7 +98,7 @@ func (m *Machine) enumReceivers(chanID, si, sArm int, s *ProcInst, outPat *ir.Pa
 			if s != nil && !m.match(r.Def.Ports[r.WaitPort].Pat, s.Pending, r) {
 				continue
 			}
-			if outPat != nil && !patsOverlap(outPat, r.Def.Ports[r.WaitPort].Pat) {
+			if outPat != nil && !ir.PatsOverlap(outPat, r.Def.Ports[r.WaitPort].Pat) {
 				continue
 			}
 			*out = append(*out, CommChoice{Chan: chanID, Sender: si, SenderArm: sArm, Receiver: ri, ReceiverArm: -1})
@@ -112,7 +112,7 @@ func (m *Machine) enumReceivers(chanID, si, sArm int, s *ProcInst, outPat *ir.Pa
 				if s != nil && !m.match(r.Def.Ports[arm.Port].Pat, s.Pending, r) {
 					continue
 				}
-				if outPat != nil && !patsOverlap(outPat, r.Def.Ports[arm.Port].Pat) {
+				if outPat != nil && !ir.PatsOverlap(outPat, r.Def.Ports[arm.Port].Pat) {
 					continue
 				}
 				*out = append(*out, CommChoice{Chan: chanID, Sender: si, SenderArm: sArm, Receiver: ri, ReceiverArm: ai})
@@ -171,7 +171,7 @@ func (m *Machine) FireComm(c CommChoice) {
 // points is deterministic, so replaying the choices recorded by a search
 // passes through exactly the states the search saw — the model checker
 // rebuilds counterexample traces this way from compact parent chains
-// instead of retaining a machine clone per search level. Replay stops at
+// instead of retaining a machine per search level. Replay stops at
 // the first fault, which it returns (nil if the whole sequence fired).
 func (m *Machine) ReplayComms(cs []CommChoice) *Fault {
 	for _, c := range cs {
@@ -217,76 +217,4 @@ func (m *Machine) AtRest() bool {
 		}
 	}
 	return true
-}
-
-// ---------------------------------------------------------------------------
-// Cloning (model-checker state save/restore)
-
-// Clone deep-copies the machine state: processes, locals, stacks, pending
-// values, and the reachable heap. External bindings are shared (the model
-// checker does not use them), and statistics are reset on the clone.
-func (m *Machine) Clone() *Machine {
-	n := &Machine{
-		Prog:         m.Prog,
-		Cost:         m.Cost,
-		Config:       m.Config,
-		fused:        m.fused, // immutable, shared
-		sched:        m.sched, // immutable, shared
-		extW:         m.extW,
-		extR:         m.extR,
-		commitTarget: m.commitTarget,
-		commitArm:    m.commitArm,
-		flt:          m.flt,
-	}
-	n.heap = Heap{MaxLive: m.heap.MaxLive, nextID: m.heap.nextID, live: m.heap.live,
-		allocs: m.heap.allocs, frees: m.heap.frees}
-	seen := make(map[*Object]*Object)
-	var cpv func(v Value) Value
-	cpv = func(v Value) Value {
-		if !v.IsRef || v.Ref == nil {
-			return v
-		}
-		if o, ok := seen[v.Ref]; ok {
-			return RefVal(o)
-		}
-		o := v.Ref
-		no := &Object{ID: o.ID, Type: o.Type, RC: o.RC, Freed: o.Freed, Tag: o.Tag,
-			Elems: make([]Value, len(o.Elems))}
-		seen[o] = no
-		for i, e := range o.Elems {
-			no.Elems[i] = cpv(e)
-		}
-		return RefVal(no)
-	}
-	for _, p := range m.Procs {
-		np := &ProcInst{
-			Def: p.Def, ID: p.ID, PC: p.PC, Status: p.Status,
-			PendingFlags: p.PendingFlags,
-			WaitChan:     p.WaitChan, WaitPort: p.WaitPort,
-			AltIdx: p.AltIdx, ResumePC: p.ResumePC,
-			Locals: make([]Value, len(p.Locals)),
-			Stack:  make([]Value, len(p.Stack)),
-		}
-		for i, v := range p.Locals {
-			np.Locals[i] = cpv(v)
-		}
-		for i, v := range p.Stack {
-			np.Stack[i] = cpv(v)
-		}
-		np.Pending = cpv(p.Pending)
-		n.Procs = append(n.Procs, np)
-	}
-	n.ready = append([]int(nil), m.ready...)
-	if m.Config.UseWaitQueues {
-		n.sendQ = make(map[int][]int, len(m.sendQ))
-		n.recvQ = make(map[int][]int, len(m.recvQ))
-		for k, v := range m.sendQ {
-			n.sendQ[k] = append([]int(nil), v...)
-		}
-		for k, v := range m.recvQ {
-			n.recvQ[k] = append([]int(nil), v...)
-		}
-	}
-	n.hookHeap()
-	return n
 }

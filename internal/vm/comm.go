@@ -146,48 +146,8 @@ func (m *Machine) deepCopy(v Value) Value {
 	return cp(v)
 }
 
-// patsOverlap conservatively tests whether two runtime patterns can match
-// a common value (used to decide whether to consume an external message
-// for a given waiting port).
-func patsOverlap(a, b *ir.Pat) bool {
-	wild := func(p *ir.Pat) bool {
-		return p.Kind == ir.PatAny || p.Kind == ir.PatBind || p.Kind == ir.PatDynEq || p.Kind == ir.PatSelf
-	}
-	if wild(a) || wild(b) {
-		return true
-	}
-	switch a.Kind {
-	case ir.PatConst:
-		return b.Kind != ir.PatConst || a.Val == b.Val
-	case ir.PatRecord:
-		if b.Kind != ir.PatRecord || len(a.Elems) != len(b.Elems) {
-			return true
-		}
-		for i := range a.Elems {
-			if !patsOverlap(a.Elems[i], b.Elems[i]) {
-				return false
-			}
-		}
-		return true
-	case ir.PatUnion:
-		if b.Kind != ir.PatUnion {
-			return true
-		}
-		if a.Tag != b.Tag {
-			return false
-		}
-		return patsOverlap(a.Elems[0], b.Elems[0])
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // Eager rendezvous (auto mode)
-
-// maskCharge is a no-op: bit-mask readiness checks are charged once per
-// candidate search (see Machine.candidates); queue mode pays per queue
-// operation instead.
-func (m *Machine) maskCharge() {}
 
 // guardTrue reports whether an alt arm's guard holds for p.
 func guardTrue(p *ProcInst, arm *ir.AltArm) bool {
@@ -202,12 +162,6 @@ func (m *Machine) unblock(p *ProcInst, pc int) {
 	m.unregister(p)
 	m.enqueue(p.ID)
 }
-
-// commitTo, when >= 0, pins the receiver a SendCommit must deliver to
-// (set by the model checker's FireComm so the chosen transition is the
-// one that happens).
-// It lives on the machine so clones carry it (it is always -1 when
-// quiescent).
 
 // tryCompleteSend looks for a partner for a sender whose value is already
 // evaluated (plain Send, or SendCommit after an alt commit). On success
@@ -244,7 +198,6 @@ func (m *Machine) tryCompleteSend(s *ProcInst) bool {
 		if r == s {
 			continue
 		}
-		m.maskCharge()
 		switch r.Status {
 		case PBlockedRecv:
 			if r.WaitChan != chanID {
@@ -310,7 +263,6 @@ func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
 		if s == r {
 			continue
 		}
-		m.maskCharge()
 		if s.Status == PBlockedSend && s.WaitChan == chanID {
 			if m.deliver(s.Pending, s.PendingFlags, s.ID, r, r.WaitPort) {
 				m.unblock(s, s.ResumePC)
@@ -325,14 +277,13 @@ func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
 		if s == r || s.Status != PBlockedAlt {
 			continue
 		}
-		m.maskCharge()
 		def := s.Def.Alts[s.AltIdx]
 		for ai := range def.Arms {
 			arm := &def.Arms[ai]
 			if !arm.IsSend || arm.Chan != chanID || !guardTrue(s, arm) {
 				continue
 			}
-			if arm.OutPat != nil && !patsOverlap(arm.OutPat, r.Def.Ports[r.WaitPort].Pat) {
+			if arm.OutPat != nil && !ir.PatsOverlap(arm.OutPat, r.Def.Ports[r.WaitPort].Pat) {
 				continue
 			}
 			m.unblock(s, arm.EvalPC)
@@ -349,7 +300,7 @@ func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
 		m.tracePoll(chanID)
 		if caseIdx, ok := ew.Ready(m); ok {
 			ch := m.Prog.Channels[chanID]
-			if caseIdx < len(ch.Cases) && patsOverlap(ch.Cases[caseIdx].Pat, r.Def.Ports[r.WaitPort].Pat) {
+			if caseIdx < len(ch.Cases) && ir.PatsOverlap(ch.Cases[caseIdx].Pat, r.Def.Ports[r.WaitPort].Pat) {
 				v := ew.Take(m, caseIdx)
 				if m.flt != nil {
 					return false
@@ -417,14 +368,13 @@ func (m *Machine) altStep(p *ProcInst) (int, bool) {
 // postponed computation).
 func (m *Machine) altSendArm(p *ProcInst, arm *ir.AltArm) (int, bool) {
 	compatible := func(r *ProcInst, port int) bool {
-		return arm.OutPat == nil || patsOverlap(arm.OutPat, r.Def.Ports[port].Pat)
+		return arm.OutPat == nil || ir.PatsOverlap(arm.OutPat, r.Def.Ports[port].Pat)
 	}
 	for _, idx := range m.candidates(arm.Chan, false) {
 		r := m.Procs[idx]
 		if r == p {
 			continue
 		}
-		m.maskCharge()
 		switch r.Status {
 		case PBlockedRecv:
 			if r.WaitChan == arm.Chan && compatible(r, r.WaitPort) {
@@ -468,7 +418,6 @@ func (m *Machine) altRecvArm(p *ProcInst, arm *ir.AltArm) (int, bool, bool) {
 		if s == p {
 			continue
 		}
-		m.maskCharge()
 		if s.Status == PBlockedSend && s.WaitChan == arm.Chan {
 			if m.deliver(s.Pending, s.PendingFlags, s.ID, p, arm.Port) {
 				m.unblock(s, s.ResumePC)
@@ -484,14 +433,13 @@ func (m *Machine) altRecvArm(p *ProcInst, arm *ir.AltArm) (int, bool, bool) {
 		if s == p || s.Status != PBlockedAlt {
 			continue
 		}
-		m.maskCharge()
 		sdef := s.Def.Alts[s.AltIdx]
 		for si := range sdef.Arms {
 			sarm := &sdef.Arms[si]
 			if !sarm.IsSend || sarm.Chan != arm.Chan || !guardTrue(s, sarm) {
 				continue
 			}
-			if sarm.OutPat != nil && !patsOverlap(sarm.OutPat, p.Def.Ports[arm.Port].Pat) {
+			if sarm.OutPat != nil && !ir.PatsOverlap(sarm.OutPat, p.Def.Ports[arm.Port].Pat) {
 				continue
 			}
 			m.unblock(s, sarm.EvalPC)
@@ -509,7 +457,7 @@ func (m *Machine) altRecvArm(p *ProcInst, arm *ir.AltArm) (int, bool, bool) {
 		m.tracePoll(arm.Chan)
 		if caseIdx, ok := ew.Ready(m); ok {
 			ch := m.Prog.Channels[arm.Chan]
-			if caseIdx < len(ch.Cases) && patsOverlap(ch.Cases[caseIdx].Pat, p.Def.Ports[arm.Port].Pat) {
+			if caseIdx < len(ch.Cases) && ir.PatsOverlap(ch.Cases[caseIdx].Pat, p.Def.Ports[arm.Port].Pat) {
 				v := ew.Take(m, caseIdx)
 				if m.flt != nil {
 					return 0, false, false
@@ -558,10 +506,9 @@ func (m *Machine) Poll() bool {
 		scan := m.scanList(chanID, false)
 		for k := 0; k < len(scan) && !matched; k++ {
 			r := m.Procs[scan[k]]
-			m.maskCharge()
 			switch r.Status {
 			case PBlockedRecv:
-				if r.WaitChan != chanID || !patsOverlap(casePat, r.Def.Ports[r.WaitPort].Pat) {
+				if r.WaitChan != chanID || !ir.PatsOverlap(casePat, r.Def.Ports[r.WaitPort].Pat) {
 					continue
 				}
 				if !taken {
@@ -580,7 +527,7 @@ func (m *Machine) Poll() bool {
 				for ai := range def.Arms {
 					arm := &def.Arms[ai]
 					if arm.IsSend || arm.Chan != chanID || !guardTrue(r, arm) ||
-						!patsOverlap(casePat, r.Def.Ports[arm.Port].Pat) {
+						!ir.PatsOverlap(casePat, r.Def.Ports[arm.Port].Pat) {
 						continue
 					}
 					if !taken {
@@ -613,7 +560,6 @@ func (m *Machine) Poll() bool {
 		er := m.extR[chanID]
 		for _, pi := range m.scanList(chanID, true) {
 			s := m.Procs[pi]
-			m.maskCharge()
 			switch s.Status {
 			case PBlockedSend:
 				if s.WaitChan != chanID {

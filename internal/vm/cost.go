@@ -60,13 +60,6 @@ type Stats struct {
 	QueueOps     int64
 	Polls        int64
 	DeepCopied   int64 // words
-	// DirectXfers counts rendezvous completed through the fused engine's
-	// direct-transfer fast path (static schedule present, auto mode). It
-	// is a diagnostic: each such transfer already appears in Rendezvous
-	// (and charges the same cycles), so DirectXfers contributes zero to
-	// the §6.2 cycle decomposition and every other configuration leaves
-	// it zero.
-	DirectXfers int64
 }
 
 // Sub returns the event counts accumulated since o was captured
@@ -88,7 +81,6 @@ func (s Stats) Sub(o Stats) Stats {
 		QueueOps:     s.QueueOps - o.QueueOps,
 		Polls:        s.Polls - o.Polls,
 		DeepCopied:   s.DeepCopied - o.DeepCopied,
-		DirectXfers:  s.DirectXfers - o.DirectXfers,
 	}
 }
 
@@ -117,7 +109,6 @@ func (s Stats) String() string {
 	add("queueops", s.QueueOps)
 	add("polls", s.Polls)
 	add("deepcopied", s.DeepCopied)
-	add("directxfers", s.DirectXfers)
 	if b.Len() == 0 {
 		return "(no events)"
 	}

@@ -10,9 +10,9 @@ import (
 // TestCycleDecompositionExact pins the §6.2 accounting identity on every
 // engine: the cycle meter is exactly the dot product of the event counters
 // with the cost model. There is no Frees term (a free is bookkeeping the
-// collector does between instructions, never charged), and DirectXfers —
-// the static schedule's diagnostic — must contribute nothing: a direct
-// transfer is a rendezvous that already paid the Rendezvous price.
+// collector does between instructions, never charged), and the static
+// schedule's direct transfers add none: each is a rendezvous that already
+// paid the Rendezvous price.
 func TestCycleDecompositionExact(t *testing.T) {
 	engines := []struct {
 		name string
@@ -51,8 +51,8 @@ func TestCycleDecompositionExact(t *testing.T) {
 				t.Errorf("cycle meter %d, decomposition says %d (stats: %s)",
 					m.Cycles, want, s)
 			}
-			if s.DirectXfers > s.Rendezvous {
-				t.Errorf("directxfers %d exceeds rendezvous %d", s.DirectXfers, s.Rendezvous)
+			if d := vm.DirectXfers(m); d > s.Rendezvous {
+				t.Errorf("%d direct transfers exceed %d rendezvous", d, s.Rendezvous)
 			}
 			cycles[i] = m.Cycles
 		})
@@ -110,8 +110,8 @@ func TestDirectTransfersNeedSchedule(t *testing.T) {
 			if s.Rendezvous < 200 {
 				t.Fatalf("only %d rendezvous: the run did not complete (stats: %s)", s.Rendezvous, s)
 			}
-			if got := s.DirectXfers > 0; got != tc.direct {
-				t.Errorf("directxfers = %d, want direct transfers %v (stats: %s)", s.DirectXfers, tc.direct, s)
+			if d := vm.DirectXfers(m); (d > 0) != tc.direct {
+				t.Errorf("%d direct transfers, want direct transfers %v (stats: %s)", d, tc.direct, s)
 			}
 		})
 	}

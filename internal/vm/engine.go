@@ -2,16 +2,17 @@ package vm
 
 import "fmt"
 
-// Engine selects the interpreter implementation. The fused engine is the
-// default (the zero value): it runs the load-time translation of
-// ir.FuseProgram and is observably identical to the baseline — same
-// Stats, same cycle meter, same faults, same trace events — just faster.
-// When the program carries the optimizer's static rendezvous schedule,
-// an auto-mode, bit-mask fused machine also executes it: direct-transfer
-// instructions on statically-matched channels and narrowed partner scans
-// everywhere else — still observably identical, with one extra
-// diagnostic counter (Stats.DirectXfers) that charges no cycles. The
-// baseline engine remains as the differential-testing oracle.
+// Engine selects the interpreter implementation; the engines differ only
+// in speed. The fused engine is the default (the zero value): it runs
+// the load-time translation of ir.FuseProgram and is observably
+// identical to the baseline — same Stats, same cycle meter, same faults,
+// same trace events, same model-checker results. When the program
+// carries the optimizer's static rendezvous schedule, an auto-mode,
+// bit-mask fused machine also executes it: direct-transfer instructions
+// on statically-matched channels and narrowed partner scans everywhere
+// else, each charged and counted exactly as the dynamic rendezvous it
+// replaces. The baseline engine remains as the differential-testing
+// oracle.
 type Engine uint8
 
 // Engines.

@@ -491,7 +491,7 @@ func (m *Machine) execFused(p *ProcInst) {
 					if m.flt != nil {
 						return
 					}
-					m.Stats.DirectXfers++
+					m.directXfers++
 					m.unblock(s, s.ResumePC)
 					pcF = int(fp.Map[p.ResumePC])
 					continue
@@ -659,7 +659,7 @@ func (m *Machine) fusedSendDir(p *ProcInst, fp *ir.FusedProc, fi *ir.FInstr) (in
 			if m.flt != nil {
 				return 0, false
 			}
-			m.Stats.DirectXfers++
+			m.directXfers++
 			m.unblock(r, r.ResumePC)
 			p.Pending = Value{}
 			return int(fp.Map[p.ResumePC]), true

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"esplang/internal/ir"
 	"esplang/internal/obs"
 	"esplang/internal/types"
 )
@@ -181,31 +180,4 @@ func (m *Machine) NewArrayV(t *types.Type, n int, init Value) Value {
 		o.Elems[i] = init
 	}
 	return RefVal(o)
-}
-
-// NewArrayFromInts allocates an int array with the given contents.
-func (m *Machine) NewArrayFromInts(t *types.Type, data []int64) Value {
-	o := m.heap.Alloc(t, len(data))
-	if o == nil {
-		m.fault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"})
-		return Value{}
-	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(-1)
-	for i, d := range data {
-		o.Elems[i] = IntVal(d)
-	}
-	return RefVal(o)
-}
-
-// IfaceCaseByName returns the index of the named interface case of the
-// channel, or -1.
-func IfaceCaseByName(ch *ir.Channel, name string) int {
-	for i, c := range ch.Cases {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -109,13 +109,14 @@ type Machine struct {
 	flt   *Fault
 
 	// fused is the fused-engine translation of the program, nil when the
-	// baseline engine was selected. It is immutable and shared by clones.
+	// baseline engine was selected. It is immutable and may be shared
+	// with the program's other machines.
 	fused []*ir.FusedProc
 
 	// sched is the runtime form of the static rendezvous schedule
 	// (fused engine, auto + bit-mask mode only; nil otherwise).
-	// Immutable and shared by clones; schedStore is its backing storage
-	// so New performs no extra allocation for it.
+	// Immutable; schedStore is its backing storage so New performs no
+	// extra allocation for it.
 	sched      *schedRT
 	schedStore schedRT
 
@@ -127,6 +128,12 @@ type Machine struct {
 	encBuf  []byte
 	encSnap *SavedState
 	objPool []*Object
+
+	// directXfers counts rendezvous completed through the static
+	// schedule's direct transfers. It is not part of Stats: to every
+	// observer a direct transfer is an ordinary rendezvous. Only tests
+	// read it, to see that the fast path ran.
+	directXfers int64
 
 	// Sorted external-channel ID lists, rebuilt lazily after every
 	// BindWriter/BindReader, so Poll does not sort on every call.

@@ -23,8 +23,7 @@ func (m *Machine) SetProfiler(p *obs.Profiler) { m.prof = p }
 // does not force the baseline interpreter loop, so a fixed ring is cheap
 // enough to leave attached in production; Postmortem renders its last
 // events after a fault, and obs.ChromeTracer.AddEvents renders a
-// recording as a trace. Clones do not inherit it (like every other
-// observability sink).
+// recording as a trace.
 //
 // Every name the machine can emit — channel names, process names,
 // scheduling statuses — is interned into the recorder here, and the
@@ -186,8 +185,8 @@ func (m *Machine) tracePoll(chanID int) {
 
 // hookHeap installs the heap free callback that keeps Stats.Frees, the
 // free metric, and the recorder's live-object count in step with the
-// reference counter. Called from New and Clone (the closure must capture
-// the owning machine).
+// reference counter. Called from New (the closure captures the owning
+// machine).
 func (m *Machine) hookHeap() {
 	m.heap.onFree = func() {
 		m.Stats.Frees++

@@ -177,10 +177,10 @@ process clientB {
 	}
 }
 
-// TestPropertyCloneTransparent: running a cloned machine through the same
-// choices yields the same encodings as the original (the checker's
-// save/restore).
-func TestPropertyCloneTransparent(t *testing.T) {
+// TestPropertySnapshotTransparent: a snapshot restored into a sibling
+// machine behaves like its source — firing the same choice on both yields
+// the same key (the checker's save/restore).
+func TestPropertySnapshotTransparent(t *testing.T) {
 	prog := compileSrc(t, `
 channel c: int
 channel d: int
@@ -190,20 +190,23 @@ process p2 { while (true) { in( c, $v); out( d, v * 2); } }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := vm.New(prog, vm.Config{Manual: true})
+		sib := vm.New(prog, vm.Config{Manual: true})
 		m.Settle()
+		var snap *vm.SavedState
 		for step := 0; step < 10; step++ {
 			comms := m.EnabledComms()
 			if len(comms) == 0 {
 				break
 			}
-			cl := m.Clone()
+			snap = m.Save(snap)
+			sib.RestoreState(snap)
 			c := comms[rng.Intn(len(comms))]
 			m.FireComm(c)
-			cl.FireComm(c)
-			if m.EncodeState() != cl.EncodeState() {
+			sib.FireComm(c)
+			if m.EncodeState() != sib.EncodeState() {
 				return false
 			}
-			m = cl // continue on the clone: must behave identically
+			m, sib = sib, m // continue on the sibling: must behave identically
 		}
 		return true
 	}

@@ -8,9 +8,9 @@ import (
 // SavedState is a compact, self-contained snapshot of a machine's
 // semantic state: process scheduling descriptors, locals, stacks, the
 // reachable heap graph (flattened into index-linked arenas), and the heap
-// counters. Unlike Clone it shares nothing with the machine that produced
-// it, so restoring it into any machine of the same program is safe, and
-// a SavedState can be reused (Save overwrites in place) so the model
+// counters. It shares nothing with the machine that produced it, so
+// restoring it into any machine of the same program is safe, and a
+// SavedState can be reused (SaveKey overwrites in place) so the model
 // checker's state expansion allocates only while a snapshot's arenas are
 // still growing toward the program's steady-state size.
 //
@@ -156,7 +156,8 @@ func (w *saver) obj(o *Object) int32 {
 // buffers (a nil dst allocates a fresh SavedState), and appends the
 // state's visited-set key (see keyInt) to kb — one traversal of the
 // processes and the reachable heap produces both. Statistics and the
-// cycle meter are not captured (matching Clone, which resets them).
+// cycle meter are not captured: RestoreState leaves the target
+// machine's own counters running.
 //
 // The traversal marks objects with the machine's generation counter, so
 // SaveKey is not safe for concurrent use on one machine — which is true

@@ -112,22 +112,36 @@ func TestSavedStateRestoreIntoSibling(t *testing.T) {
 	}
 }
 
-// TestSavedStateMatchesClone: restoring a snapshot reproduces the same
-// semantic state as the (allocation-heavy) Clone it replaces.
-func TestSavedStateMatchesClone(t *testing.T) {
+// TestSavedStateMatchesReplay: restoring a snapshot into a fresh machine
+// reproduces the state a second fresh machine reaches by replaying the
+// snapshot's choice path — the way the model checker rebuilds
+// counterexamples.
+func TestSavedStateMatchesReplay(t *testing.T) {
 	m := snapMachine(t, mcSrc)
+	var path []vm.CommChoice
 	for i := 0; i < 2; i++ {
-		if comms := m.EnabledComms(); len(comms) > 0 {
-			m.FireComm(comms[0])
+		comms := m.EnabledComms()
+		if len(comms) == 0 {
+			t.Fatalf("no enabled communication after %d steps", i)
 		}
+		m.FireComm(comms[0])
+		path = append(path, comms[0])
 	}
-	clone := m.Clone()
 	snap := m.Save(nil)
 
+	ref := snapMachine(t, mcSrc)
+	if f := ref.ReplayComms(path); f != nil {
+		t.Fatalf("replay fault: %v", f)
+	}
 	m2 := snapMachine(t, mcSrc)
 	m2.RestoreState(snap)
-	if clone.EncodeState() != m2.EncodeState() {
-		t.Fatal("Clone and Save/RestoreState disagree on the semantic state")
+	if ref.EncodeState() != m2.EncodeState() {
+		t.Fatal("replay and Save/RestoreState disagree on the semantic state")
+	}
+	h, rh := m2.Heap(), ref.Heap()
+	if h.Live() != rh.Live() || h.Allocs() != rh.Allocs() || h.Frees() != rh.Frees() {
+		t.Errorf("heap counters: restored live=%d allocs=%d frees=%d, replayed live=%d allocs=%d frees=%d",
+			h.Live(), h.Allocs(), h.Frees(), rh.Live(), rh.Allocs(), rh.Frees())
 	}
 }
 

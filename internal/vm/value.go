@@ -66,12 +66,11 @@ type Object struct {
 	Elems []Value // record fields / union payload (len 1) / array elements
 
 	// mark/markIdx implement generation-stamped graph traversal for the
-	// snapshotter (see savedstate.go): an
-	// object is "visited this traversal" iff mark equals the machine's
-	// current generation, and markIdx is its first-visit index. Objects
-	// are never shared between machines (Clone deep-copies, RestoreState
-	// rebuilds into a per-machine pool), so a per-machine generation
-	// counter suffices.
+	// snapshotter (see savedstate.go): an object is "visited this
+	// traversal" iff mark equals the machine's current generation, and
+	// markIdx is its first-visit index. Objects are never shared between
+	// machines (RestoreState rebuilds into a per-machine pool), so a
+	// per-machine generation counter suffices.
 	mark    int64
 	markIdx int32
 }
@@ -248,27 +247,4 @@ func (h *Heap) Unlink(o *Object) *Fault {
 		return h.free(o)
 	}
 	return nil
-}
-
-// GraphSize returns the number of objects and scalar words reachable from
-// v (used for deep-copy cost accounting).
-func GraphSize(v Value) (objects, words int) {
-	seen := make(map[*Object]bool)
-	var walk func(v Value)
-	walk = func(v Value) {
-		if !v.IsRef {
-			words++
-			return
-		}
-		if v.Ref == nil || seen[v.Ref] {
-			return
-		}
-		seen[v.Ref] = true
-		objects++
-		for _, e := range v.Ref.Elems {
-			walk(e)
-		}
-	}
-	walk(v)
-	return objects, words
 }

@@ -762,33 +762,6 @@ process q { in( b, $y); out( a, 2); }
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	m := newMachine(t, `
-channel c: int
-process sender { $i = 0; while (i < 3) { out( c, i); i = i + 1; } }
-process receiver { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
-`, vm.Config{Manual: true})
-	m.Settle()
-	snap := m.EncodeState()
-	cl := m.Clone()
-	if cl.EncodeState() != snap {
-		t.Fatal("clone state differs from original")
-	}
-	comms := m.EnabledComms()
-	m.FireComm(comms[0])
-	if m.EncodeState() == snap {
-		t.Error("state unchanged after firing a transition")
-	}
-	if cl.EncodeState() != snap {
-		t.Error("clone mutated by running the original")
-	}
-	// The clone can take the same step and reach the same state.
-	cl.FireComm(comms[0])
-	if cl.EncodeState() != m.EncodeState() {
-		t.Error("same transition from same state produced different states")
-	}
-}
-
 func TestAltSendPostponedAllocation(t *testing.T) {
 	// The §6.1 optimization: the out arm's record is only allocated when
 	// the arm commits. With no receiver ever ready, no allocation happens.
