@@ -57,7 +57,7 @@ func feedInputs(t *testing.T, prog *esplang.Program, m *esplang.Machine) map[str
 				t.Fatal(err)
 			}
 			switch ch.Name {
-			case "inC": // add5.esp / fifo.esp: interface feed, Put($v)
+			case "inC", "inp": // add5.esp, fifo.esp, fuzz/extfeed_open.esp: interface feed, Put($v)
 				for _, v := range []int64{1, 7, 42, -3, 100, 5} {
 					v := v
 					w.Push(0, func(*esplang.Machine) esplang.Value { return esplang.IntVal(v) })

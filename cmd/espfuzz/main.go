@@ -49,6 +49,23 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	// -n 0 runs only the corpus mutants and -mc-states 0 selects the
+	// oracle's default bound. A negative count runs nothing, and a
+	// negative -mc-states cuts every model-checker stage to a one-state
+	// partial search, which the oracle does not check.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"mutants", *mutants}, {"minimize", *minBudget}, {"mc-states", *mcStates}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "espfuzz: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if *maxFailures < 1 {
+		fmt.Fprintf(os.Stderr, "espfuzz: -max-failures must be at least 1, got %d\n", *maxFailures)
+		os.Exit(2)
+	}
 	opts := fuzz.Options{MCMaxStates: *mcStates, SkipMC: *skipMC}
 
 	start := time.Now()

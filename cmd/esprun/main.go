@@ -58,6 +58,17 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	// Zero lifts a bound (or, for -flight, turns the recorder off); a
+	// negative value would do the same silently.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"max-cycles", *maxCycles}, {"max-objects", int64(*maxObjects)}, {"flight", int64(*flight)}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "esprun: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	engine, err := esplang.ParseEngine(*engineName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)

@@ -69,6 +69,22 @@ func TestUnknownEngineExits2(t *testing.T) {
 	}
 }
 
+// TestRejectsBadBounds: a negative -max-cycles, -max-objects or -flight
+// is a usage error naming the flag (exit 2), not an unbounded run, a
+// disabled leak bound or a dropped fault postmortem.
+func TestRejectsBadBounds(t *testing.T) {
+	prog := filepath.Join("..", "..", "testdata", "pipeline.esp")
+	for _, name := range []string{"-max-cycles", "-max-objects", "-flight"} {
+		cmd := exec.Command(os.Args[0], name, "-1", prog)
+		cmd.Env = append(os.Environ(), "ESPRUN_AS_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if want := "esprun: " + name + " must not be negative"; !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), want) {
+			t.Errorf("esprun %s -1: %v, want exit status 2 with %q; output:\n%s", name, err, want, out)
+		}
+	}
+}
+
 // TestTraceGolden pins the exact bytes of `esprun -trace` on two sample
 // programs fed "1 10 37", and the event count esprun reports for them on
 // stderr. Regenerate with ESP_UPDATE_GOLDEN=1.

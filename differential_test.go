@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	esplang "esplang"
@@ -347,5 +348,54 @@ func TestEngineDifferentialVerifyParallel(t *testing.T) {
 	}
 	if got[0] != got[1] {
 		t.Errorf("parallel search diverges: baseline %s, fused %s", got[0], got[1])
+	}
+}
+
+// TestModesAgreeCorpus: the wait-queue ablation of the §6.1 bit-masks
+// changes only what blocking costs, so every sample and fuzz-corpus
+// program prints the same outputs and the same fault in either mode, on
+// both engines. Cycles and Stats differ by design and are not compared.
+// The step and cycle budgets are the fuzz oracle's defaults, which stop
+// the corpus's spinning programs.
+func TestModesAgreeCorpus(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.esp")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs found: %v", err)
+	}
+	fuzzFiles, err := filepath.Glob("testdata/fuzz/*.esp")
+	if err != nil || len(fuzzFiles) == 0 {
+		t.Fatalf("no fuzz corpus found: %v", err)
+	}
+	for _, f := range append(files, fuzzFiles...) {
+		t.Run(f, func(t *testing.T) {
+			prog, err := esplang.CompileFile(f, esplang.CompileOptions{})
+			if err != nil {
+				t.Skipf("compile-error corpus entry: %v", err)
+			}
+			for _, engine := range allEngines {
+				var got [2]string
+				for i, queues := range []bool{false, true} {
+					m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: 64, StepBudget: 200_000,
+						MaxCycles: 2_000_000, UseWaitQueues: queues, Engine: engine})
+					readers := feedInputs(t, prog, m)
+					m.Run()
+					var b strings.Builder
+					fmt.Fprintf(&b, "fault: %v\n", m.Fault())
+					for _, ch := range prog.IR.Channels {
+						if r, ok := readers[ch.Name]; ok {
+							fmt.Fprintf(&b, "%s:", ch.Name)
+							for _, v := range r.Values {
+								b.WriteString(" " + renderSnap(v))
+							}
+							b.WriteString("\n")
+						}
+					}
+					got[i] = b.String()
+				}
+				if got[0] != got[1] {
+					t.Errorf("%v: wait-queue mode diverges:\n--- bit-mask ---\n%s--- wait queues ---\n%s", engine, got[0], got[1])
+				}
+			}
+		})
 	}
 }

@@ -82,41 +82,28 @@ func (m *Machine) OfferedChannels(pi int, buf []int) []int {
 	return buf
 }
 
-// enumReceivers appends a choice for every receiver able (or potentially
-// able) to take a message on chanID from sender si. When s is non-nil the
-// sender's pending value is matched against receiver patterns.
+// enumReceivers appends a choice for every receive offer able (or
+// potentially able) to take a message on chanID from sender si. When s is
+// non-nil the sender's pending value is matched against receiver patterns.
 func (m *Machine) enumReceivers(chanID, si, sArm int, s *ProcInst, outPat *ir.Pat, out *[]CommChoice) {
 	for ri, r := range m.Procs {
 		if ri == si {
 			continue
 		}
-		switch r.Status {
-		case PBlockedRecv:
-			if r.WaitChan != chanID {
+		arms := altArms(r)
+		for i := -1; i < len(arms); i++ {
+			port, _, ok := recvArm(r, arms, chanID, i)
+			if !ok {
 				continue
 			}
-			if s != nil && !m.match(r.Def.Ports[r.WaitPort].Pat, s.Pending, r) {
+			pat := r.Def.Ports[port].Pat
+			if s != nil && !m.match(pat, s.Pending, r) {
 				continue
 			}
-			if outPat != nil && !ir.PatsOverlap(outPat, r.Def.Ports[r.WaitPort].Pat) {
+			if outPat != nil && !ir.PatsOverlap(outPat, pat) {
 				continue
 			}
-			*out = append(*out, CommChoice{Chan: chanID, Sender: si, SenderArm: sArm, Receiver: ri, ReceiverArm: -1})
-		case PBlockedAlt:
-			def := r.Def.Alts[r.AltIdx]
-			for ai := range def.Arms {
-				arm := &def.Arms[ai]
-				if arm.IsSend || arm.Chan != chanID || !guardTrue(r, arm) {
-					continue
-				}
-				if s != nil && !m.match(r.Def.Ports[arm.Port].Pat, s.Pending, r) {
-					continue
-				}
-				if outPat != nil && !ir.PatsOverlap(outPat, r.Def.Ports[arm.Port].Pat) {
-					continue
-				}
-				*out = append(*out, CommChoice{Chan: chanID, Sender: si, SenderArm: sArm, Receiver: ri, ReceiverArm: ai})
-			}
+			*out = append(*out, CommChoice{Chan: chanID, Sender: si, SenderArm: sArm, Receiver: ri, ReceiverArm: i})
 		}
 	}
 }
@@ -131,39 +118,29 @@ func (m *Machine) FireComm(c CommChoice) {
 		return
 	}
 	s := m.Procs[c.Sender]
-	r := m.Procs[c.Receiver]
 
-	// Resolve the receiver side to a (port, resume) pair.
-	port, resume := r.WaitPort, r.ResumePC
-	if c.ReceiverArm >= 0 {
-		arm := &r.Def.Alts[r.AltIdx].Arms[c.ReceiverArm]
-		port, resume = arm.Port, arm.BodyPC
-	}
-
-	if c.SenderArm < 0 {
-		// Plain sender: the value exists; deliver directly.
-		if !m.deliver(s.Pending, s.PendingFlags, s.ID, r, port) {
-			m.fault(&Fault{Kind: FaultInternal,
-				Msg: fmt.Sprintf("FireComm: value does not match receiver pattern (%s)", c)})
-			return
-		}
-		m.unblock(r, resume)
-		m.unblock(s, s.ResumePC)
+	if c.SenderArm >= 0 {
+		// Alt send arm: start the sender at the arm's evaluation code and
+		// pin the coming SendCommit to this receive offer. The receiver
+		// stays parked as-is.
+		m.commitTarget, m.commitArm = c.Receiver, c.ReceiverArm
+		m.unblock(s, s.Def.Alts[s.AltIdx].Arms[c.SenderArm].EvalPC)
 		m.Settle()
+		m.commitTarget, m.commitArm = -1, -1
 		return
 	}
 
-	// Alt send arm: start the sender at the arm's evaluation code and pin
-	// the coming SendCommit to this receiver (and its arm). The receiver
-	// stays parked as-is.
-	_ = port
-	_ = resume
-	sarm := &s.Def.Alts[s.AltIdx].Arms[c.SenderArm]
-	m.commitTarget = c.Receiver
-	m.commitArm = c.ReceiverArm
-	m.unblock(s, sarm.EvalPC)
+	// Plain sender: the value exists; deliver directly.
+	r := m.Procs[c.Receiver]
+	port, resume, ok := recvArm(r, altArms(r), c.Chan, c.ReceiverArm)
+	if !ok || !m.deliver(s.Pending, s.PendingFlags, s.ID, r, port) {
+		m.fault(&Fault{Kind: FaultInternal,
+			Msg: fmt.Sprintf("FireComm: value does not match receiver pattern (%s)", c)})
+		return
+	}
+	m.unblock(r, resume)
+	m.unblock(s, s.ResumePC)
 	m.Settle()
-	m.commitTarget, m.commitArm = -1, -1
 }
 
 // ReplayComms re-fires a recorded communication sequence on a machine at

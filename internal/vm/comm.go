@@ -148,10 +148,43 @@ func (m *Machine) deepCopy(v Value) Value {
 
 // ---------------------------------------------------------------------------
 // Eager rendezvous (auto mode)
+//
+// A blocked process offers to receive in one of two ways: a plain blocked
+// Recv is one offer, and a blocked alt offers each guard-true receive
+// arm. Every scan over receivers walks those offers the same way: the
+// plain offer (index -1), then the alt's arms in declaration order,
+// through altArms and recvArm. The receive side has one partner search,
+// findSender; the send side pairs through tryCompleteSend and
+// altSendArm.
 
 // guardTrue reports whether an alt arm's guard holds for p.
 func guardTrue(p *ProcInst, arm *ir.AltArm) bool {
 	return arm.GuardSlot < 0 || p.Locals[arm.GuardSlot].Int != 0
+}
+
+// altArms returns the arms of r's blocked alt, or nil when r is not
+// blocked in an alt. Receiver walks hoist it once per process.
+func altArms(r *ProcInst) []ir.AltArm {
+	if r.Status != PBlockedAlt {
+		return nil
+	}
+	return r.Def.Alts[r.AltIdx].Arms
+}
+
+// recvArm resolves receive offer i of r on chanID: the plain blocked
+// receive for i == -1, otherwise arm i of arms (altArms(r)). It returns
+// the port the message binds through, the pc r resumes at, and whether
+// the offer is open: r waits there on chanID and, for an arm, its guard
+// holds.
+func recvArm(r *ProcInst, arms []ir.AltArm, chanID, i int) (port, resume int, ok bool) {
+	if i < 0 {
+		return r.WaitPort, r.ResumePC, r.Status == PBlockedRecv && r.WaitChan == chanID
+	}
+	if i >= len(arms) {
+		return 0, 0, false
+	}
+	a := &arms[i]
+	return a.Port, a.BodyPC, !a.IsSend && a.Chan == chanID && guardTrue(r, a)
 }
 
 // unblock makes p ready at pc and re-enqueues it.
@@ -171,23 +204,12 @@ func (m *Machine) tryCompleteSend(s *ProcInst) bool {
 	v, flags := s.Pending, s.PendingFlags
 
 	if m.commitTarget >= 0 {
-		r := m.Procs[m.commitTarget]
-		arm := m.commitArm
+		r, i := m.Procs[m.commitTarget], m.commitArm
 		m.commitTarget, m.commitArm = -1, -1
-		switch {
-		case r.Status == PBlockedRecv && r.WaitChan == chanID:
-			if m.deliver(v, flags, s.ID, r, r.WaitPort) {
-				m.unblock(r, r.ResumePC)
-				s.Pending = Value{}
-				return true
-			}
-		case r.Status == PBlockedAlt && arm >= 0:
-			a := &r.Def.Alts[r.AltIdx].Arms[arm]
-			if !a.IsSend && a.Chan == chanID && guardTrue(r, a) && m.deliver(v, flags, s.ID, r, a.Port) {
-				m.unblock(r, a.BodyPC)
-				s.Pending = Value{}
-				return true
-			}
+		if port, resume, ok := recvArm(r, altArms(r), chanID, i); ok && m.deliver(v, flags, s.ID, r, port) {
+			m.unblock(r, resume)
+			s.Pending = Value{}
+			return true
 		}
 		// Fall through to the general scan; the commit pin is best-effort
 		// when the value carries dynamic tests.
@@ -198,28 +220,12 @@ func (m *Machine) tryCompleteSend(s *ProcInst) bool {
 		if r == s {
 			continue
 		}
-		switch r.Status {
-		case PBlockedRecv:
-			if r.WaitChan != chanID {
-				continue
-			}
-			if m.deliver(v, flags, s.ID, r, r.WaitPort) {
-				m.unblock(r, r.ResumePC)
+		arms := altArms(r)
+		for i := -1; i < len(arms); i++ {
+			if port, resume, ok := recvArm(r, arms, chanID, i); ok && m.deliver(v, flags, s.ID, r, port) {
+				m.unblock(r, resume)
 				s.Pending = Value{}
 				return true
-			}
-		case PBlockedAlt:
-			def := r.Def.Alts[r.AltIdx]
-			for ai := range def.Arms {
-				arm := &def.Arms[ai]
-				if arm.IsSend || arm.Chan != chanID || !guardTrue(r, arm) {
-					continue
-				}
-				if m.deliver(v, flags, s.ID, r, arm.Port) {
-					m.unblock(r, arm.BodyPC)
-					s.Pending = Value{}
-					return true
-				}
 			}
 		}
 	}
@@ -250,49 +256,49 @@ func (m *Machine) tryCompleteSend(s *ProcInst) bool {
 	return false
 }
 
-// tryCompleteRecv looks for a partner for a receiver about to block at a
-// plain Recv. It returns true when a transfer completed and the receiver
-// may continue. Committing a blocked alt's send arm returns false (the
-// receiver stays blocked; the partner's SendCommit finishes the job).
-func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
-	chanID := r.WaitChan
+// The outcomes of findSender. After senderCommitted the receiver parks,
+// and the partner's SendCommit completes the transfer.
+const (
+	noSender        = iota
+	received        // the message moved; the receiver continues
+	senderCommitted // a blocked alt's send arm committed
+)
 
-	// 1. Plain blocked senders: value available, deliver directly.
+// findSender is the receive side's partner search, for receiver r taking
+// a message through its port. It tries plain blocked senders, then
+// blocked alts whose send arm on the channel could match the port's
+// pattern (statically known value shape), then the channel's external
+// writer. kind names r's pattern in the fault raised when an external
+// message does not match it ("waiting" or "alt").
+func (m *Machine) findSender(r *ProcInst, port int, kind string) int {
+	pat := r.Def.Ports[port].Pat
+	chanID := r.Def.Ports[port].Chan
+
+	for _, idx := range m.candidates(chanID, true) {
+		s := m.Procs[idx]
+		if s != r && s.Status == PBlockedSend && s.WaitChan == chanID &&
+			m.deliver(s.Pending, s.PendingFlags, s.ID, r, port) {
+			m.unblock(s, s.ResumePC)
+			return received
+		}
+	}
 	for _, idx := range m.candidates(chanID, true) {
 		s := m.Procs[idx]
 		if s == r {
 			continue
 		}
-		if s.Status == PBlockedSend && s.WaitChan == chanID {
-			if m.deliver(s.Pending, s.PendingFlags, s.ID, r, r.WaitPort) {
-				m.unblock(s, s.ResumePC)
-				return true
+		arms := altArms(s)
+		for i := range arms {
+			a := &arms[i]
+			if a.IsSend && a.Chan == chanID && guardTrue(s, a) && (a.OutPat == nil || ir.PatsOverlap(a.OutPat, pat)) {
+				m.unblock(s, a.EvalPC)
+				return senderCommitted
 			}
 		}
 	}
-	// 2. Blocked alts with a send arm on this channel whose (statically
-	// known) value shape can match our pattern: commit the partner.
-	for _, idx := range m.candidates(chanID, true) {
-		s := m.Procs[idx]
-		if s == r || s.Status != PBlockedAlt {
-			continue
-		}
-		def := s.Def.Alts[s.AltIdx]
-		for ai := range def.Arms {
-			arm := &def.Arms[ai]
-			if !arm.IsSend || arm.Chan != chanID || !guardTrue(s, arm) {
-				continue
-			}
-			if arm.OutPat != nil && !ir.PatsOverlap(arm.OutPat, r.Def.Ports[r.WaitPort].Pat) {
-				continue
-			}
-			m.unblock(s, arm.EvalPC)
-			return false // r blocks; the partner's SendCommit completes the transfer
-		}
-	}
-	// 3. External writer.
+
 	if m.sched != nil && m.sched.internal[chanID] {
-		return false
+		return noSender
 	}
 	if ew := m.extW[chanID]; ew != nil {
 		m.chargeEv(obs.KindPoll, m.Cost.ExternalPoll)
@@ -300,55 +306,64 @@ func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
 		m.tracePoll(chanID)
 		if caseIdx, ok := ew.Ready(m); ok {
 			ch := m.Prog.Channels[chanID]
-			if caseIdx < len(ch.Cases) && ir.PatsOverlap(ch.Cases[caseIdx].Pat, r.Def.Ports[r.WaitPort].Pat) {
+			if caseIdx < len(ch.Cases) && ir.PatsOverlap(ch.Cases[caseIdx].Pat, pat) {
 				v := ew.Take(m, caseIdx)
 				if m.flt != nil {
-					return false
+					return noSender
 				}
-				if m.deliver(v, ir.FlagFreeAfter, -1, r, r.WaitPort) {
-					return true
+				if m.deliver(v, ir.FlagFreeAfter, -1, r, port) {
+					return received
 				}
 				m.setFault(&Fault{Kind: FaultNoMatchingPort,
-					Msg: fmt.Sprintf("external message on channel %s does not match the waiting pattern", ch.Name)}, r)
+					Msg: fmt.Sprintf("external message on channel %s does not match the %s pattern", ch.Name, kind)}, r)
 			}
 		}
 	}
-	return false
+	return noSender
+}
+
+// tryCompleteRecv runs the partner search for a receiver about to block
+// at a plain Recv. It returns true when a transfer completed and the
+// receiver may continue; after committing a blocked alt's send arm the
+// receiver blocks, and the partner's SendCommit finishes the job.
+func (m *Machine) tryCompleteRecv(r *ProcInst) bool {
+	return m.findSender(r, r.WaitPort, "waiting") == received
 }
 
 // altStep attempts to select an arm of the alt p is entering (auto mode).
 // It returns (nextPC, true) when p should continue executing, or
-// (0, false) when p is now parked (as a blocked alt, or as a collapsed
-// blocked recv after committing a partner's send arm).
+// (0, false) when p is now parked as a blocked alt.
 func (m *Machine) altStep(p *ProcInst) (int, bool) {
-	def := p.Def.Alts[p.AltIdx]
-	for ai := range def.Arms {
-		arm := &def.Arms[ai]
+	arms := p.Def.Alts[p.AltIdx].Arms
+scan:
+	for i := range arms {
+		arm := &arms[i]
 		if !guardTrue(p, arm) {
 			continue
 		}
 		if arm.IsSend {
-			if next, ok := m.altSendArm(p, arm); ok {
-				return next, true
+			if m.altSendArm(p, arm) {
+				return arm.EvalPC, true
 			}
 		} else {
-			next, cont, parked := m.altRecvArm(p, arm)
-			if cont {
-				return next, true
-			}
-			if parked {
-				return 0, false
+			switch m.findSender(p, arm.Port, "alt") {
+			case received:
+				return arm.BodyPC, true
+			case senderCommitted:
+				// p parks; the partner's SendCommit selects whichever of
+				// p's receive arms matches.
+				break scan
 			}
 		}
 		if m.flt != nil {
 			return 0, false
 		}
 	}
-	// Nothing ready: park as a blocked alt, registering every armed
-	// channel (the bit-mask set of §6.1).
+	// Park as a blocked alt, registering every armed channel (the bit-mask
+	// set of §6.1).
 	p.Status = PBlockedAlt
-	for ai := range def.Arms {
-		arm := &def.Arms[ai]
+	for i := range arms {
+		arm := &arms[i]
 		if !guardTrue(p, arm) {
 			continue
 		}
@@ -361,116 +376,36 @@ func (m *Machine) altStep(p *ProcInst) (int, bool) {
 	return 0, false
 }
 
-// altSendArm checks readiness of a send arm: a receiver is waiting on the
-// channel (blocked recv, blocked alt with a matching-capable recv arm, or
-// a ready external reader). On readiness the arm commits: p jumps to the
-// arm's evaluation code, whose SendCommit completes the transfer (§6.1's
-// postponed computation).
-func (m *Machine) altSendArm(p *ProcInst, arm *ir.AltArm) (int, bool) {
-	compatible := func(r *ProcInst, port int) bool {
-		return arm.OutPat == nil || ir.PatsOverlap(arm.OutPat, r.Def.Ports[port].Pat)
-	}
+// altSendArm reports whether a send arm is ready: a receive offer on the
+// channel could take the arm's value shape, or the channel's external
+// reader is ready. On readiness the arm commits: p jumps to the arm's
+// evaluation code, whose SendCommit completes the transfer (§6.1's
+// postponed computation). The receiver stays parked until then;
+// tryCompleteSend's scan finds it again.
+func (m *Machine) altSendArm(p *ProcInst, arm *ir.AltArm) bool {
 	for _, idx := range m.candidates(arm.Chan, false) {
 		r := m.Procs[idx]
 		if r == p {
 			continue
 		}
-		switch r.Status {
-		case PBlockedRecv:
-			if r.WaitChan == arm.Chan && compatible(r, r.WaitPort) {
-				return arm.EvalPC, true
-			}
-		case PBlockedAlt:
-			rdef := r.Def.Alts[r.AltIdx]
-			for ri := range rdef.Arms {
-				rarm := &rdef.Arms[ri]
-				if rarm.IsSend || rarm.Chan != arm.Chan || !guardTrue(r, rarm) || !compatible(r, rarm.Port) {
-					continue
-				}
-				// The partner stays a blocked alt; the coming SendCommit
-				// finds its receive arm through the general scan.
-				return arm.EvalPC, true
+		arms := altArms(r)
+		for i := -1; i < len(arms); i++ {
+			if port, _, ok := recvArm(r, arms, arm.Chan, i); ok &&
+				(arm.OutPat == nil || ir.PatsOverlap(arm.OutPat, r.Def.Ports[port].Pat)) {
+				return true
 			}
 		}
 	}
 	if m.sched != nil && m.sched.internal[arm.Chan] {
-		return 0, false
+		return false
 	}
 	if er := m.extR[arm.Chan]; er != nil {
 		m.chargeEv(obs.KindPoll, m.Cost.ExternalPoll)
 		m.Stats.Polls++
 		m.tracePoll(arm.Chan)
-		if er.Ready(m) {
-			return arm.EvalPC, true
-		}
+		return er.Ready(m)
 	}
-	return 0, false
-}
-
-// altRecvArm checks readiness of a receive arm. Returns (nextPC, cont,
-// parked): cont means the transfer completed and p continues at nextPC;
-// parked means p committed a partner alt's send arm and is now a
-// collapsed blocked recv.
-func (m *Machine) altRecvArm(p *ProcInst, arm *ir.AltArm) (int, bool, bool) {
-	// 1. Plain blocked senders.
-	for _, idx := range m.candidates(arm.Chan, true) {
-		s := m.Procs[idx]
-		if s == p {
-			continue
-		}
-		if s.Status == PBlockedSend && s.WaitChan == arm.Chan {
-			if m.deliver(s.Pending, s.PendingFlags, s.ID, p, arm.Port) {
-				m.unblock(s, s.ResumePC)
-				return arm.BodyPC, true, false
-			}
-		}
-	}
-	// 2. Blocked alts with a compatible send arm on this channel: commit
-	// the partner; we park as a full blocked alt and the partner's
-	// SendCommit selects whichever of our receive arms matches.
-	for _, idx := range m.candidates(arm.Chan, true) {
-		s := m.Procs[idx]
-		if s == p || s.Status != PBlockedAlt {
-			continue
-		}
-		sdef := s.Def.Alts[s.AltIdx]
-		for si := range sdef.Arms {
-			sarm := &sdef.Arms[si]
-			if !sarm.IsSend || sarm.Chan != arm.Chan || !guardTrue(s, sarm) {
-				continue
-			}
-			if sarm.OutPat != nil && !ir.PatsOverlap(sarm.OutPat, p.Def.Ports[arm.Port].Pat) {
-				continue
-			}
-			m.unblock(s, sarm.EvalPC)
-			p.Status = PBlockedAlt
-			return 0, false, true
-		}
-	}
-	// 3. External writer.
-	if m.sched != nil && m.sched.internal[arm.Chan] {
-		return 0, false, false
-	}
-	if ew := m.extW[arm.Chan]; ew != nil {
-		m.chargeEv(obs.KindPoll, m.Cost.ExternalPoll)
-		m.Stats.Polls++
-		m.tracePoll(arm.Chan)
-		if caseIdx, ok := ew.Ready(m); ok {
-			ch := m.Prog.Channels[arm.Chan]
-			if caseIdx < len(ch.Cases) && ir.PatsOverlap(ch.Cases[caseIdx].Pat, p.Def.Ports[arm.Port].Pat) {
-				v := ew.Take(m, caseIdx)
-				if m.flt != nil {
-					return 0, false, false
-				}
-				if m.deliver(v, ir.FlagFreeAfter, -1, p, arm.Port) {
-					return arm.BodyPC, true, false
-				}
-				m.setFault(&Fault{Kind: FaultNoMatchingPort,
-					Msg: fmt.Sprintf("external message on channel %s does not match the alt pattern", ch.Name)}, p)
-			}
-		}
-	}
-	return 0, false, false
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -506,9 +441,10 @@ func (m *Machine) Poll() bool {
 		scan := m.scanList(chanID, false)
 		for k := 0; k < len(scan) && !matched; k++ {
 			r := m.Procs[scan[k]]
-			switch r.Status {
-			case PBlockedRecv:
-				if r.WaitChan != chanID || !ir.PatsOverlap(casePat, r.Def.Ports[r.WaitPort].Pat) {
+			arms := altArms(r)
+			for i := -1; i < len(arms) && !matched; i++ {
+				port, resume, ok := recvArm(r, arms, chanID, i)
+				if !ok || !ir.PatsOverlap(casePat, r.Def.Ports[port].Pat) {
 					continue
 				}
 				if !taken {
@@ -518,30 +454,9 @@ func (m *Machine) Poll() bool {
 						return injected
 					}
 				}
-				if m.deliver(v, ir.FlagFreeAfter, -1, r, r.WaitPort) {
-					m.unblock(r, r.ResumePC)
+				if m.deliver(v, ir.FlagFreeAfter, -1, r, port) {
+					m.unblock(r, resume)
 					matched = true
-				}
-			case PBlockedAlt:
-				def := r.Def.Alts[r.AltIdx]
-				for ai := range def.Arms {
-					arm := &def.Arms[ai]
-					if arm.IsSend || arm.Chan != chanID || !guardTrue(r, arm) ||
-						!ir.PatsOverlap(casePat, r.Def.Ports[arm.Port].Pat) {
-						continue
-					}
-					if !taken {
-						v = ew.Take(m, caseIdx)
-						taken = true
-						if m.flt != nil {
-							return injected
-						}
-					}
-					if m.deliver(v, ir.FlagFreeAfter, -1, r, arm.Port) {
-						m.unblock(r, arm.BodyPC)
-						matched = true
-						break
-					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -685,6 +686,35 @@ func TestModesAgree(t *testing.T) {
 			}
 		}
 		return flat
+	})
+	// Alt to alt: b's receive arm finds a parked in its alt and commits
+	// a's send arm, so b parks as a blocked alt until a's SendCommit
+	// arrives; in wait-queue mode b must be in c's queue by then.
+	runBothModes(t, `
+channel c: int
+channel d: int
+channel outC: int external reader
+process a { $n = 0; while (n < 3) { alt {
+    case( out( c, n + 10)) { n = n + 1; }
+    case( in( d, $z)) { n = n + z; } } } }
+process b { $k = 0; while (k < 3) { alt {
+    case( in( c, $v)) { out( outC, v); k = k + 1; } } } }
+`, func(m *vm.Machine) []int64 {
+		out := &vm.CollectReader{}
+		if err := m.BindReader("outC", out); err != nil {
+			t.Fatal(err)
+		}
+		if res := m.Run(); res != vm.RunHalted {
+			t.Fatalf("result %v (fault: %v)", res, m.Fault())
+		}
+		var got []int64
+		for _, v := range out.Values {
+			got = append(got, v.Int())
+		}
+		if want := []int64{10, 11, 12}; !reflect.DeepEqual(got, want) {
+			t.Errorf("outputs %v, want %v", got, want)
+		}
+		return got
 	})
 }
 
