@@ -81,3 +81,40 @@ func TestRejectsBadBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressModeReportsLikeSafety: -progress-channels reports what the
+// safety search reports — a fault's counterexample with its source line,
+// the real search depth, and a depth bound's partial-search verdict.
+func TestProgressModeReportsLikeSafety(t *testing.T) {
+	dir := t.TempDir()
+	pf := filepath.Join(dir, "pf.esp")
+	src := "type t = array of int\nchannel c: int\nchannel d: int\n" +
+		"process p { $a: t = { 4 -> 1}; out( c, 1); unlink( a); unlink( a); out( d, 2); }\n" +
+		"process q { in( c, $x); in( d, $y); }\n"
+	if err := os.WriteFile(pf, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pipeline := testdata(t, "pipeline.esp")
+	for _, c := range []struct {
+		args []string
+		code int
+		want []string
+	}{
+		{[]string{"-progress-channels", "d", pf}, 1,
+			[]string{"(after 1 transitions)", "depth 1,", "1. p --c--> q (" + pf + ":4)"}},
+		{[]string{"-workers", "1", "-end-recv-ok", "-progress-channels", "c", pipeline}, 0,
+			[]string{"pass — 11 states", "depth 10,"}},
+		{[]string{"-workers", "1", "-end-recv-ok", "-max-depth", "3", "-progress-channels", "c", pipeline}, 0,
+			[]string{"pass (partial search) — 4 states", "depth 3,"}},
+	} {
+		out, code := espverify(t, c.args...)
+		if code != c.code {
+			t.Errorf("espverify %s: exit %d, want %d; output:\n%s", strings.Join(c.args, " "), code, c.code, out)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("espverify %s: output lacks %q:\n%s", strings.Join(c.args, " "), w, out)
+			}
+		}
+	}
+}

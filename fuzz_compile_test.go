@@ -16,7 +16,10 @@ import (
 // FuzzCompile feeds arbitrary bytes to the whole compiler. Compile must
 // answer every input with a program or an error — never a panic — and
 // every positioned diagnostic (errors, espvet findings, and their notes)
-// must point inside the input or at its end. Every input the parser
+// must point inside the input or at its end. Compile must be
+// deterministic: compiling an input that compiles a second time gives
+// the same IR, fused code, schedule, independence table, C, Promela and
+// findings. Every input the parser
 // accepts must also survive the formatter round trip: ast.Print's output
 // parses again and prints to itself. The seeds are the repo's
 // ESP corpora, so plain `go test` replays them; `go test -run xxx -fuzz
@@ -60,6 +63,9 @@ func FuzzCompile(f *testing.F) {
 				t.Errorf("diagnostic at %s (offset %d) lies outside the %d-byte input; err = %v", pos, pos.Offset, len(src), err)
 			}
 		}
+		if prog != nil {
+			sameCompile(t, src, prog)
+		}
 
 		tree, err := parser.Parse([]byte(src))
 		if err != nil {
@@ -74,6 +80,32 @@ func FuzzCompile(f *testing.F) {
 			t.Errorf("formatting is not idempotent\n--- once ---\n%s--- twice ---\n%s", once, twice)
 		}
 	})
+}
+
+// sameCompile compiles src again and requires every rendering of the
+// result to equal prog's.
+func sameCompile(t *testing.T, src string, prog *esplang.Program) {
+	again, err := esplang.Compile(src, esplang.CompileOptions{})
+	if err != nil {
+		t.Fatalf("the input compiled once, then failed: %v", err)
+	}
+	for _, out := range []struct {
+		name        string
+		first, next string
+	}{
+		{"Disasm", prog.Disasm(), again.Disasm()},
+		{"DisasmFused", prog.DisasmFused(), again.DisasmFused()},
+		{"DumpSchedule", prog.DumpSchedule(), again.DumpSchedule()},
+		{"DumpIndependence", prog.DumpIndependence(), again.DumpIndependence()},
+		{"C", prog.C(esplang.COptions{}), again.C(esplang.COptions{})},
+		{"Promela", prog.Promela(esplang.PromelaOptions{}), again.Promela(esplang.PromelaOptions{})},
+		{"findings", prog.RenderFindings(), again.RenderFindings()},
+	} {
+		if out.first != out.next {
+			t.Errorf("%s differs between two compiles of the same input\n--- first ---\n%s--- second ---\n%s",
+				out.name, out.first, out.next)
+		}
+	}
 }
 
 // posInInput reports whether pos names a byte of src, or the end of src,

@@ -30,8 +30,8 @@ type checkedSet struct {
 	back keyScratch
 }
 
-func (c *checkedSet) TryAdd(sc *keyScratch, key []byte, ends []int32) (stateRef, bool) {
-	ref, added := c.collapseSet.TryAdd(sc, key, ends)
+func (c *checkedSet) TryAdd(sc *keyScratch, key []byte, ends []int32, copied []bool) (stateRef, bool) {
+	ref, added := c.collapseSet.TryAdd(sc, key, ends, copied)
 	c.keys++
 	prev, seen := c.seen[string(key)]
 	if added {

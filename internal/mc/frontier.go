@@ -16,16 +16,21 @@ import (
 //
 // Each worker owns one machine for the whole search and replays frontier
 // states into it with vm.RestoreState; Options.Engine only chooses that
-// machine's interpreter loop. Every successor is captured by one
-// vm.SaveKey pass into the worker's scratch snapshot, which also yields
-// its visited-set key and the key's per-process segments. The collapse
-// store (shard.go) compares the segments with the expanded state's,
-// interns only the changed ones, and admits the state as a vector of
-// segment IDs; the scratch snapshot of an admitted state becomes its
-// frontier snapshot, and an expanded node returns to a pool with its
-// snapshot arenas and communication buffer. A discovered state thus
-// costs one compact vm.SavedState while it sits on the frontier and one
-// ID vector forever — no full key is stored.
+// machine's interpreter loop. The first restore of a state is in full
+// and makes its snapshot the machine's base; every sibling restore
+// rebuilds only the processes the previous transition touched. Every
+// successor is captured by one vm.SaveKey pass into the worker's scratch
+// snapshot, which also yields its visited-set key and the key's
+// per-process segments; the pass walks only the touched processes and
+// copies the other segments' bytes from the base. The collapse store
+// (shard.go) reuses the expanded state's segment IDs for the copied and
+// the unchanged segments, interns only the changed ones, and admits the
+// state as a vector of segment IDs. The scratch snapshot of an admitted
+// state is completed (the copied processes' arenas are filled in from
+// the base) and becomes its frontier snapshot, and an expanded node
+// returns to a pool with its snapshot arenas and communication buffer.
+// A discovered state thus costs one compact vm.SavedState while it sits
+// on the frontier and one ID vector forever — no full key is stored.
 //
 // Counterexamples are kept as compact parent chains (one CommChoice and
 // one pointer per state) and materialized by replaying the choices from
@@ -233,7 +238,7 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Res
 	}
 	snap0, kb0 := m0.SaveKey(nil, nil)
 	w0 := &worker{}
-	ref0, _ := visited.TryAdd(&w0.keys, kb0, snap0.KeySegments())
+	ref0, _ := visited.TryAdd(&w0.keys, kb0, snap0.KeySegments(), nil)
 	res.States = 1
 	res.MemBytes = visited.MemBytes()
 
@@ -467,10 +472,11 @@ func (s *search) expand(w *worker, n *node) {
 			return
 		}
 		// One pass saves the successor into the scratch snapshot and
-		// builds its key; only its ID vector is stored, and only if the
-		// state is new.
+		// builds its key, walking only the processes the transition
+		// touched; only its ID vector is stored, and only if the state is
+		// new.
 		w.snap, w.kb = m.SaveKey(w.snap, w.kb[:0])
-		ref, added := s.visited.TryAdd(&w.keys, w.kb, w.snap.KeySegments())
+		ref, added := s.visited.TryAdd(&w.keys, w.kb, w.snap.KeySegments(), w.snap.Copied())
 		if !added {
 			if s.reduce && i < limit && !s.visited.Closed(ref) {
 				witness++
@@ -515,7 +521,11 @@ func (s *search) expand(w *worker, n *node) {
 		n2.ample = s.ampleOrder(w, m, n2.comms)
 		n2.ref = ref
 		// The scratch snapshot becomes the frontier snapshot; the next
-		// successor saves into the recycled node's.
+		// successor saves into the recycled node's. It is completed
+		// first: another worker may pop it, and n's snapshot, which its
+		// untouched processes are copied from, is recycled once n is
+		// expanded.
+		w.snap.Complete()
 		n2.snap, w.snap = w.snap, n2.snap
 		s.front.push(n2)
 	}

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"esplang/internal/ir"
 	"esplang/internal/vm"
@@ -45,6 +46,15 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		progress bool
 		desc     string
 	}
+	// reach is how the breadth-first search first reached a state: its
+	// parent's index (-1 for the initial state), the communication fired
+	// there, and its depth in transitions. A fault's counterexample is
+	// replayed from the parent chain, as in the frontier search.
+	type reach struct {
+		parent int
+		choice vm.CommChoice
+		depth  int
+	}
 	// States are kept as compact snapshots and replayed into one scratch
 	// machine, so graph construction doesn't retain a full machine per
 	// state. As in the frontier search, the collapse store tells
@@ -56,18 +66,19 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		dense   [numShards][]int
 		snaps   []*vm.SavedState
 		refs    []stateRef
+		reaches []reach
 		edges   [][]edge
 		snap    *vm.SavedState
 		kb      []byte
 	)
 	m := newMachine(prog, opts)
-	// visit returns the index of m's state, admitting it if new: one
-	// SaveKey pass yields both the key and the snapshot, which is kept
-	// only for a new state. It reports false when a new state would
-	// exceed MaxStates; the search then stops.
-	visit := func() (int, bool) {
+	// visit returns the index of m's state, admitting it as reached by r
+	// if new: one SaveKey pass yields both the key and the snapshot,
+	// which is kept only for a new state. It reports false when a new
+	// state would exceed MaxStates; the search then stops.
+	visit := func(r reach) (int, bool) {
 		snap, kb = m.SaveKey(snap, kb[:0])
-		ref, added := visited.TryAdd(&ks, kb, snap.KeySegments())
+		ref, added := visited.TryAdd(&ks, kb, snap.KeySegments(), snap.Copied())
 		if !added {
 			return dense[ref.shard()][ref.index()], true
 		}
@@ -76,36 +87,61 @@ func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *R
 		}
 		j := len(snaps)
 		dense[ref.shard()] = append(dense[ref.shard()], j)
+		snap.Complete()
 		snaps = append(snaps, snap)
 		refs = append(refs, ref)
+		reaches = append(reaches, r)
 		edges = append(edges, nil)
+		res.MaxDepth = max(res.MaxDepth, r.depth)
 		snap = nil
 		return j, true
+	}
+	// choicesTo returns the communications that reach state i.
+	choicesTo := func(i int) []vm.CommChoice {
+		var cs []vm.CommChoice
+		for ; reaches[i].parent >= 0; i = reaches[i].parent {
+			cs = append(cs, reaches[i].choice)
+		}
+		slices.Reverse(cs)
+		return cs
 	}
 
 	m.Settle()
 	if f := m.Fault(); f != nil {
-		res.Violation = &Violation{Fault: f}
+		_, pm := replayTrace(prog, opts, nil)
+		res.Violation = &Violation{Fault: f, Postmortem: pm}
 		return res
 	}
-	visit()
+	visit(reach{parent: -1})
 
 expansion:
 	for i := 0; i < len(snaps); i++ {
 		m.RestoreState(snaps[i])
+		comms := m.EnabledComms()
+		d := reaches[i].depth + 1
+		if d > opts.MaxDepth {
+			// At the depth bound a state is admitted but not expanded, as
+			// in the frontier search.
+			if len(comms) > 0 {
+				res.Truncated = true
+			}
+			continue
+		}
 		visited.Parent(&ks, refs[i])
-		for _, c := range m.EnabledComms() {
+		for _, c := range comms {
 			m.RestoreState(snaps[i]) // each firing starts from state i
 			desc := newStep(m, prog, c).Desc
 			m.FireComm(c)
 			res.Transitions++
 			if f := m.Fault(); f != nil {
-				res.Violation = &Violation{Fault: f}
+				res.MaxDepth = max(res.MaxDepth, d)
+				trace, pm := replayTrace(prog, opts, append(choicesTo(i), c))
+				res.Violation = &Violation{Fault: f, Trace: trace, Postmortem: pm}
 				res.States = len(snaps)
 				res.MemBytes = visited.MemBytes()
 				return res
 			}
-			j, ok := visit() // may grow edges: call it before indexing
+			j, ok := visit(reach{parent: i, choice: c, depth: d}) // may grow edges: call it before indexing
 			if !ok {
 				// The state bound is reached: stop, as the frontier
 				// search does, and look for a cycle in the graph so far.

@@ -1,12 +1,14 @@
 package mc_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	esplang "esplang"
 	"esplang/internal/mc"
 	"esplang/internal/nic"
+	"esplang/internal/vm"
 	"esplang/internal/vmmc"
 )
 
@@ -194,5 +196,68 @@ process q { $n = 0; while (n < 3) { in( c, $v); n = n + 1; } }
 	}
 	if res := mc.CheckProgress(small, nil, mc.Options{MaxStates: full.States}); res.Truncated || res.States != full.States {
 		t.Errorf("bound = state count: states=%d truncated=%v, want %d/false", res.States, res.Truncated, full.States)
+	}
+}
+
+// doubleFreeSrc faults in the second process's first transition: p hands
+// q a scalar, then frees its array twice.
+const doubleFreeSrc = `
+type t = array of int
+channel c: int
+channel d: int
+process p { $a: t = { 4 -> 1}; out( c, 1); unlink( a); unlink( a); out( d, 2); }
+process q { in( c, $x); in( d, $y); }
+`
+
+// TestProgressFaultCarriesCounterexample: a fault found while the
+// progress search builds the state graph is reported as the safety
+// search reports it — with the choices that reach it, the replay's
+// postmortem, and the depth of the faulting transition.
+func TestProgressFaultCarriesCounterexample(t *testing.T) {
+	prog := compileSrc(t, doubleFreeSrc)
+	safety := mc.Check(prog, mc.Options{Workers: 1})
+	res := mc.CheckProgress(prog, []string{"d"}, mc.Options{})
+	v := res.Violation
+	if v == nil || v.Fault == nil || v.Fault.Kind != vm.FaultDoubleFree {
+		t.Fatalf("violation %v, want a double free", v)
+	}
+	if safety.Violation == nil || len(safety.Violation.Trace) != 1 {
+		t.Fatalf("safety search: %v", safety.Violation)
+	}
+	if len(v.Trace) != 1 || v.Trace[0].Desc != safety.Violation.Trace[0].Desc || v.Trace[0].Choice != safety.Violation.Trace[0].Choice {
+		t.Errorf("counterexample %v, want the safety search's %v", v.Trace, safety.Violation.Trace)
+	}
+	if !strings.Contains(v.Postmortem, "fault") {
+		t.Errorf("postmortem does not record the fault:\n%s", v.Postmortem)
+	}
+	if res.MaxDepth != 1 || res.MaxDepth != safety.MaxDepth {
+		t.Errorf("depth %d, want 1 as in the safety search (%d)", res.MaxDepth, safety.MaxDepth)
+	}
+}
+
+// TestProgressDepthMatchesSafety: the progress search reports the depth
+// the safety search reports, and a depth bound admits the states at the
+// bound without expanding them and marks the search partial — the same
+// states the bounded safety search admits.
+func TestProgressDepthMatchesSafety(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/pipeline.esp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := compileSrc(t, string(src))
+	for _, bound := range []int{0, 3} {
+		opts := mc.Options{Workers: 1, EndRecvOK: true, MaxDepth: bound}
+		safety := mc.Check(prog, opts)
+		res := mc.CheckProgress(prog, []string{"c"}, opts)
+		if res.Violation != nil || safety.Violation != nil {
+			t.Fatalf("bound %d: violations %v / %v", bound, res.Violation, safety.Violation)
+		}
+		if res.MaxDepth != safety.MaxDepth || res.States != safety.States || res.Truncated != safety.Truncated {
+			t.Errorf("bound %d: progress search depth %d, %d states, truncated %v; safety search %d, %d, %v",
+				bound, res.MaxDepth, res.States, res.Truncated, safety.MaxDepth, safety.States, safety.Truncated)
+		}
+		if want := bound > 0; res.Truncated != want || bound > 0 && res.MaxDepth != bound {
+			t.Errorf("bound %d: depth %d, truncated %v", bound, res.MaxDepth, res.Truncated)
+		}
 	}
 }

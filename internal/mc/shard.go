@@ -80,13 +80,17 @@ func shardIndex(h uint64) int {
 // TryAdd atomically tests and records a state, returning true only the
 // first time the state is seen: the check and the insert must be one
 // operation, or two workers reaching the same state simultaneously would
-// both count and expand it. A state is given by its vm.SaveKey key and
-// the key's segment ends (vm.SavedState.KeySegments); TryAdd returns the
-// state's handle whether or not it was new.
+// both count and expand it. A state is given by its vm.SaveKey key, the
+// key's segment ends (vm.SavedState.KeySegments), and which segments
+// SaveKey copied from the machine's base (vm.SavedState.Copied, or nil);
+// TryAdd returns the state's handle whether or not it was new.
 //
 // Parent loads the segments of the state a worker is about to expand
 // into the worker's keyScratch; TryAdd then compares each successor's
-// segments with the parent's before interning anything.
+// segments with the parent's before interning anything. A copied segment
+// needs no comparison: the worker restored the parent's snapshot before
+// firing, so the machine's base is the parent and the segment is the
+// parent's.
 //
 // MarkClosed/Closed support the partial-order reduction's cycle proviso
 // (see expand): a state is "closed" once a worker has started expanding
@@ -98,7 +102,7 @@ func shardIndex(h uint64) int {
 // reduction, still sound.
 type visitedSet interface {
 	Parent(sc *keyScratch, ref stateRef)
-	TryAdd(sc *keyScratch, key []byte, ends []int32) (stateRef, bool)
+	TryAdd(sc *keyScratch, key []byte, ends []int32, copied []bool) (stateRef, bool)
 	MarkClosed(ref stateRef)
 	Closed(ref stateRef) bool
 	MemBytes() int64
@@ -127,9 +131,10 @@ func (r stateRef) index() int { return int(uint32(r)) }
 // model's 16550 states hold 427 distinct segments), so a stored state
 // costs little more than its vector. Most transitions change one or two
 // processes: TryAdd reuses the parent's ID for every segment whose bytes
-// are unchanged and interns only the rest, under one lock. The vector is
-// then hashed and looked up in one of numShards shards; admission copies
-// only the vector.
+// are unchanged — without comparing the ones SaveKey copied from the
+// parent's snapshot — and interns only the rest, under one lock. The
+// vector is then hashed and looked up in one of numShards shards;
+// admission copies only the vector.
 type collapseSet struct {
 	segMu  sync.Mutex
 	segs   []segTable // one per key segment (slot)
@@ -169,7 +174,7 @@ func (c *collapseSet) Parent(sc *keyScratch, ref stateRef) {
 	c.segMu.Unlock()
 }
 
-func (c *collapseSet) TryAdd(sc *keyScratch, key []byte, ends []int32) (stateRef, bool) {
+func (c *collapseSet) TryAdd(sc *keyScratch, key []byte, ends []int32, copied []bool) (stateRef, bool) {
 	n := len(c.segs)
 	if len(ends) != n {
 		panic("mc: key segment count does not match the program's processes")
@@ -183,7 +188,7 @@ func (c *collapseSet) TryAdd(sc *keyScratch, key []byte, ends []int32) (stateRef
 		seg := key[start:end]
 		if parent {
 			pend := sc.ends[slot]
-			if bytes.Equal(seg, sc.key[pstart:pend]) {
+			if copied != nil && copied[slot] || bytes.Equal(seg, sc.key[pstart:pend]) {
 				sc.vec[slot] = sc.ids[slot]
 				start, pstart = end, pend
 				continue
@@ -415,7 +420,7 @@ func newShardedBitSet(log2bits uint) *shardedBitSet {
 func (s *shardedBitSet) Parent(*keyScratch, stateRef) {}
 
 // TryAdd sets the key's two bits; the handle is always 0.
-func (s *shardedBitSet) TryAdd(_ *keyScratch, key []byte, _ []int32) (stateRef, bool) {
+func (s *shardedBitSet) TryAdd(_ *keyScratch, key []byte, _ []int32, _ []bool) (stateRef, bool) {
 	h := hashKey(key)
 	a, b := bitPositions(h, s.mask)
 	l := &s.locks[shardIndex(h)]

@@ -185,7 +185,7 @@ func TestShardedCollapseSetTryAddOnce(t *testing.T) {
 			for n := 0; n < keys; n++ {
 				i := (n*7 + g*251) % keys // each goroutine its own order
 				k, ends := segKey(i, nseg)
-				ref, ok := s.TryAdd(&sc, k, ends)
+				ref, ok := s.TryAdd(&sc, k, ends, nil)
 				if ok {
 					wins[g]++
 				}
@@ -240,7 +240,7 @@ func TestCollapseSetParentSegments(t *testing.T) {
 	var refs []stateRef
 	for i := 0; i < 200; i++ {
 		k, ends := segKey(i, nseg)
-		ref, ok := s.TryAdd(&sc, k, ends)
+		ref, ok := s.TryAdd(&sc, k, ends, nil)
 		if !ok {
 			t.Fatalf("key %d not admitted", i)
 		}
@@ -302,7 +302,7 @@ func TestShardedBitSetTryAddOnce(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
 				k := []byte(fmt.Sprintf("key-%d", i))
-				if _, ok := s.TryAdd(nil, k, nil); ok {
+				if _, ok := s.TryAdd(nil, k, nil, nil); ok {
 					wins[g]++
 				}
 			}

@@ -187,13 +187,25 @@ func recvArm(r *ProcInst, arms []ir.AltArm, chanID, i int) (port, resume int, ok
 	return a.Port, a.BodyPC, !a.IsSend && a.Chan == chanID && guardTrue(r, a)
 }
 
-// unblock makes p ready at pc and re-enqueues it.
+// unblock makes p ready at pc and re-enqueues it, and marks p dirty when
+// the machine has a snapshot base (see RestoreState).
+//
+// This is the only dirty mark, and it suffices: a base is quiescent, so
+// every process that runs during a transition was unblocked first, and
+// every rendezvous partner is unblocked by it — FireComm unblocks both
+// sides, or the alt sender whose SendCommit delivers and then unblocks
+// the receiver, and each partner search unblocks the process it paired
+// with right after deliver. (Marking in deliver and RunReady as well
+// catches nothing more.)
 func (m *Machine) unblock(p *ProcInst, pc int) {
 	p.Status = PReady
 	p.PC = pc
 	p.Pending = Value{}
 	m.unregister(p)
 	m.enqueue(p.ID)
+	if m.base != nil {
+		m.dirty[p.ID] = true
+	}
 }
 
 // tryCompleteSend looks for a partner for a sender whose value is already

@@ -129,11 +129,26 @@ type Machine struct {
 	encSnap *SavedState
 	objPool []*Object
 
+	// Incremental snapshots (Manual machines only; see RestoreState):
+	// base is the snapshot last restored, baseVersion its version then,
+	// and dirty marks the processes that may differ from it. Auto-mode
+	// machines never set a base.
+	base        *SavedState
+	baseVersion uint64
+	dirty       []bool
+
 	// directXfers counts rendezvous completed through the static
 	// schedule's direct transfers. It is not part of Stats: to every
 	// observer a direct transfer is an ordinary rendezvous. Only tests
-	// read it, to see that the fast path ran.
+	// read it, to see that the fast path ran. For the same purpose,
+	// keptProcs counts the processes RestoreState left as they were,
+	// copiedSegs the key segments SaveKey copied from the base, and
+	// sharedProcs the times a process that was not dirty was rebuilt or
+	// walked because it shares an object.
 	directXfers int64
+	keptProcs   int64
+	copiedSegs  int64
+	sharedProcs int64
 
 	// Sorted external-channel ID lists, rebuilt lazily after every
 	// BindWriter/BindReader, so Poll does not sort on every call.

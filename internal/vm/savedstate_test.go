@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"esplang/internal/nic"
 	"esplang/internal/opt"
 	"esplang/internal/types"
 	"esplang/internal/vm"
+	"esplang/internal/vmmc"
 )
 
 // mcSrc is a small manual-mode workload with a heap graph flowing
@@ -145,9 +147,41 @@ func TestSavedStateMatchesReplay(t *testing.T) {
 	}
 }
 
+// toggleSrc is a manual-mode workload whose transitions allocate
+// nothing: p sends q an alternating scalar, both hold an array, and
+// holder, which never runs again, holds another.
+const toggleSrc = `
+type dataT = array of int
+channel c: int
+channel never: int
+process holder {
+    $h: dataT = { 3 -> 5};
+    in( never, $z);
+    unlink( h);
+}
+process p {
+    $a: dataT = { 2 -> 1};
+    $i = 0;
+    while (true) {
+        out( c, i);
+        i = 1 - i;
+    }
+}
+process q {
+    $b: dataT = { 2 -> 2};
+    while (true) {
+        in( c, $x);
+        assert( b[0] == 2);
+    }
+}
+`
+
 // TestSavedStateSteadyStateAllocFree: once the snapshot arenas, the key
 // buffer, and the restore pool have grown to the workload's size, Save or
-// SaveKey into an existing snapshot and RestoreState allocate nothing.
+// SaveKey into an existing snapshot and RestoreState allocate nothing —
+// on the full paths, and on the incremental ones: a sibling restore of
+// the base that rebuilds only the processes a transition touched, and a
+// SaveKey plus Complete that copies the others from the base.
 func TestSavedStateSteadyStateAllocFree(t *testing.T) {
 	m := snapMachine(t, mcSrc)
 	var snap vm.SavedState
@@ -167,6 +201,37 @@ func TestSavedStateSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state SaveKey+RestoreState allocates %.1f objects per cycle, want 0", allocs)
+	}
+
+	m = snapMachine(t, toggleSrc)
+	base := m.Save(nil)
+	m.RestoreState(base)
+	comms := m.EnabledComms()
+	if len(comms) != 1 {
+		t.Fatalf("toggle program enables %v, want p -> q", comms)
+	}
+	var succ vm.SavedState
+	cycle := func() {
+		m.RestoreState(base)
+		m.FireComm(comms[0])
+		_, kb = m.SaveKey(&succ, kb[:0])
+		succ.Complete()
+	}
+	cycle() // warm the successor's arenas
+	kept, copied := vm.KeptProcs(m), vm.CopiedSegments(m)
+	allocs = testing.AllocsPerRun(100, cycle)
+	if allocs > 0 {
+		t.Errorf("steady-state partial RestoreState+FireComm+incremental SaveKey allocates %.1f objects per cycle, want 0", allocs)
+	}
+	if f := m.Fault(); f != nil {
+		t.Fatalf("fault: %v", f)
+	}
+	// AllocsPerRun runs the function once more than it measures.
+	if got := vm.KeptProcs(m) - kept; got != 101 {
+		t.Errorf("%d processes kept over 101 restores, want holder each time", got)
+	}
+	if got := vm.CopiedSegments(m) - copied; got != 101 {
+		t.Errorf("%d segments copied over 101 saves, want holder's each time", got)
 	}
 }
 
@@ -453,8 +518,11 @@ func BenchmarkExecAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkSaveRestore measures the model checker's per-transition state
-// capture: Save into a reused snapshot plus RestoreState.
+// BenchmarkSaveRestore measures the full state capture: Save into a
+// reused snapshot plus RestoreState. The snapshot is the machine's own
+// base, so every Save overwrites it and walks every process, and every
+// restore rebuilds the whole machine — the incremental paths the model
+// checker takes between siblings never run here.
 func BenchmarkSaveRestore(b *testing.B) {
 	prog, err := compileBench(mcSrc)
 	if err != nil {
@@ -469,5 +537,149 @@ func BenchmarkSaveRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Save(&snap)
 		m.RestoreState(&snap)
+	}
+}
+
+// sharedSrc leaves p and q holding one array after the first transition:
+// p sends a linked reference it keeps, and q, declared first, is the
+// process whose key segment first reaches the array. The second
+// transition, r to p, unlinks p's reference — it changes the reference
+// count of q's object without touching q.
+const sharedSrc = `
+type dataT = array of int
+channel c: dataT
+channel e: int
+channel f: int
+process q {
+    in( c, $b);
+    in( f, $y);
+    unlink( b);
+}
+process p {
+    $a: dataT = { 2 -> 1};
+    out( c, a);
+    in( e, $x);
+    unlink( a);
+    out( f, x);
+}
+process r {
+    out( e, 7);
+}
+`
+
+// TestIncrementalSnapshotSharedFallback: a transition that changes an
+// object two processes share must not be undone or saved only for the
+// processes it touched. Every sibling RestoreState plus SaveKey from a
+// state where p and q share an array must give the key, heap counters
+// and fault that a fresh replay of the same choices gives.
+func TestIncrementalSnapshotSharedFallback(t *testing.T) {
+	prog := compileSrc(t, sharedSrc)
+	fresh := func() *vm.Machine {
+		m := vm.New(prog, vm.Config{Manual: true, MaxLiveObjects: 16})
+		m.Cost = vm.ZeroCostModel()
+		m.Settle()
+		return m
+	}
+	m := fresh()
+	first := m.EnabledComms()
+	if len(first) != 1 {
+		t.Fatalf("initial state enables %v, want only p -> q", first)
+	}
+	m.FireComm(first[0])
+	base := m.Save(nil)
+	for round := 0; round < 3; round++ {
+		m.RestoreState(base)
+		comms := m.EnabledComms()
+		if len(comms) == 0 {
+			t.Fatal("the shared state enables nothing")
+		}
+		for _, c := range comms {
+			m.RestoreState(base)
+			m.FireComm(c)
+			_, kb := m.SaveKey(nil, nil)
+			r := fresh()
+			rf := r.ReplayComms([]vm.CommChoice{first[0], c})
+			if f := m.Fault(); (f == nil) != (rf == nil) || f != nil && (f.Kind != rf.Kind || f.Msg != rf.Msg) {
+				t.Fatalf("round %d, %v: fault %v, replay %v", round, c, f, rf)
+			}
+			if _, rkb := r.SaveKey(nil, nil); string(rkb) != string(kb) {
+				t.Fatalf("round %d, %v: key differs from the replay:\nrestored %x\nreplayed %x", round, c, kb, rkb)
+			}
+			h, rh := m.Heap(), r.Heap()
+			if h.Live() != rh.Live() || h.Allocs() != rh.Allocs() || h.Frees() != rh.Frees() {
+				t.Fatalf("round %d, %v: heap live=%d allocs=%d frees=%d, replay live=%d allocs=%d frees=%d",
+					round, c, h.Live(), h.Allocs(), h.Frees(), rh.Live(), rh.Allocs(), rh.Frees())
+			}
+		}
+	}
+}
+
+// TestIncrementalSnapshotPathsRun: the restores and saves of a
+// breadth-first search take the incremental paths — sibling restores
+// keep most processes as they were, and saves copy most segments from
+// the base — on the §5.3 models, whose processes share no objects; on
+// the memory-safety model, whose processes do, the sharing processes
+// are rebuilt and walked anyway.
+func TestIncrementalSnapshotPathsRun(t *testing.T) {
+	cfg := nic.DefaultConfig()
+	for _, tc := range []struct {
+		name    string
+		src     string
+		maxLive int
+		shared  bool
+	}{
+		{"firmware/msgs=2", vmmc.FirmwareModel(cfg, 2), 64, false},
+		{"two-node/msgs=2", vmmc.TwoNodeModel(cfg, 2), 64, false},
+		{"memsafety/none", vmmc.MemSafetyModel(vmmc.BugNone), 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := compileSrc(t, tc.src)
+			m := vm.New(prog, vm.Config{Manual: true, MaxLiveObjects: tc.maxLive})
+			m.Cost = vm.ZeroCostModel()
+			m.Settle()
+			if f := m.Fault(); f != nil {
+				t.Fatalf("settle fault: %v", f)
+			}
+			snap, kb := m.SaveKey(nil, nil)
+			seen := map[string]bool{string(kb): true}
+			queue := []*vm.SavedState{snap}
+			var siblings, saves int64
+			for len(queue) > 0 && len(seen) < 3000 {
+				s := queue[0]
+				queue = queue[1:]
+				m.RestoreState(s)
+				for _, c := range m.EnabledComms() {
+					m.RestoreState(s) // a sibling of the restore above
+					siblings++
+					m.FireComm(c)
+					if f := m.Fault(); f != nil {
+						t.Fatalf("fault: %v", f)
+					}
+					s2, kb := m.SaveKey(nil, nil)
+					saves++
+					if !seen[string(kb)] {
+						seen[string(kb)] = true
+						queue = append(queue, s2)
+					}
+				}
+			}
+			n := int64(len(m.Procs))
+			kept, copied, shared := vm.KeptProcs(m), vm.CopiedSegments(m), vm.SharedProcs(m)
+			t.Logf("%d states: sibling restores kept %d of %d processes, saves copied %d of %d segments, %d shared processes rebuilt or walked",
+				len(seen), kept, siblings*n, copied, saves*n, shared)
+			if tc.shared {
+				if shared == 0 {
+					t.Error("no process was rebuilt or walked for sharing an object")
+				}
+				return
+			}
+			if shared != 0 {
+				t.Errorf("%d processes rebuilt or walked for sharing an object, want none", shared)
+			}
+			if 2*kept <= siblings*n || 2*copied <= saves*n {
+				t.Errorf("sibling restores kept %d of %d processes, saves copied %d of %d segments; want most",
+					kept, siblings*n, copied, saves*n)
+			}
+		})
 	}
 }

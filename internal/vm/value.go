@@ -65,13 +65,15 @@ type Object struct {
 	Tag   int     // union: valid field index
 	Elems []Value // record fields / union payload (len 1) / array elements
 
-	// mark/markIdx implement generation-stamped graph traversal for the
-	// snapshotter (see savedstate.go): an object is "visited this
+	// mark/markSeg/markIdx implement generation-stamped graph traversal
+	// for the snapshotter (see savedstate.go): an object is "visited this
 	// traversal" iff mark equals the machine's current generation, and
-	// markIdx is its first-visit index. Objects are never shared between
-	// machines (RestoreState rebuilds into a per-machine pool), so a
-	// per-machine generation counter suffices.
+	// markSeg and markIdx are the key segment that first reached it and
+	// its index there. Objects are never shared between machines
+	// (RestoreState rebuilds into a per-machine pool), so a per-machine
+	// generation counter suffices.
 	mark    int64
+	markSeg int32
 	markIdx int32
 }
 
