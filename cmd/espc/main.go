@@ -45,9 +45,9 @@ func main() {
 		stats     = flag.Bool("stats", false, "print program statistics")
 		optStats  = flag.Bool("opt-stats", false, "print per-pass optimizer statistics")
 		verifyIR  = flag.Bool("verify-ir", false, "check IR structural invariants after compilation and after every optimizer pass")
-		maxObjs   = flag.Int("max-objects", 1024, "C target: static heap size")
+		maxObjs   = flag.Int("max-objects", 1024, "C target: static heap size (0 = 1024)")
 		instances = flag.Int("instances", 1, "Promela target: program copies")
-		bound     = flag.Int("bound", 16, "Promela target: default objectId table size")
+		bound     = flag.Int("bound", 16, "Promela target: default objectId table size (0 = 16)")
 		mcRun     = flag.Bool("mc", false, "model-check the program with the bundled checker (the program must be closed); a violation exits nonzero")
 		mcWorkers = flag.Int("mc-workers", 0, "model checker: parallel search workers (0 = all cores; 1 = deterministic)")
 		mcProg    = flag.Bool("mc-progress", false, "model checker: print periodic search progress to stderr")
@@ -59,6 +59,22 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: espc [flags] program.esp")
 		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	// Zero selects a size's default (all cores for -mc-workers); a
+	// negative size, or fewer than one Promela instance, would silently
+	// emit the defaults or run one worker.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"max-objects", *maxObjs}, {"bound", *bound}, {"mc-workers", *mcWorkers}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "espc: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if *instances < 1 {
+		fmt.Fprintf(os.Stderr, "espc: -instances must be at least 1, got %d\n", *instances)
 		os.Exit(2)
 	}
 	in := flag.Arg(0)

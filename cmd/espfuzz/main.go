@@ -66,6 +66,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "espfuzz: -max-failures must be at least 1, got %d\n", *maxFailures)
 		os.Exit(2)
 	}
+	if *progressI <= 0 {
+		fmt.Fprintf(os.Stderr, "espfuzz: -progress-interval must be positive, got %v\n", *progressI)
+		os.Exit(2)
+	}
 	opts := fuzz.Options{MCMaxStates: *mcStates, SkipMC: *skipMC}
 
 	start := time.Now()

@@ -38,7 +38,8 @@ func espfuzz(t *testing.T, args ...string) (string, int) {
 
 // TestRejectsBadBounds: a campaign that would check nothing — no failure
 // allowed before stopping, a negative count, or a negative model-checker
-// bound — is a usage error naming the flag (exit 2), not a pass.
+// bound — or would never print its progress line is a usage error naming
+// the flag (exit 2), not a pass.
 func TestRejectsBadBounds(t *testing.T) {
 	for _, c := range []struct {
 		flag string
@@ -50,6 +51,8 @@ func TestRejectsBadBounds(t *testing.T) {
 		{"-mutants", []string{"-n", "0", "-mutants", "-1"}},
 		{"-minimize", []string{"-n", "0", "-minimize", "-1"}},
 		{"-mc-states", []string{"-n", "0", "-mc-states", "-5"}},
+		{"-progress-interval", []string{"-n", "0", "-progress", "-progress-interval", "0"}},
+		{"-progress-interval", []string{"-n", "0", "-progress-interval", "-1s"}},
 	} {
 		out, code := espfuzz(t, c.args...)
 		if want := "espfuzz: " + c.flag + " must"; code != 2 || !strings.Contains(out, want) {

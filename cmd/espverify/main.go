@@ -52,14 +52,36 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	// Zero selects a bound's default; a negative bound would silently
-	// cut the search short or, for -max-objects, switch leak detection off.
+	// Zero selects a bound's default (all cores for -workers); a negative
+	// bound would silently cut the search short, run one worker or, for
+	// -max-objects, switch leak detection off.
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"max-states", *maxStates}, {"max-depth", *maxDepth}, {"runs", *runs}, {"max-objects", *maxLive}} {
+	}{{"max-states", *maxStates}, {"max-depth", *maxDepth}, {"runs", *runs}, {"max-objects", *maxLive}, {"workers", *workers}} {
 		if f.v < 0 {
 			fmt.Fprintf(os.Stderr, "espverify: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	if *progressI <= 0 {
+		fmt.Fprintf(os.Stderr, "espverify: -progress-interval must be positive, got %v\n", *progressI)
+		os.Exit(2)
+	}
+	// A progress search is always exhaustive and unreduced: it would
+	// ignore these flags.
+	if *progressC != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"por", *por}, {"por-stats", *porStats}} {
+			if f.set {
+				fmt.Fprintf(os.Stderr, "espverify: -%s must not be combined with -progress-channels (a progress search is never reduced)\n", f.name)
+				os.Exit(2)
+			}
+		}
+		if *mode != "exhaustive" {
+			fmt.Fprintf(os.Stderr, "espverify: -mode must be exhaustive with -progress-channels, got %s\n", *mode)
 			os.Exit(2)
 		}
 	}
@@ -88,6 +110,16 @@ func main() {
 	// the search misses (open systems, bounds) is still surfaced here.
 	if !*noVet && len(prog.Findings) > 0 {
 		fmt.Fprint(os.Stderr, prog.RenderFindings())
+	}
+	var progressChans []string
+	if *progressC != "" {
+		progressChans = strings.Split(*progressC, ",")
+		for _, name := range progressChans {
+			if prog.IR.ChannelByName(name) == nil {
+				fmt.Fprintf(os.Stderr, "espverify: -progress-channels must name the program's channels: no channel %q\n", name)
+				os.Exit(2)
+			}
+		}
 	}
 
 	opts := esplang.VerifyOptions{
@@ -165,8 +197,8 @@ func main() {
 	}
 
 	var res *esplang.VerifyResult
-	if *progressC != "" {
-		res = prog.VerifyProgress(strings.Split(*progressC, ","), opts)
+	if progressChans != nil {
+		res = prog.VerifyProgress(progressChans, opts)
 	} else {
 		res = prog.Verify(opts)
 	}

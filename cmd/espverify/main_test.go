@@ -57,27 +57,40 @@ func TestTelemetryWithoutMetricsFile(t *testing.T) {
 	}
 }
 
-// TestRejectsBadBounds: a negative bound and a bit array larger than
-// MaxBitstateBits are usage errors naming the flag (exit 2), not a
-// silently partial search, a disabled leak check, an index-out-of-range
-// panic or an out-of-memory crash.
+// TestRejectsBadBounds: a negative bound or worker count, a bit array
+// larger than MaxBitstateBits, a sampling interval that is not positive,
+// a flag a progress search would ignore, and a progress channel the
+// program lacks are usage errors naming the flag (exit 2) — and the
+// channel, where there is one — not a silently partial search, a
+// disabled leak check, an index-out-of-range panic, an out-of-memory
+// crash, a default silently put in, or a verification failure.
 func TestRejectsBadBounds(t *testing.T) {
 	prog := testdata(t, "pipeline.esp")
 	for _, c := range []struct {
 		flag string
 		args []string
+		also string
 	}{
-		{"-max-states", []string{"-max-states", "-5"}},
-		{"-max-depth", []string{"-max-depth", "-1"}},
-		{"-runs", []string{"-mode", "simulation", "-runs", "-3"}},
-		{"-max-objects", []string{"-max-objects", "-1"}},
-		{"-bits", []string{"-mode", "bitstate", "-bits", "64"}},
-		{"-bits", []string{"-mode", "bitstate", "-bits", "33"}},
+		{"-max-states", []string{"-max-states", "-5"}, ""},
+		{"-max-depth", []string{"-max-depth", "-1"}, ""},
+		{"-runs", []string{"-mode", "simulation", "-runs", "-3"}, ""},
+		{"-max-objects", []string{"-max-objects", "-1"}, ""},
+		{"-bits", []string{"-mode", "bitstate", "-bits", "64"}, ""},
+		{"-bits", []string{"-mode", "bitstate", "-bits", "33"}, ""},
+		{"-workers", []string{"-workers", "-3"}, ""},
+		{"-progress-interval", []string{"-progress", "-progress-interval", "0"}, ""},
+		{"-progress-interval", []string{"-progress-interval", "-1s"}, ""},
+		{"-por", []string{"-progress-channels", "c", "-por"}, ""},
+		{"-por-stats", []string{"-progress-channels", "c", "-por-stats"}, ""},
+		{"-mode", []string{"-progress-channels", "c", "-mode", "bitstate"}, ""},
+		{"-mode", []string{"-progress-channels", "c", "-mode", "simulation"}, ""},
+		{"-progress-channels", []string{"-progress-channels", "nosuch"}, `"nosuch"`},
+		{"-progress-channels", []string{"-progress-channels", "c,"}, `""`},
 	} {
 		out, code := espverify(t, append(c.args, "-end-recv-ok", prog)...)
-		if want := "espverify: " + c.flag + " must"; code != 2 || !strings.Contains(out, want) {
-			t.Errorf("espverify %s: exit %d, want 2 with %q; output:\n%s",
-				strings.Join(c.args, " "), code, want, out)
+		if want := "espverify: " + c.flag + " must"; code != 2 || !strings.Contains(out, want) || !strings.Contains(out, c.also) {
+			t.Errorf("espverify %s: exit %d, want 2 with %q and %q; output:\n%s",
+				strings.Join(c.args, " "), code, want, c.also, out)
 		}
 	}
 }

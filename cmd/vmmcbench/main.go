@@ -61,6 +61,10 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if *mcW < 0 {
+		fmt.Fprintf(os.Stderr, "vmmcbench: -mc-workers must not be negative, got %d\n", *mcW)
+		os.Exit(2)
+	}
 	mcWorkers = *mcW
 	engine, err := esplang.ParseEngine(*engN)
 	if err != nil {

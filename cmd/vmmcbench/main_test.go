@@ -41,22 +41,25 @@ func vmmcbench(t *testing.T, dir string, args ...string) (string, int) {
 }
 
 // TestRejectsNonPositiveSizes: a message size, round count or message
-// count below 1 is a usage error naming the flag (exit 2), not an
-// infinite latency, a table of zeros, or a stalled simulation.
+// count below 1, or a negative worker count, is a usage error naming the
+// flag (exit 2), not an infinite latency, a table of zeros, a stalled
+// simulation, or a silent single worker.
 func TestRejectsNonPositiveSizes(t *testing.T) {
 	for _, c := range []struct {
 		flag string
 		args []string
+		must string
 	}{
-		{"-rounds", []string{"-trace", "t.json", "-rounds", "0"}},
-		{"-rounds", []string{"-fig", "5a", "-rounds", "-1"}},
-		{"-count", []string{"-fig", "5b", "-count", "0"}},
-		{"-count", []string{"-fig", "5c", "-count", "-3"}},
-		{"-trace-size", []string{"-trace", "t.json", "-trace-size", "0"}},
-		{"-trace-size", []string{"-profile", "-trace-size", "-5"}},
+		{"-rounds", []string{"-trace", "t.json", "-rounds", "0"}, "be at least 1"},
+		{"-rounds", []string{"-fig", "5a", "-rounds", "-1"}, "be at least 1"},
+		{"-count", []string{"-fig", "5b", "-count", "0"}, "be at least 1"},
+		{"-count", []string{"-fig", "5c", "-count", "-3"}, "be at least 1"},
+		{"-trace-size", []string{"-trace", "t.json", "-trace-size", "0"}, "be at least 1"},
+		{"-trace-size", []string{"-profile", "-trace-size", "-5"}, "be at least 1"},
+		{"-mc-workers", []string{"-table", "verify", "-mc-workers", "-2"}, "not be negative"},
 	} {
 		out, code := vmmcbench(t, t.TempDir(), c.args...)
-		if want := "vmmcbench: " + c.flag + " must be at least 1"; code != 2 || !strings.Contains(out, want) {
+		if want := "vmmcbench: " + c.flag + " must " + c.must; code != 2 || !strings.Contains(out, want) {
 			t.Errorf("vmmcbench %s: exit %d, want 2 with %q; output:\n%s",
 				strings.Join(c.args, " "), code, want, out)
 		}

@@ -263,6 +263,10 @@ func (p *Program) Verify(opts VerifyOptions) *VerifyResult {
 // VerifyProgress checks for starvation: a reachable cycle containing no
 // communication on any of the named progress channels (SPIN's
 // non-progress cycle detection, the role LTL liveness plays in §5.1).
+// The search is always exhaustive and unreduced, whatever opts.Mode and
+// opts.Reduction say, and it reports no deadlocks; the other options
+// apply as in Verify. A violation's trace is the path from the initial
+// state to the cycle, then the cycle.
 func (p *Program) VerifyProgress(progressChannels []string, opts VerifyOptions) *VerifyResult {
 	return mc.CheckProgress(p.IR, progressChannels, opts)
 }

@@ -18,7 +18,7 @@ func CheckCollapse(prog *ir.Program, opts Options) (*Result, int, error) {
 	opts.fill()
 	c := &checkedSet{collapseSet: newCollapseSet(1 + len(prog.Procs)), seen: map[string]stateRef{}}
 	res := &Result{Mode: opts.Mode, Workers: opts.Workers}
-	searchFrontier(prog, opts, c, res)
+	searchFrontier(prog, opts, c, nil, res)
 	return res, c.keys, c.err
 }
 

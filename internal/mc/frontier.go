@@ -11,8 +11,8 @@ import (
 )
 
 // Parallel frontier search — the engine behind Exhaustive and BitState
-// modes. A pool of Options.Workers goroutines expands a shared FIFO of
-// unexpanded states.
+// modes and behind CheckProgress. A pool of Options.Workers goroutines
+// expands a shared FIFO of unexpanded states.
 //
 // Each worker owns one machine for the whole search and replays frontier
 // states into it with vm.RestoreState; Options.Engine only chooses that
@@ -212,6 +212,14 @@ type search struct {
 
 	vioMu sync.Mutex
 	vio   *foundViolation
+
+	// progress marks the progress channels by ID in a progress search
+	// (progress.go) and is nil in a safety search. A progress search's
+	// workers log every transition they fire and hand their logs over
+	// in edges when they stop.
+	progress []bool
+	edgeMu   sync.Mutex
+	edges    [][]edge
 }
 
 // newVisitedSet returns the visited set for opts.Mode: the bit array, or
@@ -225,8 +233,9 @@ func newVisitedSet(prog *ir.Program, opts Options) visitedSet {
 }
 
 // searchFrontier runs the Exhaustive/BitState search over visited and
-// fills res.
-func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Result) {
+// fills res. A non-nil progress makes it a progress search: after the
+// search it looks for a cycle of transitions on no channel progress marks.
+func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, progress []bool, res *Result) {
 	m0 := newMachine(prog, opts)
 	m0.Settle()
 	if f := m0.Fault(); f != nil {
@@ -250,7 +259,7 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Res
 		return
 	}
 
-	s := &search{opts: opts, prog: prog, visited: visited}
+	s := &search{opts: opts, prog: prog, visited: visited, progress: progress}
 	s.front.cond.L = &s.front.mu
 	s.states.Store(1)
 	if opts.Reduction == AmpleSets {
@@ -305,6 +314,8 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, res *Res
 			Trace:      trace,
 			Postmortem: pm,
 		}
+	} else if progress != nil {
+		res.Violation = s.nonProgressCycle()
 	}
 }
 
@@ -391,7 +402,8 @@ func (s *search) progressLoop(start time.Time, done chan struct{}) {
 // worker is one search goroutine's private state: the machine it
 // replays frontier snapshots into, the scratch snapshot the next
 // successor is saved into, the key and communication buffers, the
-// visited set's scratch, and the ample-set closure's.
+// visited set's scratch, the ample-set closure's, and in a progress
+// search the transitions it fired.
 type worker struct {
 	m     *vm.Machine
 	snap  *vm.SavedState
@@ -399,6 +411,7 @@ type worker struct {
 	comms []vm.CommChoice
 	keys  keyScratch
 	ample ampleScratch
+	edges []edge
 }
 
 func (s *search) worker() {
@@ -408,6 +421,11 @@ func (s *search) worker() {
 	for {
 		n := s.front.pop()
 		if n == nil {
+			if s.progress != nil {
+				s.edgeMu.Lock()
+				s.edges = append(s.edges, w.edges)
+				s.edgeMu.Unlock()
+			}
 			return
 		}
 		s.expand(w, n)
@@ -477,6 +495,9 @@ func (s *search) expand(w *worker, n *node) {
 		// new.
 		w.snap, w.kb = m.SaveKey(w.snap, w.kb[:0])
 		ref, added := s.visited.TryAdd(&w.keys, w.kb, w.snap.KeySegments(), w.snap.Copied())
+		if s.progress != nil {
+			w.edges = append(w.edges, edge{from: n.ref, to: ref, comm: uint32(i), progress: s.progress[c.Chan], tree: added})
+		}
 		if !added {
 			if s.reduce && i < limit && !s.visited.Closed(ref) {
 				witness++

@@ -16,8 +16,9 @@
 // deadlock, and per-process memory safety — use after free, double free,
 // negative reference counts, and leaks via objectId exhaustion (§5.2).
 //
-// Exhaustive and BitState searches run as a parallel frontier search over
-// a worker pool (Options.Workers); see frontier.go. Workers: 1 is a fully
+// Exhaustive and BitState searches, and CheckProgress's starvation
+// search (progress.go), run as a parallel frontier search over a worker
+// pool (Options.Workers); see frontier.go. Workers: 1 is a fully
 // deterministic breadth-first search.
 package mc
 
@@ -262,7 +263,7 @@ type TraceStep struct {
 	Choice vm.CommChoice
 	Desc   string
 	// Pos is the source position of the sender's communication statement
-	// (zero when unknown, e.g. steps synthesized by the progress search).
+	// (zero when the sender's blocked instruction carries none).
 	Pos token.Pos
 }
 
@@ -278,7 +279,9 @@ type Violation struct {
 	// Postmortem is the flight-recorder dump of the counterexample
 	// replay: the last events (rendezvous, context switches, allocs, the
 	// fault) leading into the violation, in the obs text dump format.
-	// Empty for violations found by modes that do not replay.
+	// Simulation mode records its walks instead of replaying them. Empty
+	// for a deadlocked initial state and for a progress search's unknown
+	// channel.
 	Postmortem string
 }
 
@@ -337,6 +340,12 @@ func (r *Result) String() string {
 // programs drive themselves (test drivers are ESP processes, the analogue
 // of the paper's programmer-supplied test.SPIN).
 func Check(prog *ir.Program, opts Options) *Result {
+	return check(prog, opts, nil)
+}
+
+// check runs Check's search, or with a non-nil progress CheckProgress's
+// (see searchFrontier).
+func check(prog *ir.Program, opts Options, progress []bool) *Result {
 	opts.fill()
 	start := time.Now()
 	res := &Result{Mode: opts.Mode, Workers: opts.Workers}
@@ -356,7 +365,7 @@ func Check(prog *ir.Program, opts Options) *Result {
 			})
 		}
 	} else {
-		searchFrontier(prog, opts, newVisitedSet(prog, opts), res)
+		searchFrontier(prog, opts, newVisitedSet(prog, opts), progress, res)
 	}
 	res.Elapsed = time.Since(start)
 	return res

@@ -17,214 +17,155 @@ import (
 // entirely of non-progress transitions means the system can run forever
 // without ever making progress — starvation.
 //
-// The search builds the full state graph (exhaustive mode), then finds a
-// cycle in the subgraph of non-progress edges via an iterative DFS.
+// The search is the frontier search (frontier.go), with one addition:
+// every worker logs each transition it fires as an edge between the two
+// states' visited-set handles. After the search an iterative depth-first
+// search over the non-progress edges looks for a cycle. The
+// counterexample is the discovery-tree path from the initial state to the
+// cycle's first state, then the cycle, replayed like any other.
 
-// CheckProgress explores the state space exhaustively and then looks for
-// a non-progress cycle. progressChannels name the channels whose
-// communications count as progress.
+// edge is one logged transition: the expanded state, its successor, the
+// index of the fired communication in the expanded state's enabled list,
+// whether it is on a progress channel, and whether it discovered the
+// successor. The discovering edges form the search's discovery tree.
+type edge struct {
+	from, to stateRef
+	comm     uint32
+	progress bool
+	tree     bool
+}
+
+// CheckProgress explores the state space and then looks for a
+// non-progress cycle. progressChannels name the channels whose
+// communications count as progress. The search is always exhaustive and
+// unreduced — a cycle search needs state identities, and the reduction
+// has no visibility condition for progress transitions — and it does not
+// report deadlocks.
 func CheckProgress(prog *ir.Program, progressChannels []string, opts Options) *Result {
-	opts.fill()
-	res := &Result{Mode: Exhaustive}
-
-	progressChan := map[int]bool{}
+	progress := make([]bool, len(prog.Channels))
 	for _, name := range progressChannels {
 		ch := prog.ChannelByName(name)
 		if ch == nil {
-			res.Violation = &Violation{Fault: &vm.Fault{
+			return &Result{Mode: Exhaustive, Violation: &Violation{Fault: &vm.Fault{
 				Kind: vm.FaultInternal,
 				Msg:  fmt.Sprintf("no channel %q for progress labeling", name),
-			}}
-			return res
+			}}}
 		}
-		progressChan[ch.ID] = true
+		progress[ch.ID] = true
 	}
+	opts.Mode, opts.Reduction, opts.NoDeadlockCheck = Exhaustive, NoReduction, true
+	return check(prog, opts, progress)
+}
 
-	// Phase 1: enumerate the reachable state graph.
-	type edge struct {
-		to       int
-		progress bool
-		desc     string
+// nonProgressCycle looks for a cycle of non-progress edges among those
+// the workers of a finished progress search logged, and returns its
+// counterexample, or nil when there is none.
+func (s *search) nonProgressCycle() *Violation {
+	// Number the states densely, shard by shard.
+	store := s.visited.(*collapseSet) // a progress search is exhaustive
+	var base [numShards]int
+	n := 0
+	for i := range store.shards {
+		base[i] = n
+		n += store.shards[i].n
 	}
-	// reach is how the breadth-first search first reached a state: its
-	// parent's index (-1 for the initial state), the communication fired
-	// there, and its depth in transitions. A fault's counterexample is
-	// replayed from the parent chain, as in the frontier search.
-	type reach struct {
-		parent int
-		choice vm.CommChoice
-		depth  int
-	}
-	// States are kept as compact snapshots and replayed into one scratch
-	// machine, so graph construction doesn't retain a full machine per
-	// state. As in the frontier search, the collapse store tells
-	// states apart without storing their keys; each shard numbers its
-	// states densely, so dense maps a handle to the state's index.
-	var (
-		visited = newCollapseSet(1 + len(prog.Procs))
-		ks      keyScratch
-		dense   [numShards][]int
-		snaps   []*vm.SavedState
-		refs    []stateRef
-		reaches []reach
-		edges   [][]edge
-		snap    *vm.SavedState
-		kb      []byte
-	)
-	m := newMachine(prog, opts)
-	// visit returns the index of m's state, admitting it as reached by r
-	// if new: one SaveKey pass yields both the key and the snapshot,
-	// which is kept only for a new state. It reports false when a new
-	// state would exceed MaxStates; the search then stops.
-	visit := func(r reach) (int, bool) {
-		snap, kb = m.SaveKey(snap, kb[:0])
-		ref, added := visited.TryAdd(&ks, kb, snap.KeySegments(), snap.Copied())
-		if !added {
-			return dense[ref.shard()][ref.index()], true
-		}
-		if len(snaps) >= opts.MaxStates {
-			return 0, false
-		}
-		j := len(snaps)
-		dense[ref.shard()] = append(dense[ref.shard()], j)
-		snap.Complete()
-		snaps = append(snaps, snap)
-		refs = append(refs, ref)
-		reaches = append(reaches, r)
-		edges = append(edges, nil)
-		res.MaxDepth = max(res.MaxDepth, r.depth)
-		snap = nil
-		return j, true
-	}
-	// choicesTo returns the communications that reach state i.
-	choicesTo := func(i int) []vm.CommChoice {
-		var cs []vm.CommChoice
-		for ; reaches[i].parent >= 0; i = reaches[i].parent {
-			cs = append(cs, reaches[i].choice)
-		}
-		slices.Reverse(cs)
-		return cs
-	}
+	dense := func(r stateRef) int { return base[r.shard()] + r.index() }
 
-	m.Settle()
-	if f := m.Fault(); f != nil {
-		_, pm := replayTrace(prog, opts, nil)
-		res.Violation = &Violation{Fault: f, Postmortem: pm}
-		return res
-	}
-	visit(reach{parent: -1})
-
-expansion:
-	for i := 0; i < len(snaps); i++ {
-		m.RestoreState(snaps[i])
-		comms := m.EnabledComms()
-		d := reaches[i].depth + 1
-		if d > opts.MaxDepth {
-			// At the depth bound a state is admitted but not expanded, as
-			// in the frontier search.
-			if len(comms) > 0 {
-				res.Truncated = true
+	// tree[v] is the edge that discovered state v (nil for the initial
+	// state), and adj[row[v]:row[v+1]] are the non-progress edges
+	// leaving v.
+	tree := make([]*edge, n)
+	row := make([]int, n+1)
+	for _, log := range s.edges {
+		for i := range log {
+			e := &log[i]
+			if e.tree {
+				tree[dense(e.to)] = e
 			}
-			continue
-		}
-		visited.Parent(&ks, refs[i])
-		for _, c := range comms {
-			m.RestoreState(snaps[i]) // each firing starts from state i
-			desc := newStep(m, prog, c).Desc
-			m.FireComm(c)
-			res.Transitions++
-			if f := m.Fault(); f != nil {
-				res.MaxDepth = max(res.MaxDepth, d)
-				trace, pm := replayTrace(prog, opts, append(choicesTo(i), c))
-				res.Violation = &Violation{Fault: f, Trace: trace, Postmortem: pm}
-				res.States = len(snaps)
-				res.MemBytes = visited.MemBytes()
-				return res
+			if !e.progress {
+				row[dense(e.from)+1]++
 			}
-			j, ok := visit(reach{parent: i, choice: c, depth: d}) // may grow edges: call it before indexing
-			if !ok {
-				// The state bound is reached: stop, as the frontier
-				// search does, and look for a cycle in the graph so far.
-				res.Truncated = true
-				break expansion
-			}
-			edges[i] = append(edges[i], edge{to: j, progress: progressChan[c.Chan], desc: desc})
 		}
 	}
-	res.States = len(snaps)
-	res.MemBytes = visited.MemBytes()
-
-	// Phase 2: a cycle using only non-progress edges. Iterative DFS with
-	// colors: 0 unvisited, 1 on stack, 2 done.
-	color := make([]uint8, len(snaps))
-	parent := make([]int, len(snaps))
-	parentEdge := make([]string, len(snaps))
-	for i := range parent {
-		parent[i] = -1
+	for v := 0; v < n; v++ {
+		row[v+1] += row[v]
 	}
-	var cycleAt = -1
-	var cycleTo = -1
-	var cycleDesc string
+	next := slices.Clone(row[:n])
+	adj := make([]*edge, row[n])
+	for _, log := range s.edges {
+		for i := range log {
+			if e := &log[i]; !e.progress {
+				v := dense(e.from)
+				adj[next[v]] = e
+				next[v]++
+			}
+		}
+	}
+	copy(next, row)
 
+	// Colour DFS: 0 unvisited, 1 on the stack, 2 done. next[v] is the
+	// next edge of v to follow, so adj[next[v]-1] leads from a stacked
+	// state to the one above it, and an edge back into the stack closes
+	// a cycle.
+	color := make([]uint8, n)
 	var stack []int
-	push := func(s int) { color[s] = 1; stack = append(stack, s) }
-	for root := 0; root < len(snaps) && cycleAt < 0; root++ {
-		if color[root] != 0 {
+	for r := 0; r < n; r++ {
+		if color[r] != 0 {
 			continue
 		}
-		push(root)
-		// Explicit DFS: track per-node next-edge index.
-		next := map[int]int{}
+		color[r] = 1
+		stack = append(stack[:0], r)
 		for len(stack) > 0 {
-			s := stack[len(stack)-1]
-			advanced := false
-			for next[s] < len(edges[s]) {
-				e := edges[s][next[s]]
-				next[s]++
-				if e.progress {
-					continue // progress edges break non-progress cycles
-				}
-				switch color[e.to] {
-				case 0:
-					parent[e.to] = s
-					parentEdge[e.to] = e.desc
-					push(e.to)
-					advanced = true
-				case 1:
-					cycleAt = e.to
-					cycleTo = s
-					cycleDesc = e.desc
-				}
-				if advanced || cycleAt >= 0 {
-					break
-				}
-			}
-			if cycleAt >= 0 {
-				break
-			}
-			if !advanced {
-				color[s] = 2
+			v := stack[len(stack)-1]
+			if next[v] == row[v+1] {
+				color[v] = 2
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := adj[next[v]]
+			next[v]++
+			w := dense(e.to)
+			switch color[w] {
+			case 0:
+				color[w] = 1
+				stack = append(stack, w)
+			case 1:
+				var path []*edge
+				for t := tree[w]; t != nil; t = tree[dense(t.from)] {
+					path = append(path, t)
+				}
+				slices.Reverse(path)
+				stem := len(path)
+				for _, u := range stack[slices.Index(stack, w):] {
+					path = append(path, adj[next[u]-1])
+				}
+				return s.cycleViolation(path, stem)
 			}
 		}
 	}
+	return nil
+}
 
-	if cycleAt >= 0 {
-		// Reconstruct the cycle portion from the DFS parents.
-		var steps []TraceStep
-		for s := cycleTo; s != cycleAt && s >= 0; s = parent[s] {
-			steps = append(steps, TraceStep{Desc: parentEdge[s]})
-		}
-		// Reverse into forward order and close the loop.
-		for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-			steps[i], steps[j] = steps[j], steps[i]
-		}
-		steps = append(steps, TraceStep{Desc: cycleDesc + "  (closes the cycle)"})
-		res.Violation = &Violation{
-			Fault: &vm.Fault{Kind: vm.FaultAssert,
-				Msg: "non-progress cycle: the system can run forever without progress (starvation)"},
-			Trace: steps,
-		}
+// cycleViolation turns a path of logged edges from the initial state — a
+// stem of length stem, then a cycle — into a counterexample.
+func (s *search) cycleViolation(path []*edge, stem int) *Violation {
+	// An edge names its communication by index in its source state's
+	// enabled list; one replay from the initial state turns the indices
+	// into choices.
+	m := newMachine(s.prog, s.opts)
+	m.Settle()
+	choices := make([]vm.CommChoice, len(path))
+	for i, e := range path {
+		choices[i] = m.EnabledComms()[e.comm]
+		m.FireComm(choices[i])
 	}
-	return res
+	trace, pm := replayTrace(s.prog, s.opts, choices)
+	trace[stem].Desc += "  (cycle starts)"
+	trace[len(trace)-1].Desc += "  (closes the cycle)"
+	return &Violation{
+		Fault: &vm.Fault{Kind: vm.FaultAssert,
+			Msg: "non-progress cycle: the system can run forever without progress (starvation)"},
+		Trace:      trace,
+		Postmortem: pm,
+	}
 }

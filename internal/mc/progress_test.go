@@ -2,12 +2,15 @@ package mc_test
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	esplang "esplang"
 	"esplang/internal/mc"
 	"esplang/internal/nic"
+	"esplang/internal/obs"
 	"esplang/internal/vm"
 	"esplang/internal/vmmc"
 )
@@ -259,5 +262,101 @@ func TestProgressDepthMatchesSafety(t *testing.T) {
 		if want := bound > 0; res.Truncated != want || bound > 0 && res.MaxDepth != bound {
 			t.Errorf("bound %d: depth %d, truncated %v", bound, res.MaxDepth, res.Truncated)
 		}
+	}
+}
+
+// TestNonProgressCycleCounterexample: a cycle counterexample starts at
+// the initial state — the stem that leads to the cycle, then the cycle
+// from its marked first step to the step that closes it, both marks on
+// one step for a self-loop — replays from a fresh machine back to the
+// state where the cycle starts, and carries the replay's postmortem.
+func TestNonProgressCycleCounterexample(t *testing.T) {
+	for _, c := range []struct {
+		name, src        string
+		first            string // the first step
+		stem, cycleSteps int
+	}{
+		// starter sends process a two messages before the chatter starts.
+		{"behind a stem", `
+channel go: int
+channel chatC: int
+channel chatBackC: int
+process starter { out( go, 1); out( go, 2); }
+process a {
+    in( go, $g1);
+    in( go, $g2);
+    while (true) { out( chatC, 1); in( chatBackC, $x); }
+}
+process b { while (true) { in( chatC, $y); out( chatBackC, y); } }
+`, "starter --go--> a", 4, 2},
+		// After the first message every step returns to the same state.
+		{"self-loop", `
+channel c: int
+process p { while (true) { out( c, 1); } }
+process q { while (true) { in( c, $x); } }
+`, "p --c--> q", 1, 1},
+	} {
+		prog := compileSrc(t, c.src)
+		res := mc.CheckProgress(prog, nil, mc.Options{Workers: 1})
+		v := res.Violation
+		if v == nil || len(v.Trace) == 0 {
+			t.Fatalf("%s: no cycle found: %v", c.name, res)
+		}
+		if !strings.HasPrefix(v.Trace[0].Desc, c.first) {
+			t.Errorf("%s: the counterexample starts with %q, want %q", c.name, v.Trace[0].Desc, c.first)
+		}
+		if v.Postmortem == "" {
+			t.Errorf("%s: no postmortem", c.name)
+		}
+		m := vm.New(prog, vm.Config{Manual: true})
+		m.Cost = vm.ZeroCostModel()
+		m.Settle()
+		start := -1
+		var startKey []byte
+		for i, st := range v.Trace {
+			if strings.Contains(st.Desc, "(cycle starts)") {
+				start = i
+				_, startKey = m.SaveKey(nil, nil)
+			}
+			if !slices.Contains(m.EnabledComms(), st.Choice) {
+				t.Fatalf("%s: step %d (%s) is not enabled on a replay from the initial state", c.name, i+1, st.Desc)
+			}
+			m.FireComm(st.Choice)
+		}
+		if start != c.stem || len(v.Trace) != c.stem+c.cycleSteps ||
+			!strings.HasSuffix(v.Trace[len(v.Trace)-1].Desc, "(closes the cycle)") {
+			t.Fatalf("%s: counterexample %v, want %d stem steps, then a %d-step cycle marked where it starts and closes",
+				c.name, v.Trace, c.stem, c.cycleSteps)
+		}
+		if _, key := m.SaveKey(nil, nil); string(key) != string(startKey) {
+			t.Errorf("%s: the cycle ends in another state than the one it starts from", c.name)
+		}
+	}
+}
+
+// TestProgressSearchReportsLikeCheck: the progress search reports its
+// workers and elapsed time, delivers a final progress sample, and fills
+// the metrics registry, as the safety search does.
+func TestProgressSearchReportsLikeCheck(t *testing.T) {
+	prog := compileSrc(t, chatterSrc)
+	reg := obs.NewMetrics()
+	var last mc.ProgressInfo
+	res := mc.CheckProgress(prog, []string{"chatC"}, mc.Options{
+		Workers:          2,
+		Progress:         func(info mc.ProgressInfo) { last = info },
+		ProgressInterval: time.Millisecond,
+		Metrics:          reg,
+	})
+	if res.Violation != nil {
+		t.Fatalf("unexpected violation: %v", res.Violation)
+	}
+	if res.Workers != 2 || res.Elapsed <= 0 {
+		t.Errorf("workers %d, elapsed %v; want 2 and a positive time", res.Workers, res.Elapsed)
+	}
+	if !last.Final || int(last.States) != res.States {
+		t.Errorf("last progress sample %+v, want a final one with %d states", last, res.States)
+	}
+	if got := reg.Snapshot().Gauges["mc_states"]; int(got) != res.States {
+		t.Errorf("mc_states gauge %d, want %d", got, res.States)
 	}
 }

@@ -21,6 +21,13 @@ func TestCheckerCountsPinned(t *testing.T) {
 		states, transitions int
 	}{
 		{"firmware/msgs=3", func() (*esplang.VerifyResult, error) { return VerifyFirmware(cfg, 3, full) }, 16550, 39290},
+		{"firmware/msgs=3/progress=notifyC", func() (*esplang.VerifyResult, error) {
+			prog, err := compileModel(FirmwareModel(cfg, 3), esplang.CompileOptions{Name: "vmmc-verify"})
+			if err != nil {
+				return nil, err
+			}
+			return prog.VerifyProgress([]string{"notifyC"}, esplang.VerifyOptions{Workers: 1, EndRecvOK: true, MaxLiveObjects: 64}), nil
+		}, 16550, 39290},
 		{"two-node/msgs=3", func() (*esplang.VerifyResult, error) { return VerifyTwoNode(cfg, 3, full) }, 5482, 15328},
 		{"firmware/msgs=4/por", func() (*esplang.VerifyResult, error) { return VerifyFirmware(cfg, 4, por) }, 30625, 41072},
 		{"two-node/msgs=6/por", func() (*esplang.VerifyResult, error) { return VerifyTwoNode(cfg, 6, por) }, 3568, 5592},
