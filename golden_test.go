@@ -3,11 +3,14 @@ package esplang_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	esplang "esplang"
 	"esplang/internal/ast"
+	"esplang/internal/nic"
 	"esplang/internal/parser"
+	"esplang/internal/vmmc"
 )
 
 // checkGolden compares got against the golden file, rewriting it instead
@@ -93,4 +96,57 @@ func TestPipelineFusedDisasmGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "testdata/pipeline.fused.golden", prog.DisasmFused())
+}
+
+// TestCompileOutputsGolden pins everything the compiler emits for the
+// sample programs and the VMMC firmware: the optimized IR, the fused
+// code, the rendezvous schedule, the independence table, the C and the
+// Promela. One golden per program, so a change to lowering, the
+// optimizer, fusion or either backend shows up as a reviewable diff.
+func TestCompileOutputsGolden(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.esp")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs found: %v", err)
+	}
+	type program struct {
+		name, golden string
+		compile      func() (*esplang.Program, error)
+	}
+	var progs []program
+	for _, f := range files {
+		f := f
+		name := strings.TrimSuffix(filepath.Base(f), ".esp")
+		progs = append(progs, program{name, strings.TrimSuffix(f, ".esp") + ".compile.golden",
+			func() (*esplang.Program, error) {
+				return esplang.CompileFile(f, esplang.CompileOptions{Name: name})
+			}})
+	}
+	progs = append(progs, program{"vmmcESP", "testdata/vmmcESP.compile.golden",
+		func() (*esplang.Program, error) {
+			return esplang.Compile(vmmc.ESPSource(nic.DefaultConfig()), esplang.CompileOptions{Name: "vmmcESP"})
+		}})
+	for _, pg := range progs {
+		t.Run(pg.name, func(t *testing.T) {
+			prog, err := pg.compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, sec := range []struct{ name, text string }{
+				{"Disasm", prog.Disasm()},
+				{"DisasmFused", prog.DisasmFused()},
+				{"DumpSchedule", prog.DumpSchedule()},
+				{"DumpIndependence", prog.DumpIndependence()},
+				{"C", prog.C(esplang.COptions{})},
+				{"Promela", prog.Promela(esplang.PromelaOptions{})},
+			} {
+				b.WriteString("==== " + sec.name + " ====\n")
+				b.WriteString(sec.text)
+				if !strings.HasSuffix(sec.text, "\n") {
+					b.WriteString("\n")
+				}
+			}
+			checkGolden(t, pg.golden, b.String())
+		})
+	}
 }
