@@ -37,7 +37,7 @@ func main() {
 		disasm    = flag.Bool("S", false, "print the compiled IR to stdout")
 		dumpIR    = flag.Bool("dump-ir", false, "print the compiled IR to stdout (alias of -S)")
 		dumpFused = flag.Bool("dump-fused", false, "print the fused-engine superinstruction translation to stdout")
-		dumpSched = flag.Bool("dump-schedule", false, "print the static rendezvous schedule (fused channels, dynamic fallbacks, interleave order) to stdout")
+		dumpSched = flag.Bool("dump-schedule", false, "print the static rendezvous schedule (fused channels, dynamic fallbacks with reasons) to stdout")
 		dumpIndep = flag.Bool("dump-indep", false, "print the transition-independence table (channel touch sets, heap cleanliness, ref-flow regions, independent pairs) to stdout")
 		vet       = flag.Bool("vet", false, "print espvet static-analysis findings to stderr")
 		vetErr    = flag.Bool("vet-err", false, "like -vet, but findings fail the build (exit 1)")

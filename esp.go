@@ -314,11 +314,10 @@ func (p *Program) DisasmFused() string {
 }
 
 // DumpSchedule renders the static rendezvous schedule the fused engine
-// executes: which channels were fused into direct transfers, which stay
-// on dynamic rendezvous and why, and the static interleave order of the
-// fusion groups. When the optimizer has not cached a schedule (e.g. -O0
-// or -no-fuse), it is computed on the fly, exactly as the fuseprocs pass
-// would.
+// executes: which channels were fused into direct transfers, and which
+// stay on dynamic rendezvous and why. When the optimizer has not cached
+// a schedule (e.g. -O0 or -no-fuse), it is computed on the fly, exactly
+// as the fuseprocs pass would.
 func (p *Program) DumpSchedule() string {
 	sched := p.IR.Schedule
 	if sched == nil {

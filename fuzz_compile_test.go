@@ -9,6 +9,7 @@ import (
 	esplang "esplang"
 	"esplang/internal/ast"
 	"esplang/internal/diag"
+	"esplang/internal/ir"
 	"esplang/internal/parser"
 	"esplang/internal/token"
 )
@@ -19,7 +20,9 @@ import (
 // must point inside the input or at its end. Compile must be
 // deterministic: compiling an input that compiles a second time gives
 // the same IR, fused code, schedule, independence table, C, Promela and
-// findings. Every input the parser
+// findings. Every instruction of the optimized IR must be reachable
+// from its process's roots: dead-code elimination leaves nothing behind
+// that control cannot get to. Every input the parser
 // accepts must also survive the formatter round trip: ast.Print's output
 // parses again and prints to itself. The seeds are the repo's
 // ESP corpora, so plain `go test` replays them; `go test -run xxx -fuzz
@@ -65,6 +68,7 @@ func FuzzCompile(f *testing.F) {
 		}
 		if prog != nil {
 			sameCompile(t, src, prog)
+			allReachable(t, prog)
 		}
 
 		tree, err := parser.Parse([]byte(src))
@@ -104,6 +108,20 @@ func sameCompile(t *testing.T, src string, prog *esplang.Program) {
 		if out.first != out.next {
 			t.Errorf("%s differs between two compiles of the same input\n--- first ---\n%s--- second ---\n%s",
 				out.name, out.first, out.next)
+		}
+	}
+}
+
+// allReachable requires every instruction of the optimized IR to be
+// reachable from its process's roots.
+func allReachable(t *testing.T, prog *esplang.Program) {
+	for _, p := range prog.IR.Procs {
+		for pc, ok := range ir.Reachable(p) {
+			if !ok {
+				t.Errorf("process %s: pc %d (%s) of the optimized IR is unreachable from the roots\n%s",
+					p.Name, pc, p.Code[pc].Op, ir.Disasm(p))
+				break
+			}
 		}
 	}
 }

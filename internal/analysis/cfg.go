@@ -18,10 +18,14 @@ type block struct {
 	succs      []edge
 }
 
-// cfg is the control-flow graph of one process, plus the per-pc operand
-// stack depths (every reachable pc has exactly one entry depth — the
-// invariant ir.Verify proves — which the ownership analysis uses to
-// model the abstract operand stack across a block).
+// cfg is the control-flow graph of one process. Its blocks, successors
+// and per-pc operand-stack depths come from internal/ir (Leaders, Succs,
+// StackDepths: every reachable pc has exactly one entry depth, the
+// invariant ir.Verify proves, which the ownership analysis uses to model
+// the abstract operand stack across a block). On top of those it adds
+// espvet's own rules: an Alt's edges go to its arms and carry them, a
+// branch on a constant keeps only the edge it takes, and a block is
+// reachable only along those edges from the entry.
 type cfg struct {
 	blocks    []block
 	blockOf   []int  // pc -> enclosing block index
@@ -36,34 +40,7 @@ func buildCFG(p *ir.Proc) *cfg {
 	if n == 0 {
 		return g
 	}
-
-	// Leaders: entry, every branch target, every instruction after a
-	// terminator, and every alt arm entry point.
-	leader := make([]bool, n)
-	leader[0] = true
-	mark := func(pc int) {
-		if pc >= 0 && pc < n {
-			leader[pc] = true
-		}
-	}
-	for pc, in := range p.Code {
-		switch in.Op {
-		case ir.Jump, ir.JumpIfFalse, ir.JumpIfTrue:
-			mark(in.A)
-			mark(pc + 1)
-		case ir.Halt, ir.Alt:
-			mark(pc + 1)
-		}
-	}
-	for _, alt := range p.Alts {
-		for _, arm := range alt.Arms {
-			if arm.IsSend {
-				mark(arm.EvalPC)
-			}
-			mark(arm.BodyPC)
-		}
-	}
-
+	leader := ir.Leaders(p, false)
 	g.blockOf = make([]int, n)
 	for pc := 0; pc < n; pc++ {
 		if leader[pc] {
@@ -80,34 +57,12 @@ func buildCFG(p *ir.Proc) *cfg {
 	}
 
 	// Successor edges, from each block's final instruction.
+	var succs []int
 	for i := range g.blocks {
 		b := &g.blocks[i]
-		last := p.Code[b.end-1]
-		switch last.Op {
-		case ir.Jump:
-			b.succs = []edge{{to: g.blockOf[last.A]}}
-		case ir.JumpIfFalse, ir.JumpIfTrue:
-			// A branch whose condition is a constant pushed in the same
-			// block is decided: while(true) compiles to Const 1;
-			// JumpIfFalse exit, and treating the exit edge as real would
-			// hide every statement after an infinite loop from the
-			// unreachable-code check (and blur the other analyses' joins).
-			if taken, known := constBranch(p, b, b.end-1); known {
-				if taken {
-					b.succs = []edge{{to: g.blockOf[last.A]}}
-				} else if b.end < n {
-					b.succs = []edge{{to: g.blockOf[b.end]}}
-				}
-				break
-			}
-			b.succs = []edge{{to: g.blockOf[last.A]}}
-			if b.end < n {
-				b.succs = append(b.succs, edge{to: g.blockOf[b.end]})
-			}
-		case ir.Halt:
-			// no successors
-		case ir.Alt:
-			alt := &p.Alts[last.A]
+		last := b.end - 1
+		if in := p.Code[last]; in.Op == ir.Alt {
+			alt := &p.Alts[in.A]
 			for j := range alt.Arms {
 				arm := &alt.Arms[j]
 				entry := arm.BodyPC
@@ -116,14 +71,42 @@ func buildCFG(p *ir.Proc) *cfg {
 				}
 				b.succs = append(b.succs, edge{to: g.blockOf[entry], arm: arm})
 			}
-		default:
-			if b.end < n {
-				b.succs = []edge{{to: g.blockOf[b.end]}}
+			continue
+		}
+		succs = ir.Succs(p, last, succs[:0])
+		// A branch whose condition is a constant pushed in the same block
+		// is decided: while(true) compiles to Const 1; JumpIfFalse exit,
+		// and treating the exit edge as real would hide every statement
+		// after an infinite loop from the unreachable-code check (and blur
+		// the other analyses' joins). Succs lists the target first.
+		if taken, known := constBranch(p, b, last); known {
+			if taken {
+				succs = succs[:1]
+			} else {
+				succs = succs[1:]
+			}
+		}
+		for _, s := range succs {
+			if s < n {
+				b.succs = append(b.succs, edge{to: g.blockOf[s]})
 			}
 		}
 	}
 
-	g.computeReach(p)
+	g.depth, _ = ir.StackDepths(p)
+	g.reachable = make([]bool, len(g.blocks))
+	g.reachable[0] = true
+	work := []int{0}
+	for len(work) > 0 {
+		bi := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, e := range g.blocks[bi].succs {
+			if !g.reachable[e.to] {
+				g.reachable[e.to] = true
+				work = append(work, e.to)
+			}
+		}
+	}
 	return g
 }
 
@@ -131,53 +114,15 @@ func buildCFG(p *ir.Proc) *cfg {
 // a constant condition pushed immediately before it in the same block,
 // and if so whether the branch is taken.
 func constBranch(p *ir.Proc, b *block, pc int) (taken, known bool) {
-	if pc-1 < b.start || p.Code[pc-1].Op != ir.Const {
+	op := p.Code[pc].Op
+	if op != ir.JumpIfFalse && op != ir.JumpIfTrue || pc-1 < b.start || p.Code[pc-1].Op != ir.Const {
 		return false, false
 	}
 	cond := p.Code[pc-1].Val != 0
-	if p.Code[pc].Op == ir.JumpIfFalse {
+	if op == ir.JumpIfFalse {
 		return !cond, true
 	}
 	return cond, true
-}
-
-// computeReach fills the reachability and per-pc depth tables.
-func (g *cfg) computeReach(p *ir.Proc) {
-	n := len(p.Code)
-	// Reachability and per-pc entry depths, propagated the same way
-	// ir.Verify's stack check propagates them.
-	g.depth = make([]int, n)
-	for i := range g.depth {
-		g.depth[i] = -1
-	}
-	g.reachable = make([]bool, len(g.blocks))
-	work := []int{g.blockOf[0]}
-	g.reachable[g.blockOf[0]] = true
-	g.depth[0] = 0
-	for len(work) > 0 {
-		bi := work[len(work)-1]
-		work = work[:len(work)-1]
-		b := &g.blocks[bi]
-		d := g.depth[b.start]
-		for pc := b.start; pc < b.end; pc++ {
-			if g.depth[pc] == -1 {
-				g.depth[pc] = d
-			}
-			d += ir.StackEffect(p.Code[pc])
-		}
-		for _, e := range b.succs {
-			s := &g.blocks[e.to]
-			out := d
-			if e.arm != nil {
-				out = 0 // alt arms resume at statement boundaries
-			}
-			if !g.reachable[e.to] {
-				g.reachable[e.to] = true
-				g.depth[s.start] = out
-				work = append(work, e.to)
-			}
-		}
-	}
 }
 
 // preds returns the predecessor edges of every block: preds[bi] lists

@@ -610,8 +610,8 @@ func (a *armRegion) commutes(b *armRegion) bool {
 // the blocking sites it stops at. Re-reaching the arm's own alt is the
 // loop-back and contributes nothing: the next activation is a fresh,
 // symmetric choice. A send arm's pre-commit evaluation code is part of
-// the region (its SendCommit is the arm's own rendezvous, not a
-// downstream site).
+// the region: its SendCommit is the arm's own rendezvous, not a
+// downstream site, so the walk goes on past it.
 func scanArmRegion(p *ir.Proc, arm *ir.AltArm, altIdx int) armRegion {
 	r := armRegion{
 		chans:  map[int]bool{},
@@ -633,6 +633,7 @@ func scanArmRegion(p *ir.Proc, arm *ir.AltArm, altIdx int) armRegion {
 	if arm.IsSend {
 		push(arm.EvalPC)
 	}
+	var succs []int
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -642,19 +643,9 @@ func scanArmRegion(p *ir.Proc, arm *ir.AltArm, altIdx int) armRegion {
 			r.reads.set(in.A)
 		case ir.StoreLocal:
 			r.writes.set(in.A)
-		case ir.Jump:
-			push(in.A)
-			continue
-		case ir.JumpIfFalse, ir.JumpIfTrue:
-			push(in.A)
-		case ir.Send:
+		case ir.Send, ir.Recv:
 			r.chans[in.A] = true
 			continue // next blocking point: region ends here
-		case ir.SendCommit:
-			// The arm's own rendezvous: fall through to the body.
-		case ir.Recv:
-			r.chans[in.A] = true
-			continue
 		case ir.Alt:
 			if in.A != altIdx {
 				for k := range p.Alts[in.A].Arms {
@@ -662,10 +653,11 @@ func scanArmRegion(p *ir.Proc, arm *ir.AltArm, altIdx int) armRegion {
 				}
 			}
 			continue
-		case ir.Halt:
-			continue
 		}
-		push(pc + 1)
+		succs = ir.Succs(p, pc, succs[:0])
+		for _, s := range succs {
+			push(s)
+		}
 	}
 	return r
 }

@@ -15,10 +15,10 @@
 //
 // Fusion rules that keep the two engines bit-identical:
 //
-//   - a group never spans a control-flow entry point (jump target, resume
-//     point after Send/SendCommit/Recv, alt arm eval/body start): control
-//     can only ever land on a group head, so the base-pc -> fused-index
-//     map is total over reachable resume points;
+//   - a group never spans a block leader, resume points after
+//     Send/SendCommit/Recv included (Leaders(p, true)): control can only
+//     ever land on a group head, so the base-pc -> fused-index map is
+//     total over reachable resume points;
 //   - an instruction that can fault or emit a trace event (Div/Mod,
 //     GetField, Send) may only be the LAST component of a group: all
 //     preceding components are pure, so when the event fires the cycle
@@ -155,38 +155,6 @@ type FusedProc struct {
 	Map []int32
 }
 
-// fuseEntryPoints marks every base pc control can enter other than by
-// falling through inside straight-line code: process start, jump targets,
-// the resume points after every communication instruction, and alt arm
-// eval/body starts. Fused groups must not contain any of these as an
-// interior component.
-func fuseEntryPoints(p *Proc) []bool {
-	entry := make([]bool, len(p.Code)+1)
-	mark := func(pc int) {
-		if pc >= 0 && pc < len(entry) {
-			entry[pc] = true
-		}
-	}
-	mark(0)
-	for pc, in := range p.Code {
-		switch in.Op {
-		case Jump, JumpIfFalse, JumpIfTrue:
-			mark(in.A)
-		case Send, SendCommit, Recv:
-			mark(pc + 1)
-		}
-	}
-	for _, alt := range p.Alts {
-		for _, arm := range alt.Arms {
-			if arm.IsSend {
-				mark(arm.EvalPC)
-			}
-			mark(arm.BodyPC)
-		}
-	}
-	return entry
-}
-
 func isCmp(op Op) bool  { return op >= Eq && op <= Ge }
 func isBin(op Op) bool  { return op >= Add && op <= Ge }
 func isPure(op Op) bool { return isBin(op) && op != Div && op != Mod }
@@ -218,14 +186,14 @@ func FuseProc(p *Proc, u *types.Universe) *FusedProc {
 // process index, dirRecv the same for Recv sites. Nil maps yield the
 // plain translation.
 func fuseProcWith(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *FusedProc {
-	entry := fuseEntryPoints(p)
+	entry := Leaders(p, true)
 	fp := &FusedProc{Map: make([]int32, len(p.Code)+1)}
 	for i := range fp.Map {
 		fp.Map[i] = -1
 	}
 
-	// interiorFree reports that none of pc+1 .. pc+n-1 is an entry point,
-	// so a group of n instructions starting at pc is legal.
+	// interiorFree reports that none of pc+1 .. pc+n-1 is a leader, so a
+	// group of n instructions starting at pc is legal.
 	interiorFree := func(pc, n int) bool {
 		if pc+n > len(p.Code) {
 			return false
@@ -256,7 +224,7 @@ func fuseProcWith(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *F
 	fp.Map[len(p.Code)] = int32(len(fp.Code))
 
 	// Second pass: retarget branches from base pcs to fused indices. Every
-	// branch target is an entry point, so its Map slot is never -1.
+	// branch target is a leader, so its Map slot is never -1.
 	for i := range fp.Code {
 		fi := &fp.Code[i]
 		switch fi.Op {

@@ -10,7 +10,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -43,94 +42,9 @@ type Schedule struct {
 	Reason []string
 }
 
-// FusionGroups returns the connected components of the fused-pair graph,
-// each in static interleave order: senders before their receivers where
-// the component is acyclic (Kahn's algorithm, ties broken by process
-// index), process-index order otherwise (a ping-pong cycle has no
-// sender-first order). Components are ordered by their smallest member.
-func (s *Schedule) FusionGroups() [][]int {
-	if len(s.Pairs) == 0 {
-		return nil
-	}
-	// Union the pair endpoints into components.
-	parent := map[int]int{}
-	var find func(x int) int
-	find = func(x int) int {
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
-		}
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, p := range s.Pairs {
-		ra, rb := find(p.Sender), find(p.Recv)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	members := map[int][]int{}
-	for x := range parent {
-		r := find(x)
-		members[r] = append(members[r], x)
-	}
-	var roots []int
-	for r := range members {
-		sort.Ints(members[r])
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return members[roots[i]][0] < members[roots[j]][0] })
-
-	groups := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		groups = append(groups, topoOrder(members[r], s.Pairs))
-	}
-	return groups
-}
-
-// topoOrder orders one component's members sender-first when possible.
-func topoOrder(procs []int, pairs []SchedPair) []int {
-	in := map[int]bool{}
-	for _, p := range procs {
-		in[p] = true
-	}
-	indeg := map[int]int{}
-	succ := map[int][]int{}
-	for _, pr := range pairs {
-		if in[pr.Sender] && in[pr.Recv] {
-			succ[pr.Sender] = append(succ[pr.Sender], pr.Recv)
-			indeg[pr.Recv]++
-		}
-	}
-	var order []int
-	avail := []int{}
-	for _, p := range procs {
-		if indeg[p] == 0 {
-			avail = append(avail, p)
-		}
-	}
-	for len(avail) > 0 {
-		sort.Ints(avail)
-		p := avail[0]
-		avail = avail[1:]
-		order = append(order, p)
-		for _, q := range succ[p] {
-			indeg[q]--
-			if indeg[q] == 0 {
-				avail = append(avail, q)
-			}
-		}
-	}
-	if len(order) != len(procs) {
-		return procs // cyclic (ping-pong): fall back to index order
-	}
-	return order
-}
-
 // FormatSchedule renders the schedule for espc -dump-schedule:
-// deterministic (channels by id, groups by smallest member), one line per
-// channel, with process names resolved against prog.
+// deterministic (channels by id), one line per channel, with process
+// names resolved against prog.
 func FormatSchedule(prog *Program, s *Schedule) string {
 	procName := func(i int) string {
 		if i >= 0 && i < len(prog.Procs) {
@@ -173,17 +87,6 @@ func FormatSchedule(prog *Program, s *Schedule) string {
 	}
 	if !any {
 		b.WriteString("  (none)\n")
-	}
-
-	if groups := s.FusionGroups(); len(groups) > 0 {
-		b.WriteString("\nfusion groups (static interleave order):\n")
-		for i, g := range groups {
-			names := make([]string, len(g))
-			for j, p := range g {
-				names[j] = procName(p)
-			}
-			fmt.Fprintf(&b, "  group %d: %s\n", i, strings.Join(names, " -> "))
-		}
 	}
 	return b.String()
 }

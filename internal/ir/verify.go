@@ -196,84 +196,8 @@ func verifyProc(prog *Program, p *Proc) error {
 		}
 	}
 
-	return verifyStack(p, bad)
-}
-
-// verifyStack propagates operand-stack depths over the control-flow
-// graph and reports underflow, overflow past MaxStack, or an instruction
-// reachable at two different depths.
-func verifyStack(p *Proc, bad func(pc int, format string, args ...any) error) error {
-	n := len(p.Code)
-	if n == 0 {
-		return nil
-	}
-	depth := make([]int, n)
-	for i := range depth {
-		depth[i] = -1 // unvisited
-	}
-	var work []int
-	visit := func(pc, d int) error {
-		if pc < 0 || pc >= n {
-			return bad(pc, "control flows past the end of code")
-		}
-		if depth[pc] == -1 {
-			depth[pc] = d
-			work = append(work, pc)
-			return nil
-		}
-		if depth[pc] != d {
-			return bad(pc, "inconsistent stack depth: entered at %d and %d", depth[pc], d)
-		}
-		return nil
-	}
-	// Entry points all start at depth 0: process start, and alt arm
-	// body/eval resume points (alts sit at statement boundaries, where
-	// the operand stack is empty).
-	if err := visit(0, 0); err != nil {
-		return err
-	}
-	for _, alt := range p.Alts {
-		for _, arm := range alt.Arms {
-			if arm.IsSend {
-				if err := visit(arm.EvalPC, 0); err != nil {
-					return err
-				}
-			}
-			if err := visit(arm.BodyPC, 0); err != nil {
-				return err
-			}
-		}
-	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := p.Code[pc]
-		d := depth[pc]
-		if need := StackIn(in); d < need {
-			return bad(pc, "stack underflow: %s needs %d operands, depth is %d", in.Op, need, d)
-		}
-		after := d + StackEffect(in)
-		if after > p.MaxStack {
-			return bad(pc, "stack overflow: depth %d exceeds MaxStack %d", after, p.MaxStack)
-		}
-		var err error
-		switch in.Op {
-		case Jump:
-			err = visit(in.A, after)
-		case JumpIfFalse, JumpIfTrue:
-			if err = visit(in.A, after); err == nil {
-				err = visit(pc+1, after)
-			}
-		case Halt, Alt:
-			// No fall-through; alt arms were seeded as entry points.
-		default:
-			err = visit(pc+1, after)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := StackDepths(p)
+	return err
 }
 
 func verifyPat(pat *Pat, p *Proc) error {

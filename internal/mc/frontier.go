@@ -254,7 +254,8 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, progress
 	comms0 := m0.EnabledComms()
 	if len(comms0) == 0 {
 		if stuck(m0, opts) {
-			res.Violation = &Violation{Deadlock: true}
+			_, pm := replayTrace(prog, opts, nil)
+			res.Violation = &Violation{Deadlock: true, Postmortem: pm}
 		}
 		return
 	}
@@ -269,6 +270,15 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, progress
 	ample0 := s.ampleOrder(w0, m0, comms0)
 	s.front.push(&node{snap: snap0, comms: comms0, ample: ample0, ref: ref0})
 
+	// Periodic progress sampling runs beside the workers; the final sample
+	// (Final: true) is taken after they stop, so it reflects the finished
+	// counters. The first rate is measured from the start time and state
+	// count read here, before any worker runs.
+	var progDone chan struct{}
+	if opts.Progress != nil || opts.Metrics != nil {
+		progDone = make(chan struct{})
+		go s.progressLoop(time.Now(), s.states.Load(), progDone)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < opts.Workers; i++ {
 		wg.Add(1)
@@ -276,15 +286,6 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, progress
 			defer wg.Done()
 			s.worker()
 		}()
-	}
-
-	// Periodic progress sampling runs beside the workers; the final sample
-	// (Final: true) is taken after they stop, so it reflects the finished
-	// counters.
-	var progDone chan struct{}
-	if opts.Progress != nil || opts.Metrics != nil {
-		progDone = make(chan struct{})
-		go s.progressLoop(time.Now(), progDone)
 	}
 	wg.Wait()
 	if progDone != nil {
@@ -320,10 +321,11 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, progress
 }
 
 // progressLoop samples the search counters every ProgressInterval,
-// feeding the Progress callback and the Metrics registry. A send on done
-// requests one final sample; the loop replies on the same channel when
-// it has been delivered.
-func (s *search) progressLoop(start time.Time, done chan struct{}) {
+// feeding the Progress callback and the Metrics registry; start and
+// startStates are the time and state count the first rate is measured
+// from. A send on done requests one final sample; the loop replies on
+// the same channel when it has been delivered.
+func (s *search) progressLoop(start time.Time, startStates int64, done chan struct{}) {
 	interval := s.opts.ProgressInterval
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -349,8 +351,7 @@ func (s *search) progressLoop(start time.Time, done chan struct{}) {
 		}
 	}
 
-	prevStates := s.states.Load()
-	prevT := start
+	prevStates, prevT := startStates, start
 	emit := func(final bool) {
 		now := time.Now()
 		states := s.states.Load()

@@ -280,8 +280,7 @@ type Violation struct {
 	// replay: the last events (rendezvous, context switches, allocs, the
 	// fault) leading into the violation, in the obs text dump format.
 	// Simulation mode records its walks instead of replaying them. Empty
-	// for a deadlocked initial state and for a progress search's unknown
-	// channel.
+	// for a progress search's unknown channel.
 	Postmortem string
 }
 

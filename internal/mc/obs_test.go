@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -101,5 +102,38 @@ func TestProgressDoesNotChangeResult(t *testing.T) {
 		t.Errorf("search differs under observation: %d/%d/%d plain, %d/%d/%d observed",
 			plain.States, plain.Transitions, plain.MaxDepth,
 			observed.States, observed.Transitions, observed.MaxDepth)
+	}
+}
+
+// TestFinalProgressSampleRate: the final sample's rate counts every
+// state the search admitted after the initial one, even when the search
+// ends before the sampler goroutine gets to run.
+func TestFinalProgressSampleRate(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/pipeline.esp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := compileSrc(t, string(src))
+	for run := 0; run < 20; run++ {
+		var final *mc.ProgressInfo
+		res := mc.Check(prog, mc.Options{
+			Workers:          1,
+			EndRecvOK:        true,
+			ProgressInterval: time.Hour,
+			Progress: func(info mc.ProgressInfo) {
+				if info.Final {
+					final = &info
+				}
+			},
+		})
+		if res.Violation != nil || res.States < 2 {
+			t.Fatalf("verdict %v with %d states, want a pass over more than one state", res.Violation, res.States)
+		}
+		if final == nil {
+			t.Fatal("no final sample")
+		}
+		if final.StatesPerSec <= 0 {
+			t.Fatalf("run %d: final sample reads %v states/s after %d states", run, final.StatesPerSec, final.States)
+		}
 	}
 }

@@ -112,3 +112,43 @@ func TestProgressCarriesMaxStates(t *testing.T) {
 		t.Error("no progress sample carried MaxStates")
 	}
 }
+
+// TestInitialDeadlockCarriesPostmortem: a deadlock in the initial state
+// is replayed like every other counterexample, so it has a postmortem
+// too — the same as a deadlock one transition later.
+func TestInitialDeadlockCarriesPostmortem(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		steps     int
+	}{
+		{"initial state", `
+channel c: int
+channel d: int
+process p { out( c, 1); }
+process q { in( d, $x); }
+`, 0},
+		{"after one transition", `
+channel a: int
+channel b: int
+process p { out( a, 1); in( b, $x); }
+process q { in( a, $y); }
+`, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := mc.Check(compileSrc(t, c.src), mc.Options{Workers: 1})
+			v := res.Violation
+			if v == nil || !v.Deadlock {
+				t.Fatalf("verdict %v, want a deadlock", v)
+			}
+			if len(v.Trace) != c.steps {
+				t.Errorf("%d trace steps, want %d", len(v.Trace), c.steps)
+			}
+			if v.Postmortem == "" {
+				t.Fatal("deadlock has no postmortem")
+			}
+			if _, err := obs.ValidatePostmortem([]byte(v.Postmortem)); err != nil {
+				t.Fatalf("postmortem invalid: %v\n%s", err, v.Postmortem)
+			}
+		})
+	}
+}

@@ -94,6 +94,7 @@ func joinedSendShapes(prog *ir.Program) map[int]*ir.Pat {
 				}
 			}
 		}
+		leaders := ir.Leaders(p, false)
 		for pc, in := range p.Code {
 			switch in.Op {
 			case ir.SendCommit:
@@ -103,7 +104,7 @@ func joinedSendShapes(prog *ir.Program) map[int]*ir.Pat {
 					add(in.A, nil)
 				}
 			case ir.Send:
-				add(in.A, sendSiteShape(p, pc))
+				add(in.A, sendSiteShape(p, pc, leaders))
 			}
 		}
 	}
@@ -116,8 +117,9 @@ func joinedSendShapes(prog *ir.Program) map[int]*ir.Pat {
 // SelfID, NewRecord, NewUnion — ending exactly at the Send; any other
 // construction yields an all-Any shape. (A partial walk would misalign
 // child boundaries of compound expressions and could derive wrong
-// constants, so the analysis is all-or-nothing per send site.)
-func sendSiteShape(p *ir.Proc, pc int) *ir.Pat {
+// constants, so the analysis is all-or-nothing per send site.) leaders
+// is ir.Leaders(p, false).
+func sendSiteShape(p *ir.Proc, pc int, leaders []bool) *ir.Pat {
 	end := pc // exclusive: instruction before the Send
 	any := &ir.Pat{Kind: ir.PatAny}
 	var walk func() (*ir.Pat, bool)
@@ -157,26 +159,13 @@ func sendSiteShape(p *ir.Proc, pc int) *ir.Pat {
 	if !ok {
 		return any
 	}
-	// The window [end, pc) must be straight-line and entered only at its
-	// start: a jump into it or straight to the Send (e.g. the convergence
+	// The window [end, pc] must be one straight-line run entered only at
+	// its start: a leader inside it or at the Send (e.g. the convergence
 	// point of a short-circuit && inside, or forming, the value) would
 	// mean the recognized constants are only one path's values.
-	for i, in := range p.Code {
-		switch in.Op {
-		case ir.Jump, ir.JumpIfFalse, ir.JumpIfTrue:
-			if in.A > end && in.A <= pc && !(i >= end && i < pc) {
-				return any
-			}
-			if i >= end && i < pc {
-				return any // a jump inside the window: not a pure literal
-			}
-		}
-	}
-	for _, alt := range p.Alts {
-		for _, arm := range alt.Arms {
-			if arm.BodyPC > end && arm.BodyPC <= pc || arm.EvalPC > end && arm.EvalPC <= pc {
-				return any
-			}
+	for i := end + 1; i <= pc; i++ {
+		if leaders[i] {
+			return any
 		}
 	}
 	return s

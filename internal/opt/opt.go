@@ -7,7 +7,9 @@
 //
 //   - constant folding (including branch folding);
 //   - copy propagation within basic blocks;
-//   - dead-store and unreachable-code elimination;
+//   - unreachable-code elimination: instructions that no path from the
+//     process's roots reaches (ir.Reachable) are dropped, and so are the
+//     Nops the other rewrites leave;
 //   - mutability-cast reuse: a CastCopy whose source object is provably
 //     dead afterwards becomes an in-place CastReuse, eliding the copy
 //     (§4.2: "if the compiler can determine that the object being cast is
@@ -73,51 +75,7 @@ func Optimize(prog *ir.Program, opts Options) *ir.Program {
 }
 
 // ---------------------------------------------------------------------------
-// Helpers: control-flow structure
-
-// entryPoints returns every pc that control can enter other than by
-// fall-through: process start, jump targets, alt arm eval/body starts,
-// and the resume points of blocking instructions.
-func entryPoints(p *ir.Proc) []int {
-	var pts []int
-	pts = append(pts, 0)
-	for pc, in := range p.Code {
-		switch in.Op {
-		case ir.Jump, ir.JumpIfFalse, ir.JumpIfTrue:
-			pts = append(pts, in.A)
-		case ir.Send, ir.Recv:
-			pts = append(pts, pc+1)
-		}
-	}
-	for _, alt := range p.Alts {
-		for _, arm := range alt.Arms {
-			if arm.IsSend {
-				pts = append(pts, arm.EvalPC)
-			}
-			pts = append(pts, arm.BodyPC)
-		}
-	}
-	return pts
-}
-
-// blocks partitions code into basic-block start pcs.
-func blockStarts(p *ir.Proc) map[int]bool {
-	starts := map[int]bool{}
-	for _, pc := range entryPoints(p) {
-		if pc < len(p.Code) {
-			starts[pc] = true
-		}
-	}
-	for pc, in := range p.Code {
-		switch in.Op {
-		case ir.Jump, ir.JumpIfFalse, ir.JumpIfTrue, ir.Halt, ir.Alt, ir.SendCommit:
-			if pc+1 < len(p.Code) {
-				starts[pc+1] = true
-			}
-		}
-	}
-	return starts
-}
+// Removing instructions
 
 // rebuild removes instructions whose keep flag is false, remapping every
 // pc reference (jumps, alt arm targets). An instruction may only be
@@ -161,7 +119,7 @@ func rebuild(p *ir.Proc, keep []bool) {
 
 func constFold(p *ir.Proc) bool {
 	changed := false
-	starts := blockStarts(p)
+	starts := ir.Leaders(p, true)
 	for pc := 0; pc+1 < len(p.Code); pc++ {
 		a := p.Code[pc]
 		// Unary on a constant.
@@ -265,7 +223,7 @@ func foldBin(op ir.Op, x, y int64) (int64, bool) {
 // and collapses "StoreLocal x; LoadLocal x" into "Dup; StoreLocal x".
 func copyProp(p *ir.Proc) bool {
 	changed := false
-	starts := blockStarts(p)
+	starts := ir.Leaders(p, true)
 
 	// Peephole: StoreLocal x; LoadLocal x  =>  Dup; StoreLocal x.
 	for pc := 0; pc+1 < len(p.Code); pc++ {
@@ -379,46 +337,17 @@ func castReuse(p *ir.Proc) bool {
 // ---------------------------------------------------------------------------
 // Dead code elimination
 
-// removeUnreachable drops instructions not reachable from any entry
-// point.
+// removeUnreachable drops the instructions no path from the process's
+// roots reaches.
 func removeUnreachable(p *ir.Proc) bool {
-	reach := make([]bool, len(p.Code))
-	var stack []int
-	push := func(pc int) {
-		if pc >= 0 && pc < len(p.Code) && !reach[pc] {
-			reach[pc] = true
-			stack = append(stack, pc)
+	reach := ir.Reachable(p)
+	for _, r := range reach {
+		if !r {
+			rebuild(p, reach)
+			return true
 		}
 	}
-	for _, pc := range entryPoints(p) {
-		push(pc)
-	}
-	for len(stack) > 0 {
-		pc := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		in := p.Code[pc]
-		switch in.Op {
-		case ir.Jump:
-			push(in.A)
-		case ir.JumpIfFalse, ir.JumpIfTrue:
-			push(in.A)
-			push(pc + 1)
-		case ir.Halt, ir.Alt:
-			// no fall-through (alt arms are entry points)
-		default:
-			push(pc + 1)
-		}
-	}
-	changed := false
-	for pc := range p.Code {
-		if !reach[pc] {
-			changed = true
-		}
-	}
-	if changed {
-		rebuild(p, reach)
-	}
-	return changed
+	return false
 }
 
 // compactNops removes Nop instructions (making sure any reference to a

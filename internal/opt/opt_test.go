@@ -128,6 +128,30 @@ process p {
 	}
 }
 
+// TestDeadLoopEliminated: a loop after an infinite loop is removed,
+// although its head is the target of its own back jump and its body
+// follows a send's resume point.
+func TestDeadLoopEliminated(t *testing.T) {
+	p := opt.Optimize(compileSrc(t, `
+channel c: int
+process p {
+    $x = 0;
+    while (true) { out( c, x); }
+    while (x < 2) { x = x + 1; }
+}
+process q { while (true) { in( c, $v); } }
+`), opt.All())
+	code := p.Procs[0].Code
+	if len(code) != 5 {
+		t.Errorf("optimized p has %d instructions, want 5 (the dead loop removed):\n%s", len(code), ir.Disasm(p.Procs[0]))
+	}
+	for pc, ok := range ir.Reachable(p.Procs[0]) {
+		if !ok {
+			t.Errorf("pc %d (%s) is unreachable", pc, code[pc].Op)
+		}
+	}
+}
+
 func TestWhileTrueNoConditionCode(t *testing.T) {
 	// while(true) compiled via Cond=nil has no test; while (true) written
 	// explicitly must fold to the same shape.
