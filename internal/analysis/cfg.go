@@ -29,7 +29,7 @@ type block struct {
 type cfg struct {
 	blocks    []block
 	blockOf   []int  // pc -> enclosing block index
-	depth     []int  // pc -> operand stack depth on entry (-1 unreachable)
+	depth     []int  // pc -> operand stack depth on entry (-1 where no root reaches)
 	reachable []bool // block index -> reachable from entry
 }
 
@@ -93,6 +93,7 @@ func buildCFG(p *ir.Proc) *cfg {
 		}
 	}
 
+	// The error is ir.Verify's, which compiled and optimized IR passes.
 	g.depth, _ = ir.StackDepths(p)
 	g.reachable = make([]bool, len(g.blocks))
 	g.reachable[0] = true
