@@ -1,6 +1,9 @@
 package esplang_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +11,7 @@ import (
 
 	esplang "esplang"
 	"esplang/internal/ast"
+	"esplang/internal/fuzz"
 	"esplang/internal/nic"
 	"esplang/internal/parser"
 	"esplang/internal/vmmc"
@@ -99,10 +103,14 @@ func TestPipelineFusedDisasmGolden(t *testing.T) {
 }
 
 // TestCompileOutputsGolden pins everything the compiler emits for the
-// sample programs and the VMMC firmware: the optimized IR, the fused
-// code, the rendezvous schedule, the independence table, the C and the
-// Promela. One golden per program, so a change to lowering, the
-// optimizer, fusion or either backend shows up as a reviewable diff.
+// sample programs, the VMMC firmware and its two verification models:
+// the optimized IR, the fused code, the rendezvous schedule, the
+// independence table, the C and the Promela. One golden per program, so
+// a change to lowering, the optimizer, fusion or either backend shows up
+// as a reviewable diff. The models are compiled with a file name, as
+// compile-fuzz compiles them, so their #line directives and Promela
+// location comments are pinned too; appendixb.options pins the C and
+// Promela options that differ from the defaults.
 func TestCompileOutputsGolden(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.esp")
 	if err != nil || len(files) == 0 {
@@ -111,20 +119,39 @@ func TestCompileOutputsGolden(t *testing.T) {
 	type program struct {
 		name, golden string
 		compile      func() (*esplang.Program, error)
+		copts        esplang.COptions
+		popts        esplang.PromelaOptions
 	}
 	var progs []program
 	for _, f := range files {
 		f := f
 		name := strings.TrimSuffix(filepath.Base(f), ".esp")
-		progs = append(progs, program{name, strings.TrimSuffix(f, ".esp") + ".compile.golden",
-			func() (*esplang.Program, error) {
+		progs = append(progs, program{name: name, golden: strings.TrimSuffix(f, ".esp") + ".compile.golden",
+			compile: func() (*esplang.Program, error) {
 				return esplang.CompileFile(f, esplang.CompileOptions{Name: name})
 			}})
 	}
-	progs = append(progs, program{"vmmcESP", "testdata/vmmcESP.compile.golden",
-		func() (*esplang.Program, error) {
-			return esplang.Compile(vmmc.ESPSource(nic.DefaultConfig()), esplang.CompileOptions{Name: "vmmcESP"})
+	cfg := nic.DefaultConfig()
+	progs = append(progs, program{name: "vmmcESP", golden: "testdata/vmmcESP.compile.golden",
+		compile: func() (*esplang.Program, error) {
+			return esplang.Compile(vmmc.ESPSource(cfg), esplang.CompileOptions{Name: "vmmcESP"})
 		}})
+	for _, m := range []struct{ name, src string }{
+		{"vmmc-verify", vmmc.FirmwareModel(cfg, 3)},
+		{"vmmc-2node", vmmc.TwoNodeModel(cfg, 3)},
+	} {
+		m := m
+		progs = append(progs, program{name: m.name, golden: "testdata/" + m.name + ".compile.golden",
+			compile: func() (*esplang.Program, error) {
+				return esplang.Compile(m.src, esplang.CompileOptions{Name: m.name, File: m.name})
+			}})
+	}
+	progs = append(progs, program{name: "appendixb.options", golden: "testdata/appendixb.options.compile.golden",
+		compile: func() (*esplang.Program, error) {
+			return esplang.CompileFile("testdata/appendixb.esp", esplang.CompileOptions{Name: "appendixb"})
+		},
+		copts: esplang.COptions{MaxObjects: 16},
+		popts: esplang.PromelaOptions{Instances: 3, DefaultBound: 8}})
 	for _, pg := range progs {
 		t.Run(pg.name, func(t *testing.T) {
 			prog, err := pg.compile()
@@ -137,8 +164,8 @@ func TestCompileOutputsGolden(t *testing.T) {
 				{"DisasmFused", prog.DisasmFused()},
 				{"DumpSchedule", prog.DumpSchedule()},
 				{"DumpIndependence", prog.DumpIndependence()},
-				{"C", prog.C(esplang.COptions{})},
-				{"Promela", prog.Promela(esplang.PromelaOptions{})},
+				{"C", prog.C(pg.copts)},
+				{"Promela", prog.Promela(pg.popts)},
 			} {
 				b.WriteString("==== " + sec.name + " ====\n")
 				b.WriteString(sec.text)
@@ -149,4 +176,42 @@ func TestCompileOutputsGolden(t *testing.T) {
 			checkGolden(t, pg.golden, b.String())
 		})
 	}
+}
+
+// TestFuzzPoolOutputsDigestGolden pins the compiler's outputs for
+// compile-fuzz's program pool, fuzz.Generate(1..200), which reaches
+// constructs testdata/ lacks. Each seed is compiled three ways (the
+// default pipeline, without the optimizer, and without process fusion),
+// and one line per seed and mode holds a SHA-256 over the IR, the fused
+// code, the C and the Promela; a compile error hashes its text instead.
+func TestFuzzPoolOutputsDigestGolden(t *testing.T) {
+	noFuse := esplang.OptAll()
+	noFuse.FuseProcs = false
+	modes := []struct {
+		name string
+		opts esplang.CompileOptions
+	}{
+		{"default", esplang.CompileOptions{}},
+		{"noopt", esplang.CompileOptions{NoOptimize: true}},
+		{"nofuse", esplang.CompileOptions{Passes: noFuse}},
+	}
+	var b strings.Builder
+	for seed := int64(1); seed <= 200; seed++ {
+		g := fuzz.Generate(seed)
+		for _, m := range modes {
+			opts := m.opts
+			opts.Name, opts.File = g.Name(), g.Name()+".esp"
+			h := sha256.New()
+			if prog, err := esplang.Compile(g.Source, opts); err != nil {
+				io.WriteString(h, "error: "+err.Error())
+			} else {
+				for _, text := range []string{prog.Disasm(), prog.DisasmFused(), prog.C(esplang.COptions{}), prog.Promela(esplang.PromelaOptions{})} {
+					io.WriteString(h, text)
+					h.Write([]byte{0})
+				}
+			}
+			fmt.Fprintf(&b, "%d %s %x\n", seed, m.name, h.Sum(nil))
+		}
+	}
+	checkGolden(t, "testdata/fuzzpool.digest.golden", b.String())
 }
