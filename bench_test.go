@@ -298,6 +298,37 @@ func BenchmarkCompiler(b *testing.B) {
 	}
 }
 
+// BenchmarkEmit measures the compiler's text outputs on the VMMC
+// firmware: the C, the Promela and the IR disassembly, compiled with a
+// file name so the C carries #line directives and the Promela location
+// comments.
+func BenchmarkEmit(b *testing.B) {
+	prog, err := esplang.Compile(vmmc.ESPSource(nic.DefaultConfig()), esplang.CompileOptions{Name: "vmmcESP", File: "vmmcESP"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, out := range []struct {
+		name string
+		emit func() string
+	}{
+		{"C", func() string { return prog.C(esplang.COptions{}) }},
+		{"Promela", func() string { return prog.Promela(esplang.PromelaOptions{}) }},
+		{"Disasm", prog.Disasm},
+	} {
+		b.Run(out.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				emitted = out.emit()
+			}
+			b.SetBytes(int64(len(emitted)))
+		})
+	}
+}
+
+// emitted keeps BenchmarkEmit's output alive, so the compiler cannot drop
+// the call.
+var emitted string
+
 // BenchmarkVMThroughput measures host-side interpreter speed (messages
 // per host-second through the probe pipeline).
 func BenchmarkVMThroughput(b *testing.B) {

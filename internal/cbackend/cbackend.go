@@ -30,9 +30,9 @@
 package cbackend
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
+	"esplang/internal/emit"
 	"esplang/internal/ir"
 	"esplang/internal/types"
 )
@@ -57,18 +57,36 @@ func Generate(prog *ir.Program, opts Options) string {
 	return g.run()
 }
 
+// cgen appends the C text to one buffer. Boilerplate lines go through
+// w; pattern tests, access paths, labels and lists are appended in place.
 type cgen struct {
-	b    strings.Builder
+	b    []byte
 	prog *ir.Program
 	opts Options
+	path []int // element indices of the pattern access path being emitted
 }
 
 func (g *cgen) w(format string, args ...any) {
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
+	g.b = emit.Appendf(g.b, format, args...)
+	g.b = append(g.b, '\n')
+}
+
+func (g *cgen) str(s string) { g.b = append(g.b, s...) }
+
+func (g *cgen) int(v int) { g.b = strconv.AppendInt(g.b, int64(v), 10) }
+
+// sizeHint estimates the length of the C text: about 13 KB of runtime
+// plus what every process, instruction and table entry adds.
+func sizeHint(prog *ir.Program) int {
+	n := 13 << 10
+	for _, p := range prog.Procs {
+		n += 700 + 150*len(p.Code) + 200*(len(p.Ports)+len(p.Alts))
+	}
+	return n + 400*len(prog.Channels)
 }
 
 func (g *cgen) run() string {
+	g.b = make([]byte, 0, sizeHint(g.prog))
 	g.header()
 	g.heap()
 	g.procStructs()
@@ -78,7 +96,7 @@ func (g *cgen) run() string {
 	g.runtime()
 	g.mainLoop()
 	g.mainStub()
-	return g.b.String()
+	return emit.String(g.b)
 }
 
 func (g *cgen) header() {
@@ -118,19 +136,21 @@ func (g *cgen) heap() {
 	// Per-type metadata: which element positions hold references.
 	g.w("/* esp_ref_mask[t] bit i set => element i of type t is a reference */")
 	all := g.prog.Universe.All()
-	masks := make([]uint64, len(all))
+	g.b = emit.Appendf(g.b, "static const uint64_t esp_ref_mask[%d] = { ", len(all))
 	for i, t := range all {
+		var mask uint64
 		for fi, f := range t.Fields {
 			if f.Type.IsRef() {
-				masks[i] |= 1 << fi
+				mask |= 1 << fi
 			}
 		}
+		if i > 0 {
+			g.str(", ")
+		}
+		g.str("0x")
+		g.b = strconv.AppendUint(g.b, mask, 16)
 	}
-	var parts []string
-	for _, m := range masks {
-		parts = append(parts, fmt.Sprintf("0x%x", m))
-	}
-	g.w("static const uint64_t esp_ref_mask[%d] = { %s };", len(all), strings.Join(parts, ", "))
+	g.str(" };\n")
 	g.w("")
 	g.w("static esp_val esp_alloc(int type, int tag, int n) {")
 	g.w("    int i;")
@@ -247,17 +267,20 @@ func (g *cgen) procStructs() {
 	g.w("")
 }
 
-// ifaceParamDecl renders one parameter of an interface-case extern
-// function: external writers get one extra level of indirection (§4.5).
-func ifaceParamDecl(t *types.Type, name string, writer bool) string {
-	base := "esp_val"
+// paramDecl appends parameter pi of an interface-case extern function:
+// external writers get one extra level of indirection (§4.5).
+func (g *cgen) paramDecl(t *types.Type, pi int, writer bool) {
 	if t.IsScalar() {
-		base = "int32_t"
+		g.str("int32_t")
+	} else {
+		g.str("esp_val")
 	}
 	if writer {
-		return fmt.Sprintf("%s *%s", base, name)
+		g.str(" *p")
+	} else {
+		g.str(" p")
 	}
-	return fmt.Sprintf("%s %s", base, name)
+	g.int(pi)
 }
 
 func (g *cgen) externDecls() {
@@ -270,14 +293,17 @@ func (g *cgen) externDecls() {
 			iface := ch.IfaceName
 			g.w("extern int %sIsReady(void); /* 0 = not ready, else 1-based pattern index */", iface)
 			for _, c := range ch.Cases {
-				var params []string
+				g.b = emit.Appendf(g.b, "extern void %s%s(", iface, c.Name)
 				for pi, pt := range c.ParamTypes {
-					params = append(params, ifaceParamDecl(pt, fmt.Sprintf("p%d", pi), ch.Ext == ir.ExtWriter))
+					if pi > 0 {
+						g.str(", ")
+					}
+					g.paramDecl(pt, pi, ch.Ext == ir.ExtWriter)
 				}
-				if len(params) == 0 {
-					params = []string{"void"}
+				if len(c.ParamTypes) == 0 {
+					g.str("void")
 				}
-				g.w("extern void %s%s(%s);", iface, c.Name, strings.Join(params, ", "))
+				g.str(");\n")
 			}
 		} else {
 			// No interface declaration: generic hooks.
@@ -293,56 +319,115 @@ func (g *cgen) externDecls() {
 	g.w("")
 }
 
-// cPat renders the match test of a pattern against C expression v, for
-// the given owner process (PatSelf and PatDynEq need it).
-func (g *cgen) cPatMatch(p *ir.Pat, v string, proc *ir.Proc) string {
+// hasTest reports whether matching p tests anything, that is whether
+// patMatch renders more than the constant 1.
+func hasTest(p *ir.Pat) bool {
 	switch p.Kind {
 	case ir.PatAny, ir.PatBind:
-		return "1"
-	case ir.PatConst:
-		return fmt.Sprintf("(%s == %d)", v, p.Val)
-	case ir.PatSelf:
-		return fmt.Sprintf("(%s == %d)", v, proc.ID)
-	case ir.PatDynEq:
-		return fmt.Sprintf("(%s == P%d.loc[%d])", v, proc.ID, p.Slot)
+		return false
 	case ir.PatRecord:
-		var conds []string
-		for i, sub := range p.Elems {
-			c := g.cPatMatch(sub, fmt.Sprintf("esp_deref(%s)->elems[%d]", v, i), proc)
-			if c != "1" {
-				conds = append(conds, c)
+		for _, sub := range p.Elems {
+			if hasTest(sub) {
+				return true
 			}
 		}
-		if len(conds) == 0 {
-			return "1"
-		}
-		return "(" + strings.Join(conds, " && ") + ")"
-	case ir.PatUnion:
-		conds := []string{fmt.Sprintf("(esp_deref(%s)->tag == %d)", v, p.Tag)}
-		c := g.cPatMatch(p.Elems[0], fmt.Sprintf("esp_deref(%s)->elems[0]", v), proc)
-		if c != "1" {
-			conds = append(conds, c)
-		}
-		return "(" + strings.Join(conds, " && ") + ")"
+		return false
 	}
-	return "0"
+	return true
 }
 
-// cPatBind emits binding statements (receiver side of a transfer).
-// isRef tracks whether the position holds a reference (needs a link).
-func (g *cgen) cPatBind(p *ir.Pat, v string, proc *ir.Proc, t *types.Type, out *[]string) {
+// accessPath appends the C expression of the value at g.path below root:
+// one esp_deref(...)->elems[i] per index, outermost last.
+func (g *cgen) accessPath(root string) {
+	for range g.path {
+		g.str("esp_deref(")
+	}
+	g.str(root)
+	for _, i := range g.path {
+		g.str(")->elems[")
+		g.int(i)
+		g.b = append(g.b, ']')
+	}
+}
+
+// patMatch appends the match test of pattern p against the value at
+// g.path below root, for the owner process pid (PatSelf and PatDynEq
+// need it).
+func (g *cgen) patMatch(p *ir.Pat, root string, pid int) {
+	switch p.Kind {
+	case ir.PatAny, ir.PatBind:
+		g.str("1")
+	case ir.PatConst, ir.PatSelf, ir.PatDynEq:
+		g.b = append(g.b, '(')
+		g.accessPath(root)
+		switch p.Kind {
+		case ir.PatConst:
+			g.b = emit.Appendf(g.b, " == %d)", p.Val)
+		case ir.PatSelf:
+			g.b = emit.Appendf(g.b, " == %d)", pid)
+		default:
+			g.b = emit.Appendf(g.b, " == P%d.loc[%d])", pid, p.Slot)
+		}
+	case ir.PatRecord:
+		if !hasTest(p) {
+			g.str("1")
+			return
+		}
+		g.b = append(g.b, '(')
+		first := true
+		for i, sub := range p.Elems {
+			if !hasTest(sub) {
+				continue
+			}
+			if !first {
+				g.str(" && ")
+			}
+			first = false
+			g.path = append(g.path, i)
+			g.patMatch(sub, root, pid)
+			g.path = g.path[:len(g.path)-1]
+		}
+		g.b = append(g.b, ')')
+	case ir.PatUnion:
+		g.str("((esp_deref(")
+		g.accessPath(root)
+		g.b = emit.Appendf(g.b, ")->tag == %d)", p.Tag)
+		if hasTest(p.Elems[0]) {
+			g.str(" && ")
+			g.path = append(g.path, 0)
+			g.patMatch(p.Elems[0], root, pid)
+			g.path = g.path[:len(g.path)-1]
+		}
+		g.b = append(g.b, ')')
+	default:
+		g.str("0")
+	}
+}
+
+// patBind appends the binding statements of the receiver side of a
+// transfer, one line each: the value at g.path below root is stored into
+// every bound local, linked first when its type t is a reference.
+func (g *cgen) patBind(p *ir.Pat, root string, pid int, t *types.Type) {
 	switch p.Kind {
 	case ir.PatBind:
 		if t.IsRef() {
-			*out = append(*out, fmt.Sprintf("esp_link(%s);", v))
+			g.str("    esp_link(")
+			g.accessPath(root)
+			g.str(");\n")
 		}
-		*out = append(*out, fmt.Sprintf("P%d.loc[%d] = %s;", proc.ID, p.Slot, v))
+		g.b = emit.Appendf(g.b, "    P%d.loc[%d] = ", pid, p.Slot)
+		g.accessPath(root)
+		g.str(";\n")
 	case ir.PatRecord:
 		for i, sub := range p.Elems {
-			g.cPatBind(sub, fmt.Sprintf("esp_deref(%s)->elems[%d]", v, i), proc, t.Fields[i].Type, out)
+			g.path = append(g.path, i)
+			g.patBind(sub, root, pid, t.Fields[i].Type)
+			g.path = g.path[:len(g.path)-1]
 		}
 	case ir.PatUnion:
-		g.cPatBind(p.Elems[0], fmt.Sprintf("esp_deref(%s)->elems[0]", v), proc, t.Fields[p.Tag].Type, out)
+		g.path = append(g.path, 0)
+		g.patBind(p.Elems[0], root, pid, t.Fields[p.Tag].Type)
+		g.path = g.path[:len(g.path)-1]
 	}
 }
 
@@ -353,15 +438,13 @@ func (g *cgen) portFns() {
 			elem := g.prog.Channels[port.Chan].Elem
 			g.w("static int esp_match_p%d_%d(esp_val v) {", p.ID, pi)
 			g.w("    (void)v;")
-			g.w("    return %s;", g.cPatMatch(port.Pat, "v", p))
+			g.str("    return ")
+			g.patMatch(port.Pat, "v", p.ID)
+			g.str(";\n")
 			g.w("}")
 			g.w("static void esp_bind_p%d_%d(esp_val v) {", p.ID, pi)
 			g.w("    (void)v;")
-			var stmts []string
-			g.cPatBind(port.Pat, "v", p, elem, &stmts)
-			for _, s := range stmts {
-				g.w("    %s", s)
-			}
+			g.patBind(port.Pat, "v", p.ID, elem)
 			g.w("}")
 		}
 	}
@@ -394,8 +477,8 @@ func (g *cgen) tables() {
 				if !arm.IsSend {
 					continue
 				}
-				var cells []string
-				for _, rp := range g.prog.Procs {
+				g.b = emit.Appendf(g.b, "static const uint8_t esp_compat_P%d_%d_%d[] = { ", p.ID, ai, armi)
+				for ri, rp := range g.prog.Procs {
 					for pi := 0; pi < maxPorts; pi++ {
 						v := "1"
 						if pi < len(rp.Ports) {
@@ -406,11 +489,13 @@ func (g *cgen) tables() {
 						} else {
 							v = "0"
 						}
-						cells = append(cells, v)
+						if ri > 0 || pi > 0 {
+							g.str(", ")
+						}
+						g.str(v)
 					}
 				}
-				g.w("static const uint8_t esp_compat_P%d_%d_%d[] = { %s };",
-					p.ID, ai, armi, strings.Join(cells, ", "))
+				g.str(" };\n")
 			}
 		}
 	}
@@ -429,14 +514,13 @@ func (g *cgen) tables() {
 			g.w("static const esp_arm_t esp_arms_P%d_%d[] = {", p.ID, ai)
 			for armi := range alt.Arms {
 				arm := &alt.Arms[armi]
-				isSend := 0
-				compat := "0"
 				if arm.IsSend {
-					isSend = 1
-					compat = fmt.Sprintf("esp_compat_P%d_%d_%d", p.ID, ai, armi)
+					g.w("    { %d, 1, %d, %d, %d, %d, esp_compat_P%d_%d_%d },",
+						arm.GuardSlot, arm.Chan, arm.Port, arm.EvalPC, arm.BodyPC, p.ID, ai, armi)
+				} else {
+					g.w("    { %d, 0, %d, %d, %d, %d, 0 },",
+						arm.GuardSlot, arm.Chan, arm.Port, arm.EvalPC, arm.BodyPC)
 				}
-				g.w("    { %d, %d, %d, %d, %d, %d, %s },",
-					arm.GuardSlot, isSend, arm.Chan, arm.Port, arm.EvalPC, arm.BodyPC, compat)
 			}
 			g.w("};")
 		}
@@ -450,26 +534,32 @@ func (g *cgen) tables() {
 			g.w("static const esp_alt_t esp_alts_P%d[1]; /* none */", p.ID)
 		}
 	}
-	var pp, aa []string
-	for _, p := range g.prog.Procs {
-		pp = append(pp, fmt.Sprintf("esp_ports_P%d", p.ID))
-		aa = append(aa, fmt.Sprintf("esp_alts_P%d", p.ID))
-	}
-	g.w("static const esp_port_t * const esp_ports[ESP_NPROCS] = { %s };", strings.Join(pp, ", "))
-	g.w("static const esp_alt_t * const esp_alts[ESP_NPROCS] = { %s };", strings.Join(aa, ", "))
-	g.w("")
+	g.str("static const esp_port_t * const esp_ports[ESP_NPROCS] = { ")
+	g.perProc("esp_ports_P")
+	g.str(" };\nstatic const esp_alt_t * const esp_alts[ESP_NPROCS] = { ")
+	g.perProc("esp_alts_P")
+	g.str(" };\n\n")
 	// External channel dispatch tables.
-	g.w("static const int esp_chan_ext[ESP_NCHANS] = { %s }; /* 0 none, 1 reader, 2 writer */",
-		strings.Join(g.extFlags(), ", "))
+	g.str("static const int esp_chan_ext[ESP_NCHANS] = { ")
+	for i, ch := range g.prog.Channels {
+		if i > 0 {
+			g.str(", ")
+		}
+		g.int(int(ch.Ext))
+	}
+	g.str(" }; /* 0 none, 1 reader, 2 writer */\n")
 	g.w("")
 }
 
-func (g *cgen) extFlags() []string {
-	var out []string
-	for _, ch := range g.prog.Channels {
-		out = append(out, fmt.Sprintf("%d", int(ch.Ext)))
+// perProc appends the comma-separated names prefix<id> of every process.
+func (g *cgen) perProc(prefix string) {
+	for i, p := range g.prog.Procs {
+		if i > 0 {
+			g.str(", ")
+		}
+		g.str(prefix)
+		g.int(p.ID)
 	}
-	return out
 }
 
 func (g *cgen) runtime() {
@@ -488,7 +578,18 @@ func (g *cgen) runtime() {
 	g.w("    return 1;")
 	g.w("}")
 	g.w("")
-	g.w("static const int esp_chan_isref[ESP_NCHANS] = { %s };", strings.Join(g.chanIsRef(), ", "))
+	g.str("static const int esp_chan_isref[ESP_NCHANS] = { ")
+	for i, ch := range g.prog.Channels {
+		if i > 0 {
+			g.str(", ")
+		}
+		if ch.Elem.IsRef() {
+			g.str("1")
+		} else {
+			g.str("0")
+		}
+	}
+	g.str(" };\n")
 	g.w("")
 	g.w("/* esp_try_send: find a waiting receiver via the wait bit-masks */")
 	g.w("static int esp_try_send(int spid) {")
@@ -575,16 +676,4 @@ func (g *cgen) runtime() {
 	g.w("    return 0;")
 	g.w("}")
 	g.w("")
-}
-
-func (g *cgen) chanIsRef() []string {
-	var out []string
-	for _, ch := range g.prog.Channels {
-		if ch.Elem.IsRef() {
-			out = append(out, "1")
-		} else {
-			out = append(out, "0")
-		}
-	}
-	return out
 }

@@ -1,9 +1,9 @@
 package cbackend
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
+	"esplang/internal/emit"
 	"esplang/internal/ir"
 	"esplang/internal/types"
 )
@@ -21,55 +21,79 @@ func (g *cgen) emitBuilders() {
 		for ci, c := range ch.Cases {
 			g.w("static esp_val esp_build_%s_%d(void) { /* %s.%s */", ch.Name, ci, ch.IfaceName, c.Name)
 			// Declare parameter holders and call the extern function.
-			var args []string
 			for pi, pt := range c.ParamTypes {
 				if pt.IsScalar() {
 					g.w("    int32_t p%d = 0;", pi)
 				} else {
 					g.w("    esp_val p%d = 0;", pi)
 				}
-				args = append(args, fmt.Sprintf("&p%d", pi))
 			}
-			g.w("    %s%s(%s);", ch.IfaceName, c.Name, strings.Join(args, ", "))
+			g.b = emit.Appendf(g.b, "    %s%s(", ch.IfaceName, c.Name)
+			for pi := range c.ParamTypes {
+				if pi > 0 {
+					g.str(", ")
+				}
+				g.str("&p")
+				g.int(pi)
+			}
+			g.str(");\n")
 			tmp := 0
-			expr := g.buildExpr(c.Pat, ch.Elem, &tmp)
-			g.w("    return %s;", expr)
+			v := g.buildExpr(c.Pat, ch.Elem, &tmp)
+			g.str("    return ")
+			g.value(v)
+			g.str(";\n")
 			g.w("}")
 		}
 	}
 	g.w("")
 }
 
+// builtValue is the C expression of a value buildExpr built: a
+// parameter p<n>, a temporary b<n>, or (kind 0) the constant n.
+type builtValue struct {
+	kind byte
+	n    int64
+}
+
+func (g *cgen) value(v builtValue) {
+	if v.kind != 0 {
+		g.b = append(g.b, v.kind)
+	}
+	g.b = strconv.AppendInt(g.b, v.n, 10)
+}
+
 // buildExpr emits statements allocating the wrappers of an interface-case
 // pattern and returns the C expression of the built value. Fresh children
 // are absorbed (no link): the external code hands over its allocation
 // reference, exactly like an ESP literal.
-func (g *cgen) buildExpr(p *ir.Pat, t *types.Type, tmp *int) string {
+func (g *cgen) buildExpr(p *ir.Pat, t *types.Type, tmp *int) builtValue {
 	switch p.Kind {
 	case ir.PatBind:
-		return fmt.Sprintf("p%d", p.Slot)
+		return builtValue{'p', int64(p.Slot)}
 	case ir.PatConst:
-		return fmt.Sprintf("%d", p.Val)
-	case ir.PatAny:
-		return "0"
+		return builtValue{0, p.Val}
 	case ir.PatRecord:
-		name := fmt.Sprintf("b%d", *tmp)
+		name := *tmp
 		*tmp++
-		g.w("    esp_val %s = esp_alloc(%d, 0, %d);", name, t.ID(), len(p.Elems))
+		g.w("    esp_val b%d = esp_alloc(%d, 0, %d);", name, t.ID(), len(p.Elems))
 		for i, sub := range p.Elems {
 			e := g.buildExpr(sub, t.Fields[i].Type, tmp)
-			g.w("    esp_heap[%s].elems[%d] = %s;", name, i, e)
+			g.b = emit.Appendf(g.b, "    esp_heap[b%d].elems[%d] = ", name, i)
+			g.value(e)
+			g.str(";\n")
 		}
-		return name
+		return builtValue{'b', int64(name)}
 	case ir.PatUnion:
-		name := fmt.Sprintf("b%d", *tmp)
+		name := *tmp
 		*tmp++
 		inner := g.buildExpr(p.Elems[0], t.Fields[p.Tag].Type, tmp)
-		g.w("    esp_val %s = esp_alloc(%d, %d, 1);", name, t.ID(), p.Tag)
-		g.w("    esp_heap[%s].elems[0] = %s;", name, inner)
-		return name
+		g.w("    esp_val b%d = esp_alloc(%d, %d, 1);", name, t.ID(), p.Tag)
+		g.b = emit.Appendf(g.b, "    esp_heap[b%d].elems[0] = ", name)
+		g.value(inner)
+		g.str(";\n")
+		return builtValue{'b', int64(name)}
 	}
-	return "0"
+	return builtValue{}
 }
 
 // emitExtPut generates, for every external-reader channel, the function
@@ -90,13 +114,12 @@ func (g *cgen) emitExtPut() {
 			g.w("    esp_ext_%s_put(v);", ch.Name)
 		} else {
 			g.w("    if (!%sIsReady()) return 0;", ch.IfaceName)
-			for ci, c := range ch.Cases {
-				match := g.cPatMatch(c.Pat, "v", &ir.Proc{ID: -1})
-				var paths []string
-				collectParamPaths(c.Pat, "v", &paths)
-				g.w("    if (%s) { %s%s(%s); goto done; }",
-					match, ch.IfaceName, c.Name, strings.Join(paths, ", "))
-				_ = ci
+			for _, c := range ch.Cases {
+				g.str("    if (")
+				g.patMatch(c.Pat, "v", -1)
+				g.b = emit.Appendf(g.b, ") { %s%s(", ch.IfaceName, c.Name)
+				g.paramPaths(c.Pat, "v", true)
+				g.str("); goto done; }\n")
 			}
 			g.w("    esp_fail(\"value on channel %s matches no interface case\");", ch.Name)
 			g.w("done:;")
@@ -108,22 +131,29 @@ func (g *cgen) emitExtPut() {
 	g.w("")
 }
 
-// collectParamPaths walks an interface pattern and records the C access
-// path of every bound parameter, in parameter order.
-func collectParamPaths(p *ir.Pat, path string, out *[]string) {
+// paramPaths appends the C access path below root of every parameter an
+// interface pattern binds, comma-separated. The compiler numbers the
+// parameters in pattern order, so the walk meets them in slot order.
+func (g *cgen) paramPaths(p *ir.Pat, root string, first bool) bool {
 	switch p.Kind {
 	case ir.PatBind:
-		for len(*out) <= p.Slot {
-			*out = append(*out, "0")
+		if !first {
+			g.str(", ")
 		}
-		(*out)[p.Slot] = path
+		g.accessPath(root)
+		return false
 	case ir.PatRecord:
 		for i, sub := range p.Elems {
-			collectParamPaths(sub, fmt.Sprintf("esp_deref(%s)->elems[%d]", path, i), out)
+			g.path = append(g.path, i)
+			first = g.paramPaths(sub, root, first)
+			g.path = g.path[:len(g.path)-1]
 		}
 	case ir.PatUnion:
-		collectParamPaths(p.Elems[0], fmt.Sprintf("esp_deref(%s)->elems[0]", path), out)
+		g.path = append(g.path, 0)
+		first = g.paramPaths(p.Elems[0], root, first)
+		g.path = g.path[:len(g.path)-1]
 	}
+	return first
 }
 
 // emitPoll generates the idle-loop polling function (§6.1: "the generated
@@ -224,19 +254,20 @@ func (g *cgen) emitPoll() {
 	g.w("")
 }
 
-// armedMask returns the C expression of the wait bit-mask for an alt's
+// armedMask appends the C expression of the wait bit-mask for an alt's
 // statically known arms (guards folded in at run time).
-func armedMaskExpr(alt *ir.AltDef, pid int) string {
-	var parts []string
+func (g *cgen) armedMask(alt *ir.AltDef, pid int) {
 	for ai := range alt.Arms {
 		arm := &alt.Arms[ai]
-		bit := fmt.Sprintf("(1ull << %d)", arm.Chan)
-		if arm.GuardSlot >= 0 {
-			bit = fmt.Sprintf("(P%d.loc[%d] ? (1ull << %d) : 0u)", pid, arm.GuardSlot, arm.Chan)
+		if ai > 0 {
+			g.str(" | ")
 		}
-		parts = append(parts, bit)
+		if arm.GuardSlot >= 0 {
+			g.b = emit.Appendf(g.b, "(P%d.loc[%d] ? (1ull << %d) : 0u)", pid, arm.GuardSlot, arm.Chan)
+		} else {
+			g.b = emit.Appendf(g.b, "(1ull << %d)", arm.Chan)
+		}
 	}
-	return strings.Join(parts, " | ")
 }
 
 // mainLoop emits esp_run: the one big function of §6.1.
@@ -300,57 +331,62 @@ func (g *cgen) emitProcCode(p *ir.Proc) {
 			g.w("#line %d %q", in.Pos.Line, g.prog.File)
 			lastLine = in.Pos.Line
 		}
-		g.w("P%d_I%d: /* %s */", p.ID, pc, ir.FormatInstr(p, in))
+		g.b = emit.Appendf(g.b, "P%d_I%d: /* ", p.ID, pc)
+		g.b = ir.AppendInstr(g.b, p, in)
+		g.str(" */\n")
 		g.instr(p, pc, in)
 	}
 	g.w("")
 }
 
+// cBinOp is the C operator of each binary IR opcode except Div and Mod.
+var cBinOp = [...]string{ir.Add: "+", ir.Sub: "-", ir.Mul: "*",
+	ir.Eq: "==", ir.Ne: "!=", ir.Lt: "<", ir.Le: "<=", ir.Gt: ">", ir.Ge: ">="}
+
+// instr appends the C of one instruction. P<id>.st[sp-1] is the top of
+// the operand stack, and "goto P<id>_I<pc+1>;" falls through to the next
+// instruction.
 func (g *cgen) instr(p *ir.Proc, pc int, in ir.Instr) {
-	id := p.ID
-	st := func(off int) string { return fmt.Sprintf("P%d.st[sp%+d]", id, off) }
-	next := fmt.Sprintf("goto P%d_I%d;", id, pc+1)
+	id, next := p.ID, pc+1
 
 	switch in.Op {
 	case ir.Nop:
-		g.w("    %s", next)
+		g.w("    goto P%d_I%d;", id, next)
 	case ir.Const:
-		g.w("    P%d.st[sp++] = %d; %s", id, in.Val, next)
+		g.w("    P%d.st[sp++] = %d; goto P%d_I%d;", id, in.Val, id, next)
 	case ir.SelfID:
-		g.w("    P%d.st[sp++] = %d; %s", id, id, next)
+		g.w("    P%d.st[sp++] = %d; goto P%d_I%d;", id, id, id, next)
 	case ir.LoadLocal:
-		g.w("    P%d.st[sp++] = P%d.loc[%d]; %s", id, id, in.A, next)
+		g.w("    P%d.st[sp++] = P%d.loc[%d]; goto P%d_I%d;", id, id, in.A, id, next)
 	case ir.StoreLocal:
-		g.w("    P%d.loc[%d] = P%d.st[--sp]; %s", id, in.A, id, next)
+		g.w("    P%d.loc[%d] = P%d.st[--sp]; goto P%d_I%d;", id, in.A, id, id, next)
 	case ir.Dup:
-		g.w("    P%d.st[sp] = P%d.st[sp-1]; sp++; %s", id, id, next)
+		g.w("    P%d.st[sp] = P%d.st[sp-1]; sp++; goto P%d_I%d;", id, id, id, next)
 	case ir.Pop:
-		g.w("    sp--; %s", next)
+		g.w("    sp--; goto P%d_I%d;", id, next)
 
 	case ir.Neg:
-		g.w("    %s = -%s; %s", st(-1), st(-1), next)
+		g.w("    P%d.st[sp-1] = -P%d.st[sp-1]; goto P%d_I%d;", id, id, id, next)
 	case ir.Not:
-		g.w("    %s = !%s; %s", st(-1), st(-1), next)
+		g.w("    P%d.st[sp-1] = !P%d.st[sp-1]; goto P%d_I%d;", id, id, id, next)
 	case ir.Add, ir.Sub, ir.Mul, ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
-		op := map[ir.Op]string{ir.Add: "+", ir.Sub: "-", ir.Mul: "*",
-			ir.Eq: "==", ir.Ne: "!=", ir.Lt: "<", ir.Le: "<=", ir.Gt: ">", ir.Ge: ">="}[in.Op]
-		g.w("    sp--; %s = %s %s %s; %s", st(-1), st(-1), op, st(0), next)
+		g.w("    sp--; P%d.st[sp-1] = P%d.st[sp-1] %s P%d.st[sp+0]; goto P%d_I%d;", id, id, cBinOp[in.Op], id, id, next)
 	case ir.Div, ir.Mod:
 		op := "/"
 		if in.Op == ir.Mod {
 			op = "%"
 		}
-		g.w("    if (%s == 0) esp_fail(\"division by zero\");", st(-1))
-		g.w("    sp--; %s = %s %s %s; %s", st(-1), st(-1), op, st(0), next)
+		g.w("    if (P%d.st[sp-1] == 0) esp_fail(\"division by zero\");", id)
+		g.w("    sp--; P%d.st[sp-1] = P%d.st[sp-1] %s P%d.st[sp+0]; goto P%d_I%d;", id, id, op, id, id, next)
 
 	case ir.Jump:
 		g.w("    goto P%d_I%d;", id, in.A)
 	case ir.JumpIfFalse:
 		g.w("    if (!P%d.st[--sp]) goto P%d_I%d;", id, id, in.A)
-		g.w("    %s", next)
+		g.w("    goto P%d_I%d;", id, next)
 	case ir.JumpIfTrue:
 		g.w("    if (P%d.st[--sp]) goto P%d_I%d;", id, id, in.A)
-		g.w("    %s", next)
+		g.w("    goto P%d_I%d;", id, next)
 
 	case ir.NewRecord:
 		t := g.prog.Universe.ByID(in.A)
@@ -361,7 +397,7 @@ func (g *cgen) instr(p *ir.Proc, pc int, in ir.Instr) {
 				g.w("      if (esp_heap[h].elems[%d]) esp_link(esp_heap[h].elems[%d]); /* borrowed child */", i, i)
 			}
 		}
-		g.w("      P%d.st[sp++] = h; } %s", id, next)
+		g.w("      P%d.st[sp++] = h; } goto P%d_I%d;", id, id, next)
 	case ir.NewUnion:
 		t := g.prog.Universe.ByID(in.A)
 		g.w("    { esp_val h = esp_alloc(%d, %d, 1);", in.A, in.B)
@@ -369,63 +405,70 @@ func (g *cgen) instr(p *ir.Proc, pc int, in ir.Instr) {
 		if t.Fields[in.B].Type.IsRef() && in.Val&1 == 0 {
 			g.w("      if (esp_heap[h].elems[0]) esp_link(esp_heap[h].elems[0]);")
 		}
-		g.w("      P%d.st[sp++] = h; } %s", id, next)
+		g.w("      P%d.st[sp++] = h; } goto P%d_I%d;", id, id, next)
 	case ir.NewArray:
 		g.w("    { esp_val init = P%d.st[--sp]; int n = P%d.st[--sp]; int i;", id, id)
 		g.w("      esp_val h = esp_alloc(%d, 0, n);", in.A)
 		g.w("      for (i = 0; i < n; i++) esp_heap[h].elems[i] = init;")
-		g.w("      P%d.st[sp++] = h; } %s", id, next)
+		g.w("      P%d.st[sp++] = h; } goto P%d_I%d;", id, id, next)
 
 	case ir.GetField:
-		g.w("    %s = esp_deref(%s)->elems[%d]; %s", st(-1), st(-1), in.A, next)
+		g.w("    P%d.st[sp-1] = esp_deref(P%d.st[sp-1])->elems[%d]; goto P%d_I%d;", id, id, in.A, id, next)
 	case ir.SetField:
 		g.w("    { esp_val v = P%d.st[--sp]; esp_obj_t *o = esp_deref(P%d.st[--sp]);", id, id)
 		g.w("      esp_val old = o->elems[%d]; o->elems[%d] = v;", in.A, in.A)
 		g.w("      if (esp_ref_mask[o->type] & (1ull << %d)) {", in.A)
 		g.w("          if (v) esp_link(v);")
 		g.w("          if (old) esp_unlink(old);")
-		g.w("      } } %s", next)
+		g.w("      } } goto P%d_I%d;", id, next)
 	case ir.GetIndex:
-		g.w("    { int i = P%d.st[--sp]; esp_obj_t *o = esp_deref(%s);", id, st(-1))
+		g.w("    { int i = P%d.st[--sp]; esp_obj_t *o = esp_deref(P%d.st[sp-1]);", id, id)
 		g.w("      if (i < 0 || i >= o->n) esp_fail(\"array index out of bounds\");")
-		g.w("      %s = o->elems[i]; } %s", st(-1), next)
+		g.w("      P%d.st[sp-1] = o->elems[i]; } goto P%d_I%d;", id, id, next)
 	case ir.SetIndex:
 		g.w("    { esp_val v = P%d.st[--sp]; int i = P%d.st[--sp]; esp_obj_t *o = esp_deref(P%d.st[--sp]);", id, id, id)
 		g.w("      if (i < 0 || i >= o->n) esp_fail(\"array index out of bounds\");")
-		g.w("      o->elems[i] = v; } %s", next)
+		g.w("      o->elems[i] = v; } goto P%d_I%d;", id, next)
 	case ir.UnionGet:
-		g.w("    { esp_obj_t *o = esp_deref(%s);", st(-1))
+		g.w("    { esp_obj_t *o = esp_deref(P%d.st[sp-1]);", id)
 		g.w("      if (o->tag != %d) esp_fail(\"union tag mismatch\");", in.A)
-		g.w("      %s = o->elems[0]; } %s", st(-1), next)
+		g.w("      P%d.st[sp-1] = o->elems[0]; } goto P%d_I%d;", id, id, next)
 
 	case ir.Link:
-		g.w("    esp_link(P%d.st[--sp]); %s", id, next)
+		g.w("    esp_link(P%d.st[--sp]); goto P%d_I%d;", id, id, next)
 	case ir.Unlink:
-		g.w("    esp_unlink(P%d.st[--sp]); %s", id, next)
+		g.w("    esp_unlink(P%d.st[--sp]); goto P%d_I%d;", id, id, next)
 	case ir.CastCopy:
-		g.w("    { esp_obj_t *o = esp_deref(%s); int i;", st(-1))
+		g.w("    { esp_obj_t *o = esp_deref(P%d.st[sp-1]); int i;", id)
 		g.w("      esp_val h = esp_alloc(%d, o->tag, o->n);", in.A)
 		g.w("      for (i = 0; i < o->n; i++) {")
 		g.w("          esp_heap[h].elems[i] = o->elems[i];")
 		g.w("          if ((esp_ref_mask[%d] & (1ull << i)) && o->elems[i]) esp_link(o->elems[i]);", in.A)
 		g.w("      }")
-		g.w("      %s = h; } %s", st(-1), next)
+		g.w("      P%d.st[sp-1] = h; } goto P%d_I%d;", id, id, next)
 	case ir.CastReuse:
-		g.w("    esp_deref(%s)->type = %d; %s", st(-1), in.A, next)
+		g.w("    esp_deref(P%d.st[sp-1])->type = %d; goto P%d_I%d;", id, in.A, id, next)
 
 	case ir.Assert:
 		info := g.prog.Asserts[in.A]
-		g.w("    if (!P%d.st[--sp]) esp_fail(\"assert(%s) failed at %s\"); %s",
-			id, cstr(info.Expr), info.Pos, next)
+		g.b = emit.Appendf(g.b, "    if (!P%d.st[--sp]) esp_fail(\"assert(", id)
+		g.cstr(info.Expr)
+		g.str(") failed at ")
+		if info.Pos.IsValid() {
+			g.b = emit.Appendf(g.b, "%d:%d", info.Pos.Line, info.Pos.Column)
+		} else {
+			g.str("-")
+		}
+		g.w("\"); goto P%d_I%d;", id, next)
 	case ir.Halt:
 		g.w("    P%d.status = ESP_HALTED; goto esp_sched;", id)
 
 	case ir.Send, ir.SendCommit:
 		g.w("    P%d.pending = P%d.st[--sp]; P%d.pflags = %d;", id, id, id, in.B)
-		g.w("    P%d.wait_chan = %d; P%d.resume_pc = %d;", id, in.A, id, pc+1)
-		g.w("    if (esp_try_send(%d)) goto P%d_I%d;", id, id, pc+1)
+		g.w("    P%d.wait_chan = %d; P%d.resume_pc = %d;", id, in.A, id, next)
+		g.w("    if (esp_try_send(%d)) goto P%d_I%d;", id, id, next)
 		if g.prog.Channels[in.A].Ext == ir.ExtReader {
-			g.w("    if (esp_extput_%s(%d)) goto P%d_I%d;", g.prog.Channels[in.A].Name, id, id, pc+1)
+			g.w("    if (esp_extput_%s(%d)) goto P%d_I%d;", g.prog.Channels[in.A].Name, id, id, next)
 		}
 		if in.Op == ir.SendCommit {
 			g.w("    esp_fail(\"committed send on %s matches no receiver\");", g.prog.Channels[in.A].Name)
@@ -435,8 +478,8 @@ func (g *cgen) instr(p *ir.Proc, pc int, in ir.Instr) {
 			g.w("    goto esp_sched;")
 		}
 	case ir.Recv:
-		g.w("    P%d.wait_chan = %d; P%d.wait_port = %d; P%d.resume_pc = %d;", id, in.A, id, in.B, id, pc+1)
-		g.w("    if (esp_try_recv(%d) == 1) goto P%d_I%d;", id, id, pc+1)
+		g.w("    P%d.wait_chan = %d; P%d.wait_port = %d; P%d.resume_pc = %d;", id, in.A, id, in.B, id, next)
+		g.w("    if (esp_try_recv(%d) == 1) goto P%d_I%d;", id, id, next)
 		g.w("    P%d.status = ESP_BLOCKED_RECV; P%d.pc = %d;", id, id, pc)
 		g.w("    esp_waitmask[%d] = 1ull << %d;", id, in.A)
 		g.w("    goto esp_sched;")
@@ -445,23 +488,23 @@ func (g *cgen) instr(p *ir.Proc, pc int, in ir.Instr) {
 		g.w("    P%d.alt_idx = %d;", id, in.A)
 		for ai := range alt.Arms {
 			arm := &alt.Arms[ai]
-			guard := ""
+			g.str("    ")
 			if arm.GuardSlot >= 0 {
-				guard = fmt.Sprintf("if (P%d.loc[%d]) ", id, arm.GuardSlot)
+				g.b = emit.Appendf(g.b, "if (P%d.loc[%d]) ", id, arm.GuardSlot)
 			}
 			if arm.IsSend {
-				cond := fmt.Sprintf("esp_alt_send_ready(%d, &esp_arms_P%d_%d[%d])", id, id, in.A, ai)
+				g.b = emit.Appendf(g.b, "{ if (esp_alt_send_ready(%d, &esp_arms_P%d_%d[%d])", id, id, in.A, ai)
 				ch := g.prog.Channels[arm.Chan]
 				if ch.Ext == ir.ExtReader {
 					if len(ch.Cases) > 0 {
-						cond += fmt.Sprintf(" || %sIsReady()", ch.IfaceName)
+						g.b = emit.Appendf(g.b, " || %sIsReady()", ch.IfaceName)
 					} else {
-						cond += fmt.Sprintf(" || esp_ext_%s_accept()", ch.Name)
+						g.b = emit.Appendf(g.b, " || esp_ext_%s_accept()", ch.Name)
 					}
 				}
-				g.w("    %s{ if (%s) { P%d.pc = %d; goto P%d_resume; } }", guard, cond, id, arm.EvalPC, id)
+				g.w(") { P%d.pc = %d; goto P%d_resume; } }", id, arm.EvalPC, id)
 			} else {
-				g.w("    %s{", guard)
+				g.w("{")
 				g.w("        P%d.wait_chan = %d; P%d.wait_port = %d; P%d.resume_pc = %d;",
 					id, arm.Chan, id, arm.Port, id, arm.BodyPC)
 				g.w("        int tr = esp_try_recv(%d);", id)
@@ -475,17 +518,23 @@ func (g *cgen) instr(p *ir.Proc, pc int, in ir.Instr) {
 			}
 		}
 		g.w("    P%d.status = ESP_BLOCKED_ALT; P%d.pc = %d;", id, id, pc)
-		g.w("    esp_waitmask[%d] = %s;", id, armedMaskExpr(alt, id))
+		g.b = emit.Appendf(g.b, "    esp_waitmask[%d] = ", id)
+		g.armedMask(alt, id)
+		g.str(";\n")
 		g.w("    goto esp_sched;")
 	default:
 		g.w("    esp_fail(\"bad opcode\");")
 	}
 }
 
-func cstr(s string) string {
-	s = strings.ReplaceAll(s, "\\", "\\\\")
-	s = strings.ReplaceAll(s, "\"", "\\\"")
-	return s
+// cstr appends s escaped for a C string literal.
+func (g *cgen) cstr(s string) {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' || s[i] == '"' {
+			g.b = append(g.b, '\\')
+		}
+		g.b = append(g.b, s[i])
+	}
 }
 
 func (g *cgen) mainStub() {

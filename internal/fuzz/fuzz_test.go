@@ -1,10 +1,13 @@
 package fuzz
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	esplang "esplang"
+	"esplang/internal/obs"
 )
 
 // TestGenerateDeterministic: the same seed must produce the same
@@ -187,5 +190,41 @@ func TestFaultMsgOnly(t *testing.T) {
 	}
 	if got := faultMsgOnly("fault: none"); got != "fault: none" {
 		t.Errorf("faultMsgOnly mangled a clean line: %q", got)
+	}
+}
+
+// TestEventSumMatchesFprintln holds the trace digest to the bytes
+// fmt.Fprintln writes for each event, so digests stay comparable across
+// versions: recorded streams of generated programs plus hand-made events
+// at the edges (negative ids, an unknown kind, a message with tabs).
+func TestEventSumMatchesFprintln(t *testing.T) {
+	reference := func(evs []obs.Event) string {
+		h := fnv.New64a()
+		for _, e := range evs {
+			fmt.Fprintln(h, e)
+		}
+		return fmt.Sprintf("%d events, fnv %x", len(evs), h.Sum64())
+	}
+	streams := [][]obs.Event{nil, {
+		{Seq: 1<<64 - 1, Ts: -5, Kind: obs.EvFault, Proc: -1, Arg: -1 << 40, Name: "assert failed:\tx == 1"},
+		{Seq: 0, Ts: 1 << 62, Kind: obs.NumEventKinds, Proc: 7, Arg: 0, Name: ""},
+	}}
+	for seed := int64(1); seed <= 20; seed++ {
+		g := Generate(seed)
+		prog, err := esplang.Compile(g.Source, esplang.CompileOptions{Name: g.Name(), File: g.Name() + ".esp"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, runVM(prog, esplang.EngineBaseline, Options{}.withDefaults()).events)
+	}
+	total := 0
+	for i, evs := range streams {
+		total += len(evs)
+		if got, want := eventSum(evs), reference(evs); got != want {
+			t.Errorf("stream %d: eventSum = %q, fmt.Fprintln digest = %q", i, got, want)
+		}
+	}
+	if total < 100 {
+		t.Errorf("only %d events recorded; the generated programs no longer exercise the digest", total)
 	}
 }

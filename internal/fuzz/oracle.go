@@ -630,10 +630,13 @@ func runVM(prog *esplang.Program, engine esplang.Engine, opts Options) vmRun {
 
 // eventSum hashes an event stream for the strict engine comparison: the
 // full timeline is covered without keeping every byte in the report.
+// Each event is hashed as its String rendering and a newline.
 func eventSum(evs []obs.Event) string {
 	h := fnv.New64a()
+	var line []byte
 	for _, e := range evs {
-		fmt.Fprintln(h, e)
+		line = append(e.Append(line[:0]), '\n')
+		h.Write(line)
 	}
 	return fmt.Sprintf("%d events, fnv %x", len(evs), h.Sum64())
 }

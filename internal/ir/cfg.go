@@ -59,7 +59,8 @@ func Leaders(p *Proc, resume bool) []bool {
 			lead[pc] = true
 		}
 	}
-	for _, pc := range Roots(p, nil) {
+	var roots [8]int
+	for _, pc := range Roots(p, roots[:0]) {
 		mark(pc)
 	}
 	for pc, in := range p.Code {
@@ -82,23 +83,26 @@ func Leaders(p *Proc, resume bool) []bool {
 func Reachable(p *Proc) []bool {
 	n := len(p.Code)
 	reach := make([]bool, n)
-	var work []int
-	push := func(pc int) {
+	// The work stack starts as the roots, deduplicated in order.
+	work := Roots(p, make([]int, 0, n+1))
+	k := 0
+	for _, pc := range work {
 		if pc >= 0 && pc < n && !reach[pc] {
 			reach[pc] = true
-			work = append(work, pc)
+			work[k] = pc
+			k++
 		}
 	}
-	for _, pc := range Roots(p, nil) {
-		push(pc)
-	}
-	var succs []int
+	work = work[:k]
+	var succs [2]int
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		succs = Succs(p, pc, succs[:0])
-		for _, s := range succs {
-			push(s)
+		for _, s := range Succs(p, pc, succs[:0]) {
+			if s >= 0 && s < n && !reach[s] {
+				reach[s] = true
+				work = append(work, s)
+			}
 		}
 	}
 	return reach
@@ -121,27 +125,22 @@ func StackDepths(p *Proc) ([]int, error) {
 	bad := func(pc int, format string, args ...any) error {
 		return &VerifyError{Proc: p.Name, PC: pc, Msg: fmt.Sprintf(format, args...)}
 	}
-	var work []int
-	visit := func(pc, d int) error {
+	// The work stack starts as the roots, each entered at depth 0 and
+	// kept at its first occurrence; every pc is pushed at most once.
+	work := Roots(p, make([]int, 0, n+1))
+	k := 0
+	for _, pc := range work {
 		if pc < 0 || pc >= n {
-			return bad(pc, "control flows past the end of code")
+			return depth, bad(pc, "control flows past the end of code")
 		}
 		if depth[pc] == -1 {
-			depth[pc] = d
-			work = append(work, pc)
-			return nil
-		}
-		if depth[pc] != d {
-			return bad(pc, "inconsistent stack depth: entered at %d and %d", depth[pc], d)
-		}
-		return nil
-	}
-	for _, pc := range Roots(p, nil) {
-		if err := visit(pc, 0); err != nil {
-			return depth, err
+			depth[pc] = 0
+			work[k] = pc
+			k++
 		}
 	}
-	var succs []int
+	work = work[:k]
+	var succs [2]int
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -154,10 +153,15 @@ func StackDepths(p *Proc) ([]int, error) {
 		if after > p.MaxStack {
 			return depth, bad(pc, "stack overflow: depth %d exceeds MaxStack %d", after, p.MaxStack)
 		}
-		succs = Succs(p, pc, succs[:0])
-		for _, s := range succs {
-			if err := visit(s, after); err != nil {
-				return depth, err
+		for _, s := range Succs(p, pc, succs[:0]) {
+			switch {
+			case s < 0 || s >= n:
+				return depth, bad(s, "control flows past the end of code")
+			case depth[s] == -1:
+				depth[s] = after
+				work = append(work, s)
+			case depth[s] != after:
+				return depth, bad(s, "inconsistent stack depth: entered at %d and %d", depth[s], after)
 			}
 		}
 	}

@@ -1,77 +1,99 @@
 package ir
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
+
+	"esplang/internal/emit"
 )
 
 // Disasm renders a process's code as human-readable assembly, one
 // instruction per line, prefixed by the pc.
 func Disasm(p *Proc) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "process %s (locals=%d, maxstack=%d)\n", p.Name, p.NumLocals, p.MaxStack)
+	b := make([]byte, 0, 64+32*len(p.Code)+64*(len(p.Alts)+len(p.Ports)))
+	b = emit.Appendf(b, "process %s (locals=%d, maxstack=%d)\n", p.Name, p.NumLocals, p.MaxStack)
 	for pc, in := range p.Code {
-		fmt.Fprintf(&b, "%4d  %s\n", pc, FormatInstr(p, in))
+		b = emit.Appendf(b, "%4d  ", pc)
+		b = AppendInstr(b, p, in)
+		b = append(b, '\n')
 	}
 	for i, a := range p.Alts {
-		fmt.Fprintf(&b, "alt %d:\n", i)
+		b = emit.Appendf(b, "alt %d:\n", i)
 		for j, arm := range a.Arms {
 			dir := "recv"
 			if arm.IsSend {
 				dir = "send"
 			}
-			fmt.Fprintf(&b, "  arm %d: %s chan=%d guard=%d body=%d eval=%d port=%d\n",
+			b = emit.Appendf(b, "  arm %d: %s chan=%d guard=%d body=%d eval=%d port=%d\n",
 				j, dir, arm.Chan, arm.GuardSlot, arm.BodyPC, arm.EvalPC, arm.Port)
 		}
 	}
 	for i, pt := range p.Ports {
-		fmt.Fprintf(&b, "port %d: chan=%d pat=%s\n", i, pt.Chan, FormatPat(pt.Pat))
+		b = emit.Appendf(b, "port %d: chan=%d pat=", i, pt.Chan)
+		b = appendPat(b, pt.Pat)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return emit.String(b)
 }
 
 // FormatInstr renders one instruction.
 func FormatInstr(p *Proc, in Instr) string {
-	name := func(slot int) string {
-		if p != nil && slot >= 0 && slot < len(p.LocalName) && p.LocalName[slot] != "" {
-			return fmt.Sprintf("%d(%s)", slot, p.LocalName[slot])
-		}
-		return fmt.Sprintf("%d", slot)
+	var buf [64]byte
+	return string(AppendInstr(buf[:0], p, in))
+}
+
+// appendSlot appends a local slot, with its source name when it has one.
+func appendSlot(b []byte, p *Proc, slot int) []byte {
+	b = strconv.AppendInt(b, int64(slot), 10)
+	if p != nil && slot >= 0 && slot < len(p.LocalName) && p.LocalName[slot] != "" {
+		b = append(b, '(')
+		b = append(b, p.LocalName[slot]...)
+		b = append(b, ')')
 	}
+	return b
+}
+
+// AppendInstr appends the rendering of one instruction to b, as
+// FormatInstr returns it.
+func AppendInstr(b []byte, p *Proc, in Instr) []byte {
 	switch in.Op {
 	case Const:
-		return fmt.Sprintf("const %d", in.Val)
+		return emit.Appendf(b, "const %d", in.Val)
 	case LoadLocal, StoreLocal:
-		return fmt.Sprintf("%s %s", in.Op, name(in.A))
+		b = append(append(b, in.Op.String()...), ' ')
+		return appendSlot(b, p, in.A)
 	case Jump, JumpIfFalse, JumpIfTrue:
-		return fmt.Sprintf("%s -> %d", in.Op, in.A)
+		return emit.Appendf(b, "%s -> %d", in.Op.String(), in.A)
 	case NewRecord:
-		return fmt.Sprintf("newrecord type=%d n=%d absorb=%b", in.A, in.B, in.Val)
+		return emit.Appendf(b, "newrecord type=%d n=%d absorb=%b", in.A, in.B, in.Val)
 	case NewUnion:
-		return fmt.Sprintf("newunion type=%d tag=%d absorb=%b", in.A, in.B, in.Val)
+		return emit.Appendf(b, "newunion type=%d tag=%d absorb=%b", in.A, in.B, in.Val)
 	case NewArray:
-		return fmt.Sprintf("newarray type=%d", in.A)
+		return emit.Appendf(b, "newarray type=%d", in.A)
 	case GetField, SetField:
-		return fmt.Sprintf("%s %d", in.Op, in.A)
+		return emit.Appendf(b, "%s %d", in.Op.String(), in.A)
 	case UnionGet:
-		return fmt.Sprintf("unionget tag=%d", in.A)
+		return emit.Appendf(b, "unionget tag=%d", in.A)
 	case CastCopy, CastReuse:
-		return fmt.Sprintf("%s type=%d", in.Op, in.A)
+		return emit.Appendf(b, "%s type=%d", in.Op.String(), in.A)
 	case Assert:
-		return fmt.Sprintf("assert #%d", in.A)
+		return emit.Appendf(b, "assert #%d", in.A)
 	case Send, SendCommit:
-		s := fmt.Sprintf("%s chan=%d", in.Op, in.A)
-		if in.B&FlagFreeAfter != 0 {
-			s += " freeafter"
-		}
-		return s
+		b = emit.Appendf(b, "%s chan=%d", in.Op.String(), in.A)
+		return appendFreeAfter(b, in.B&FlagFreeAfter != 0)
 	case Recv:
-		return fmt.Sprintf("recv chan=%d port=%d", in.A, in.B)
+		return emit.Appendf(b, "recv chan=%d port=%d", in.A, in.B)
 	case Alt:
-		return fmt.Sprintf("alt #%d", in.A)
+		return emit.Appendf(b, "alt #%d", in.A)
 	default:
-		return in.Op.String()
+		return append(b, in.Op.String()...)
 	}
+}
+
+func appendFreeAfter(b []byte, freeAfter bool) []byte {
+	if freeAfter {
+		b = append(b, " freeafter"...)
+	}
+	return b
 }
 
 // DisasmFused renders a process's fused translation as human-readable
@@ -79,164 +101,164 @@ func FormatInstr(p *Proc, in Instr) string {
 // and the base-pc range it covers. It is the fused-engine counterpart of
 // Disasm, so -dump-ir stays usable after fusion.
 func DisasmFused(p *Proc, fp *FusedProc) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "process %s (fused: %d instrs over %d base)\n", p.Name, len(fp.Code), len(p.Code))
+	b := make([]byte, 0, 64+40*len(fp.Code)+8*len(fp.Map))
+	b = emit.Appendf(b, "process %s (fused: %d instrs over %d base)\n", p.Name, len(fp.Code), len(p.Code))
 	for i, in := range fp.Code {
-		fmt.Fprintf(&b, "%4d  [%d", i, in.Base)
+		b = emit.Appendf(b, "%4d  [%d", i, in.Base)
 		if in.N > 1 {
-			fmt.Fprintf(&b, "-%d", int(in.Base)+int(in.N)-1)
+			b = emit.Appendf(b, "-%d", int(in.Base)+int(in.N)-1)
 		}
-		fmt.Fprintf(&b, "]\t%s\n", FormatFInstr(p, in))
+		b = append(b, "]\t"...)
+		b = AppendFInstr(b, p, in)
+		b = append(b, '\n')
 	}
 	// The base-pc -> fused-index side table, in ascending base-pc order
 	// (Map is indexed by pc, so iteration order is deterministic and
 	// goldens cannot churn). Interior pcs (-1) are omitted.
-	b.WriteString("map:")
+	b = append(b, "map:"...)
 	for pc, idx := range fp.Map {
 		if idx >= 0 {
-			fmt.Fprintf(&b, " %d->%d", pc, idx)
+			b = emit.Appendf(b, " %d->%d", pc, idx)
 		}
 	}
-	b.WriteString("\n")
-	return b.String()
+	b = append(b, '\n')
+	return emit.String(b)
 }
 
 // FormatFInstr renders one fused instruction.
 func FormatFInstr(p *Proc, in FInstr) string {
-	name := func(slot int32) string {
-		if p != nil && slot >= 0 && int(slot) < len(p.LocalName) && p.LocalName[slot] != "" {
-			return fmt.Sprintf("%d(%s)", slot, p.LocalName[slot])
+	var buf [64]byte
+	return string(AppendFInstr(buf[:0], p, in))
+}
+
+// AppendFInstr appends the rendering of one fused instruction to b, as
+// FormatFInstr returns it.
+func AppendFInstr(b []byte, p *Proc, in FInstr) []byte {
+	slot := func(b []byte, s int32) []byte { return appendSlot(b, p, int(s)) }
+	typeName := "?"
+	if in.Type != nil {
+		switch in.Op {
+		case FNewRecord, FNewUnion, FNewArray, FCastCopy, FCastReuse, FXferRec:
+			typeName = in.Type.String()
 		}
-		return fmt.Sprintf("%d", slot)
 	}
-	typeName := func() string {
-		if in.Type != nil {
-			return in.Type.String()
-		}
-		return "?"
-	}
-	sense := func() string {
-		if in.Sense {
-			return "true"
-		}
-		return "false"
-	}
+	sub := in.Sub.String()
 	switch in.Op {
 	case FConst:
-		return fmt.Sprintf("fconst %d", in.Val)
+		return emit.Appendf(b, "fconst %d", in.Val)
 	case FLoad, FStore:
-		return fmt.Sprintf("%s %s", in.Op, name(in.A))
+		b = append(append(b, in.Op.String()...), ' ')
+		return slot(b, in.A)
 	case FJump, FJumpFalse, FJumpTrue:
-		return fmt.Sprintf("%s -> %d", in.Op, in.A)
+		return emit.Appendf(b, "%s -> %d", in.Op.String(), in.A)
 	case FNewRecord:
-		return fmt.Sprintf("fnewrecord type=%s n=%d absorb=%b", typeName(), in.B, in.Val)
+		return emit.Appendf(b, "fnewrecord type=%s n=%d absorb=%b", typeName, in.B, in.Val)
 	case FNewUnion:
-		return fmt.Sprintf("fnewunion type=%s tag=%d absorb=%b", typeName(), in.B, in.Val)
+		return emit.Appendf(b, "fnewunion type=%s tag=%d absorb=%b", typeName, in.B, in.Val)
 	case FNewArray:
-		return fmt.Sprintf("fnewarray type=%s", typeName())
+		return emit.Appendf(b, "fnewarray type=%s", typeName)
 	case FGetField, FSetField:
-		return fmt.Sprintf("%s %d", in.Op, in.A)
+		return emit.Appendf(b, "%s %d", in.Op.String(), in.A)
 	case FUnionGet:
-		return fmt.Sprintf("funionget tag=%d", in.A)
+		return emit.Appendf(b, "funionget tag=%d", in.A)
 	case FCastCopy, FCastReuse:
-		return fmt.Sprintf("%s type=%s", in.Op, typeName())
+		return emit.Appendf(b, "%s type=%s", in.Op.String(), typeName)
 	case FAssert:
-		return fmt.Sprintf("fassert #%d", in.A)
+		return emit.Appendf(b, "fassert #%d", in.A)
 	case FSend, FSendCommit:
-		s := fmt.Sprintf("%s chan=%d", in.Op, in.A)
-		if in.B&FlagFreeAfter != 0 {
-			s += " freeafter"
-		}
-		return s
+		b = emit.Appendf(b, "%s chan=%d", in.Op.String(), in.A)
+		return appendFreeAfter(b, in.B&FlagFreeAfter != 0)
 	case FRecv:
-		return fmt.Sprintf("frecv chan=%d port=%d", in.A, in.B)
+		return emit.Appendf(b, "frecv chan=%d port=%d", in.A, in.B)
 	case FAlt:
-		return fmt.Sprintf("falt #%d", in.A)
+		return emit.Appendf(b, "falt #%d", in.A)
 	case FIncrLocal:
-		return fmt.Sprintf("fincrlocal %s += %d", name(in.A), in.Val)
+		b = slot(append(b, "fincrlocal "...), in.A)
+		return emit.Appendf(b, " += %d", in.Val)
 	case FLCCmpBr:
-		return fmt.Sprintf("flccmpbr %s %s %d ? jump(%s) -> %d", name(in.A), in.Sub, in.Val, sense(), in.B)
+		b = slot(append(b, "flccmpbr "...), in.A)
+		return emit.Appendf(b, " %s %d ? jump(%t) -> %d", sub, in.Val, in.Sense, in.B)
 	case FLLCmpBr:
-		return fmt.Sprintf("fllcmpbr %s %s %s ? jump(%s) -> %d", name(in.A), in.Sub, name(in.C), sense(), in.B)
+		b = slot(append(b, "fllcmpbr "...), in.A)
+		b = slot(emit.Appendf(b, " %s ", sub), in.C)
+		return emit.Appendf(b, " ? jump(%t) -> %d", in.Sense, in.B)
 	case FCmpBr:
-		return fmt.Sprintf("fcmpbr %s ? jump(%s) -> %d", in.Sub, sense(), in.B)
+		return emit.Appendf(b, "fcmpbr %s ? jump(%t) -> %d", sub, in.Sense, in.B)
 	case FLCBin:
-		return fmt.Sprintf("flcbin %s %s %d", name(in.A), in.Sub, in.Val)
+		b = slot(append(b, "flcbin "...), in.A)
+		return emit.Appendf(b, " %s %d", sub, in.Val)
 	case FLLBin:
-		return fmt.Sprintf("fllbin %s %s %s", name(in.A), in.Sub, name(in.C))
+		b = slot(append(b, "fllbin "...), in.A)
+		return slot(emit.Appendf(b, " %s ", sub), in.C)
 	case FLCBinSt:
-		return fmt.Sprintf("flcbinst %s = %s %s %d", name(in.B), name(in.A), in.Sub, in.Val)
+		b = slot(append(b, "flcbinst "...), in.B)
+		b = slot(append(b, " = "...), in.A)
+		return emit.Appendf(b, " %s %d", sub, in.Val)
 	case FLLBinSt:
-		return fmt.Sprintf("fllbinst %s = %s %s %s", name(in.B), name(in.A), in.Sub, name(in.C))
+		b = slot(append(b, "fllbinst "...), in.B)
+		b = slot(append(b, " = "...), in.A)
+		return slot(emit.Appendf(b, " %s ", sub), in.C)
 	case FConstSt:
-		return fmt.Sprintf("fconstst %s = %d", name(in.B), in.Val)
+		b = slot(append(b, "fconstst "...), in.B)
+		return emit.Appendf(b, " = %d", in.Val)
 	case FMove:
-		return fmt.Sprintf("fmove %s = %s", name(in.B), name(in.A))
+		b = slot(append(b, "fmove "...), in.B)
+		return slot(append(b, " = "...), in.A)
 	case FLoadField:
-		return fmt.Sprintf("floadfield %s.%d", name(in.A), in.B)
+		b = slot(append(b, "floadfield "...), in.A)
+		return emit.Appendf(b, ".%d", in.B)
 	case FLoadSend:
-		s := fmt.Sprintf("floadsend %s chan=%d", name(in.A), in.B)
-		if in.C&FlagFreeAfter != 0 {
-			s += " freeafter"
-		}
-		return s
+		b = slot(append(b, "floadsend "...), in.A)
+		b = emit.Appendf(b, " chan=%d", in.B)
+		return appendFreeAfter(b, in.C&FlagFreeAfter != 0)
 	case FConstSend:
-		s := fmt.Sprintf("fconstsend %d chan=%d", in.Val, in.B)
-		if in.C&FlagFreeAfter != 0 {
-			s += " freeafter"
-		}
-		return s
+		b = emit.Appendf(b, "fconstsend %d chan=%d", in.Val, in.B)
+		return appendFreeAfter(b, in.C&FlagFreeAfter != 0)
 	case FSendDir:
-		s := fmt.Sprintf("fsenddir chan=%d partner=%d", in.A, in.C)
-		if in.B&FlagFreeAfter != 0 {
-			s += " freeafter"
-		}
-		return s
+		b = emit.Appendf(b, "fsenddir chan=%d partner=%d", in.A, in.C)
+		return appendFreeAfter(b, in.B&FlagFreeAfter != 0)
 	case FRecvDir:
-		return fmt.Sprintf("frecvdir chan=%d port=%d partner=%d", in.A, in.B, in.C)
+		return emit.Appendf(b, "frecvdir chan=%d port=%d partner=%d", in.A, in.B, in.C)
 	case FXferRec:
-		s := fmt.Sprintf("fxferrec type=%s n=%d absorb=%b chan=%d partner=%d",
-			typeName(), in.B, in.Val, in.A, in.C)
-		if in.Sense {
-			s += " freeafter"
-		}
-		return s
+		b = emit.Appendf(b, "fxferrec type=%s n=%d absorb=%b chan=%d partner=%d",
+			typeName, in.B, in.Val, in.A, in.C)
+		return appendFreeAfter(b, in.Sense)
 	default:
-		return in.Op.String()
+		return append(b, in.Op.String()...)
 	}
 }
 
 // FormatPat renders a runtime pattern.
 func FormatPat(p *Pat) string {
-	var b strings.Builder
-	fmtPat(&b, p)
-	return b.String()
+	var buf [64]byte
+	return string(appendPat(buf[:0], p))
 }
 
-func fmtPat(b *strings.Builder, p *Pat) {
+func appendPat(b []byte, p *Pat) []byte {
 	switch p.Kind {
 	case PatAny:
-		b.WriteByte('_')
+		b = append(b, '_')
 	case PatBind:
-		fmt.Fprintf(b, "$%d", p.Slot)
+		b = emit.Appendf(b, "$%d", p.Slot)
 	case PatConst:
-		fmt.Fprintf(b, "%d", p.Val)
+		b = strconv.AppendInt(b, p.Val, 10)
 	case PatSelf:
-		b.WriteByte('@')
+		b = append(b, '@')
 	case PatDynEq:
-		fmt.Fprintf(b, "=%d", p.Slot)
+		b = emit.Appendf(b, "=%d", p.Slot)
 	case PatRecord:
-		b.WriteString("{ ")
+		b = append(b, "{ "...)
 		for i, e := range p.Elems {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmtPat(b, e)
+			b = appendPat(b, e)
 		}
-		b.WriteString(" }")
+		b = append(b, " }"...)
 	case PatUnion:
-		fmt.Fprintf(b, "{ tag%d |> ", p.Tag)
-		fmtPat(b, p.Elems[0])
-		b.WriteString(" }")
+		b = emit.Appendf(b, "{ tag%d |> ", p.Tag)
+		b = appendPat(b, p.Elems[0])
+		b = append(b, " }"...)
 	}
+	return b
 }

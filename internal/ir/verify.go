@@ -83,9 +83,9 @@ func (e *VerifyError) Error() string {
 //     instruction is entered at one consistent depth, never underflows,
 //     and never exceeds the process's declared MaxStack.
 //
-// The optimizer runs Verify after every pass when verification is
-// enabled, so a pass that corrupts any of these invariants is caught at
-// the pass boundary instead of as a downstream VM fault or miscompile.
+// The optimizer verifies after every pass when verification is enabled,
+// so a pass that corrupts any of these invariants is caught at the pass
+// boundary instead of as a downstream VM fault or miscompile.
 func Verify(prog *Program) error {
 	for i, ch := range prog.Channels {
 		if ch.ID != i {
@@ -96,14 +96,19 @@ func Verify(prog *Program) error {
 		if p.ID != i {
 			return &VerifyError{Msg: fmt.Sprintf("process %s: ID %d at table index %d", p.Name, p.ID, i)}
 		}
-		if err := verifyProc(prog, p); err != nil {
+		if err := VerifyProc(prog, p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func verifyProc(prog *Program, p *Proc) error {
+// VerifyProc checks the invariants of Verify that concern process p
+// alone: its ports, alt tables, instruction operands and stack depths,
+// against the program's channel and assert tables. When the rest of the
+// program verifies, VerifyProc(prog, p) returns the error Verify(prog)
+// would, so a rewrite confined to p needs only this check.
+func VerifyProc(prog *Program, p *Proc) error {
 	bad := func(pc int, format string, args ...any) error {
 		return &VerifyError{Proc: p.Name, PC: pc, Msg: fmt.Sprintf(format, args...)}
 	}

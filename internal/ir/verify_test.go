@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -136,6 +137,15 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			// A process-level violation reads the same when only the
+			// offending process is checked, as the optimizer does after a
+			// per-process pass.
+			var ve *VerifyError
+			if errors.As(err, &ve) && ve.Proc != "" {
+				if perr := VerifyProc(p, p.ProcByName(ve.Proc)); perr == nil || perr.Error() != err.Error() {
+					t.Errorf("VerifyProc = %v, Verify = %v", perr, err)
+				}
 			}
 		})
 	}

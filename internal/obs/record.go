@@ -77,7 +77,18 @@ type Event struct {
 // tab-separated columns (seq, ts, kind, proc, arg, name), name last so a
 // fault message may contain spaces.
 func (e Event) String() string {
-	return fmt.Sprintf("%d\t%d\t%s\t%d\t%d\t%s", e.Seq, e.Ts, e.Kind, e.Proc, e.Arg, e.Name)
+	var buf [64]byte
+	return string(e.Append(buf[:0]))
+}
+
+// Append appends the String rendering of e to b.
+func (e Event) Append(b []byte) []byte {
+	b = append(strconv.AppendUint(b, e.Seq, 10), '\t')
+	b = append(strconv.AppendInt(b, e.Ts, 10), '\t')
+	b = append(append(b, e.Kind.String()...), '\t')
+	b = append(strconv.AppendInt(b, int64(e.Proc), 10), '\t')
+	b = append(strconv.AppendInt(b, int64(e.Arg), 10), '\t')
+	return append(b, e.Name...)
 }
 
 // DefaultRingSize is the flight-recorder ring capacity when none is

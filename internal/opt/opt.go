@@ -52,7 +52,9 @@ type Options struct {
 	// partner scans. A pipeline without FuseProcs leaves Schedule nil and
 	// every rendezvous stays dynamic.
 	FuseProcs bool
-	// Verify runs ir.Verify after every pass; Run aborts with an error
+	// Verify checks the IR after every pass: the whole program
+	// (ir.Verify) after a program pass, and the process it rewrote
+	// (ir.VerifyProc) after a per-process pass. Run aborts with an error
 	// naming the offending pass if a rewrite corrupts the program.
 	Verify bool
 }

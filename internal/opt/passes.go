@@ -124,9 +124,12 @@ func pipeline(opts Options) (progPasses []ProgramPass, local []Pass) {
 // folding exposes new constant sends to the next cross-process round —
 // which the old "cross-process once, then local rounds" loop missed.
 //
-// With opts.Verify set, ir.Verify runs after every pass invocation and
-// Run aborts with a descriptive error naming the offending pass the
-// moment a rewrite corrupts the program.
+// With opts.Verify set, every pass invocation is verified and Run aborts
+// with a descriptive error naming the offending pass the moment a
+// rewrite corrupts the program. A program pass is followed by ir.Verify
+// of the whole program; a per-process pass touches no other process and
+// no program table, so it is followed by ir.VerifyProc of the process it
+// rewrote, which reports what ir.Verify would.
 func Run(prog *ir.Program, opts Options) (*Stats, error) {
 	// Any rewrite invalidates a cached fused translation, schedule, and
 	// independence table.
@@ -150,11 +153,19 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 		}
 		return ps
 	}
-	verify := func(pass string, round int) error {
+	// verify checks the whole program after a program pass (p == nil)
+	// and p alone after a per-process pass on p.
+	verify := func(pass string, round int, p *ir.Proc) error {
 		if !opts.Verify {
 			return nil
 		}
-		if err := ir.Verify(prog); err != nil {
+		var err error
+		if p == nil {
+			err = ir.Verify(prog)
+		} else {
+			err = ir.VerifyProc(prog, p)
+		}
+		if err != nil {
 			return fmt.Errorf("opt: pass %s corrupted the program (round %d): %w", pass, round+1, err)
 		}
 		return nil
@@ -173,7 +184,7 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 				changed = true
 			}
 			ps.InstrsRemoved += before - countInstrs(prog)
-			if err := verify(pp.Name(), round); err != nil {
+			if err := verify(pp.Name(), round, nil); err != nil {
 				return stats, err
 			}
 		}
@@ -188,7 +199,7 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 					changed = true
 				}
 				ps.InstrsRemoved += before - len(p.Code)
-				if err := verify(pass.Name(), round); err != nil {
+				if err := verify(pass.Name(), round, p); err != nil {
 					return stats, err
 				}
 			}
@@ -228,7 +239,7 @@ func runExtra(prog *ir.Program, opts Options, extra ...Pass) (*Stats, error) {
 		for _, p := range prog.Procs {
 			pass.Run(p)
 			if opts.Verify {
-				if err := ir.Verify(prog); err != nil {
+				if err := ir.VerifyProc(prog, p); err != nil {
 					return stats, fmt.Errorf("opt: pass %s corrupted the program: %w", pass.Name(), err)
 				}
 			}

@@ -27,11 +27,11 @@
 package promela
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"esplang/internal/ast"
 	"esplang/internal/check"
+	"esplang/internal/emit"
 	"esplang/internal/token"
 	"esplang/internal/types"
 )
@@ -41,9 +41,10 @@ type Options struct {
 	// DefaultBound is the objectId-table size for composite types without
 	// an explicit array bound (0 = 16).
 	DefaultBound int
-	// Instances emits arrays sized for running N copies of the program
-	// (N = 0 or 1 emits the single-instance model). §5.2 describes this
-	// ability; the multi-instance model indexes every table by the copy.
+	// Instances is the number of program copies a hand-written SPIN test
+	// driver intends to run (0 or 1 = one). It only sets the INSTANCES
+	// constant for that driver; the emitted model itself is one copy,
+	// with one table per type and one channel per declaration.
 	Instances int
 	// File, when set, annotates every emitted statement with its ESP
 	// source location ("/* file.esp:12 */") so SPIN counterexamples can
@@ -59,32 +60,58 @@ func Generate(prog *ast.Program, info *check.Info, opts Options) string {
 	if opts.Instances < 1 {
 		opts.Instances = 1
 	}
-	g := &gen{info: info, opts: opts, tempOf: map[*check.Process]int{}}
+	g := &gen{info: info, opts: opts}
 	return g.run(prog)
 }
 
+// gen appends the Promela text to b. Expressions are appended in place
+// to the scratch buffer e, in a stack discipline: a caller notes len(e),
+// appends, copies e[mark:] into its line and truncates e back to mark.
+// An allocating literal writes its statements to b while an enclosing
+// expression is still being built in e, so they land before the line
+// that uses it.
 type gen struct {
-	b      strings.Builder
+	b      []byte
+	body   []byte // a process body, which must follow its declarations
+	e      []byte // expressions under construction
+	post   []byte // the statements a receive emits after it
+	path   []field
 	info   *check.Info
 	opts   Options
 	indent int
-	tempOf map[*check.Process]int
 
-	proc     *check.Process
-	maxTemps int
+	temps int // tmp<n> variables the current process uses
+}
+
+// field is one level of a destructuring access path: field i of the
+// composite type t, rendered <t>_f<i>[<inner>].
+type field struct {
+	t *types.Type
+	i int
 }
 
 func (g *gen) w(format string, args ...any) {
-	for i := 0; i < g.indent; i++ {
-		g.b.WriteString("    ")
-	}
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
+	g.b = g.indentTo(g.b)
+	g.b = emit.Appendf(g.b, format, args...)
+	g.b = append(g.b, '\n')
 }
 
 func (g *gen) raw(format string, args ...any) {
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
+	g.b = emit.Appendf(g.b, format, args...)
+	g.b = append(g.b, '\n')
+}
+
+func (g *gen) indentTo(b []byte) []byte {
+	for i := 0; i < g.indent; i++ {
+		b = append(b, "    "...)
+	}
+	return b
+}
+
+// flush appends the expression text e[mark:] to the output and pops it.
+func (g *gen) flush(mark int) {
+	g.b = append(g.b, g.e[mark:]...)
+	g.e = g.e[:mark]
 }
 
 // tname returns the Promela identifier prefix of a composite type.
@@ -92,7 +119,30 @@ func tname(t *types.Type) string {
 	if t.Name() != "" {
 		return t.Name()
 	}
-	return fmt.Sprintf("anon%d", t.ID())
+	return "anon" + strconv.Itoa(t.ID())
+}
+
+// appendTName appends tname(t).
+func appendTName(b []byte, t *types.Type) []byte {
+	if t.Name() != "" {
+		return append(b, t.Name()...)
+	}
+	return strconv.AppendInt(append(b, "anon"...), int64(t.ID()), 10)
+}
+
+// appendField appends <t>_f<i>.
+func appendField(b []byte, t *types.Type, i int) []byte {
+	b = append(appendTName(b, t), "_f"...)
+	return strconv.AppendInt(b, int64(i), 10)
+}
+
+func appendVar(b []byte, v *check.Var) []byte {
+	b = append(append(b, v.Name...), '_')
+	return strconv.AppendInt(b, int64(v.Slot), 10)
+}
+
+func appendTemp(b []byte, n int) []byte {
+	return strconv.AppendInt(append(b, "tmp"...), int64(n), 10)
 }
 
 func (g *gen) bound(t *types.Type) int {
@@ -127,14 +177,25 @@ func (g *gen) composites() []*types.Type {
 	return out
 }
 
+// sizeHint estimates the length of the Promela text: about twice the
+// source up to the last declaration, plus 800 bytes of tables and
+// inlines per type.
+func sizeHint(prog *ast.Program, info *check.Info) int {
+	n := 1<<10 + 800*len(info.Universe.All())
+	if len(prog.Decls) > 0 {
+		n += 2 * prog.Decls[len(prog.Decls)-1].Pos().Offset
+	}
+	return n
+}
+
 func (g *gen) run(prog *ast.Program) string {
+	g.b = make([]byte, 0, sizeHint(prog, g.info))
 	g.raw("/* Generated by the ESP compiler: SPIN specification (Figure 4, pgm.SPIN).")
 	g.raw(" * Combine with a hand-written test driver (test.SPIN) that produces")
 	g.raw(" * external events and asserts the properties to verify (§5.2). */")
 	g.raw("")
 
-	for name, v := range sortedConsts(g.info.Consts) {
-		_ = name
+	for _, v := range sortedConsts(g.info.Consts) {
 		g.raw("#define %s %d", v.name, v.val)
 	}
 	if len(g.info.Consts) > 0 {
@@ -174,7 +235,7 @@ func (g *gen) run(prog *ast.Program) string {
 	}
 	g.raw("    }")
 	g.raw("}")
-	return g.b.String()
+	return emit.String(g.b)
 }
 
 type constEntry struct {
@@ -201,7 +262,7 @@ func sortedConsts(m map[string]int64) []constEntry {
 func (g *gen) emitTypeTables(t *types.Type) {
 	n := tname(t)
 	max := g.opts.DefaultBound
-	g.raw("/* objectId tables for %s (handle 0 = null) */", t)
+	g.raw("/* objectId tables for %s (handle 0 = null) */", t.String())
 	g.raw("#define %s_MAX %d", n, max)
 	switch t.Kind {
 	case types.Record:
@@ -280,73 +341,79 @@ func (g *gen) emitUnlinkInline(t *types.Type) {
 // ---------------------------------------------------------------------------
 // Channels
 
-// chanFields returns the flattened Promela field types of a channel
-// payload (§6.1 fusion at the model level).
-func chanFields(elem *types.Type) []string {
+// emitChannel declares a channel with its payload flattened into Promela
+// fields (§6.1 fusion at the model level): one per record field, or a
+// tag and one handle/scalar slot per union field (only the valid one is
+// meaningful).
+func (g *gen) emitChannel(ch *check.Channel) {
+	g.b = emit.Appendf(g.b, "chan %s = [0] of { ", ch.Name)
+	elem := ch.Elem
 	switch elem.Kind {
 	case types.Record:
-		out := make([]string, len(elem.Fields))
 		for i, f := range elem.Fields {
-			out[i] = promType(f.Type)
+			if i > 0 {
+				g.b = append(g.b, ", "...)
+			}
+			g.b = append(g.b, promType(f.Type)...)
 		}
-		return out
 	case types.Union:
-		// tag + one handle/scalar slot per field (only the valid one is
-		// meaningful).
-		out := []string{"byte"}
+		g.b = append(g.b, "byte"...)
 		for range elem.Fields {
-			out = append(out, "int")
+			g.b = append(g.b, ", int"...)
 		}
-		return out
 	default:
-		return []string{promType(elem)}
+		g.b = append(g.b, promType(elem)...)
 	}
-}
-
-func (g *gen) emitChannel(ch *check.Channel) {
-	fields := chanFields(ch.Elem)
-	ext := ""
+	g.b = append(g.b, " };"...)
 	switch ch.Ext {
 	case ast.ExtReader:
-		ext = " /* external reader: test driver consumes */"
+		g.b = append(g.b, " /* external reader: test driver consumes */"...)
 	case ast.ExtWriter:
-		ext = " /* external writer: test driver produces */"
+		g.b = append(g.b, " /* external writer: test driver produces */"...)
 	}
-	g.raw("chan %s = [0] of { %s };%s", ch.Name, strings.Join(fields, ", "), ext)
+	g.b = append(g.b, '\n')
 }
 
 // ---------------------------------------------------------------------------
 // Processes
 
 func (g *gen) emitProcess(p *check.Process) {
-	g.proc = p
-	g.maxTemps = 0
-	var body strings.Builder
-	saved := g.b
-	g.b = body
+	g.temps = 0
+	main := g.b
+	g.b = g.body[:0]
 	g.indent = 1
 	g.blockStmts(p.Decl.Body)
 	g.indent = 0
-	bodyStr := g.b.String()
-	g.b = saved
+	g.body = g.b
+	g.b = main
 
 	g.raw("proctype %s() {", p.Name)
 	for _, v := range p.Vars {
-		g.raw("    %s %s_%d; /* %s */", promType(v.Type), v.Name, v.Slot, v.Type)
+		g.raw("    %s %s_%d; /* %s */", promType(v.Type), v.Name, v.Slot, v.Type.String())
 	}
-	for i := 0; i < g.maxTemps; i++ {
+	for i := 0; i < g.temps; i++ {
 		g.raw("    int tmp%d;", i)
 	}
-	g.b.WriteString(bodyStr)
+	g.b = append(g.b, g.body...)
 	g.raw("}")
 	g.raw("")
-	g.proc = nil
 }
 
 func (g *gen) blockStmts(b *ast.Block) {
 	for _, s := range b.Stmts {
 		g.stmt(s)
 	}
+}
+
+// cond appends the statement line "<prefix>(<cond>)<suffix>".
+func (g *gen) cond(prefix string, e ast.Expr, suffix string) {
+	mark := len(g.e)
+	g.expr(e)
+	g.b = append(g.indentTo(g.b), prefix...)
+	g.b = append(g.b, '(')
+	g.flush(mark)
+	g.b = append(append(g.b, ')'), suffix...)
+	g.b = append(g.b, '\n')
 }
 
 func (g *gen) stmt(s ast.Stmt) {
@@ -361,25 +428,34 @@ func (g *gen) stmt(s ast.Stmt) {
 	case *ast.Block:
 		g.blockStmts(x)
 	case *ast.VarDecl:
-		v := g.info.Defs[x.Name]
-		e := g.expr(x.Init)
-		g.w("%s = %s;", g.varRef(v), e)
+		mark := len(g.e)
+		g.expr(x.Init)
+		g.b = appendVar(g.indentTo(g.b), g.info.Defs[x.Name])
+		g.b = append(g.b, " = "...)
+		g.flush(mark)
+		g.b = append(g.b, ";\n"...)
 	case *ast.Assign:
+		mark := len(g.e)
 		if ast.IsPattern(x.LHS) {
-			rhs := g.expr(x.RHS)
-			g.destructure(x.LHS, rhs, g.info.Types[x.RHS])
+			g.expr(x.RHS)
+			g.destructure(&g.b, x.LHS, mark, len(g.e), g.info.Types[x.RHS])
+			g.e = g.e[:mark]
 			return
 		}
-		lhs := g.lvalue(x.LHS)
-		rhs := g.expr(x.RHS)
-		g.w("%s = %s;", lhs, rhs)
+		g.lvalue(x.LHS)
+		rhs := len(g.e)
+		g.expr(x.RHS)
+		g.b = append(g.indentTo(g.b), g.e[mark:rhs]...)
+		g.b = append(g.b, " = "...)
+		g.flush(rhs)
+		g.b = append(g.b, ";\n"...)
+		g.e = g.e[:mark]
 	case *ast.While:
+		g.w("do")
 		if x.Cond == nil {
-			g.w("do")
 			g.w(":: true ->")
 		} else {
-			g.w("do")
-			g.w(":: (%s) ->", g.expr(x.Cond))
+			g.cond(":: ", x.Cond, " ->")
 		}
 		g.indent++
 		g.blockStmts(x.Body)
@@ -390,7 +466,7 @@ func (g *gen) stmt(s ast.Stmt) {
 		g.w("od;")
 	case *ast.If:
 		g.w("if")
-		g.w(":: (%s) ->", g.expr(x.Cond))
+		g.cond(":: ", x.Cond, " ->")
 		g.indent++
 		g.blockStmts(x.Then)
 		g.indent--
@@ -410,7 +486,7 @@ func (g *gen) stmt(s ast.Stmt) {
 		for _, cs := range x.Cases {
 			if cs.Guard != nil {
 				// Documented simplification: the guard commits the option.
-				g.w(":: (%s) ->", g.expr(cs.Guard))
+				g.cond(":: ", cs.Guard, " ->")
 			} else {
 				g.w("::")
 			}
@@ -421,13 +497,11 @@ func (g *gen) stmt(s ast.Stmt) {
 		}
 		g.w("fi;")
 	case *ast.Link:
-		t := g.info.Types[x.X]
-		g.w("link_%s(%s);", tname(t), g.expr(x.X))
+		g.refCall("link_", x.X)
 	case *ast.Unlink:
-		t := g.info.Types[x.X]
-		g.w("unlink_%s(%s);", tname(t), g.expr(x.X))
+		g.refCall("unlink_", x.X)
 	case *ast.Assert:
-		g.w("assert(%s);", g.expr(x.X))
+		g.cond("assert", x.X, ";")
 	case *ast.Skip:
 		g.w("skip;")
 	case *ast.BreakStmt:
@@ -435,299 +509,401 @@ func (g *gen) stmt(s ast.Stmt) {
 	}
 }
 
+// refCall appends "<inline><type>(<x>);", a link or unlink of x.
+func (g *gen) refCall(inline string, x ast.Expr) {
+	mark := len(g.e)
+	g.expr(x)
+	g.b = append(g.indentTo(g.b), inline...)
+	g.b = appendTName(g.b, g.info.Types[x])
+	g.b = append(g.b, '(')
+	g.flush(mark)
+	g.b = append(g.b, ");\n"...)
+}
+
 // comm emits a channel operation with the flattened payload.
 func (g *gen) comm(c *ast.Comm) {
 	ch := g.info.CommChan[c]
 	if c.Dir == ast.Send {
-		g.w("%s!%s;", ch.Name, g.sendPayload(c.Arg, ch.Elem))
+		mark := len(g.e)
+		g.sendPayload(c.Arg, ch.Elem)
+		g.b = append(g.indentTo(g.b), ch.Name...)
+		g.b = append(g.b, '!')
+		g.flush(mark)
+		g.b = append(g.b, ";\n"...)
 		return
 	}
 	g.recvPattern(c.Arg, ch)
 }
 
-// sendPayload renders the flattened send arguments.
-func (g *gen) sendPayload(arg ast.Expr, elem *types.Type) string {
+// sendPayload appends the flattened send arguments to e.
+func (g *gen) sendPayload(arg ast.Expr, elem *types.Type) {
 	switch elem.Kind {
 	case types.Record:
 		if lit, ok := arg.(*ast.RecordLit); ok {
-			parts := make([]string, len(lit.Elems))
 			for i, el := range lit.Elems {
-				parts[i] = g.expr(el)
+				if i > 0 {
+					g.e = append(g.e, ", "...)
+				}
+				g.expr(el)
 			}
-			return strings.Join(parts, ", ")
+			return
 		}
 		// A record variable: send its fields from the table.
-		h := g.expr(arg)
-		n := tname(elem)
-		parts := make([]string, len(elem.Fields))
+		h := len(g.e)
+		g.expr(arg)
+		end := len(g.e)
 		for i := range elem.Fields {
-			parts[i] = fmt.Sprintf("%s_f%d[%s]", n, i, h)
+			if i > 0 {
+				g.e = append(g.e, ", "...)
+			}
+			g.e = append(appendField(g.e, elem, i), '[')
+			g.e = append(append(g.e, g.e[h:end]...), ']')
 		}
-		return strings.Join(parts, ", ")
+		g.e = g.e[:h+copy(g.e[h:], g.e[end:])]
 	case types.Union:
 		if lit, ok := arg.(*ast.UnionLit); ok {
 			tag := elem.FieldIndex(lit.Field.Name)
-			parts := []string{fmt.Sprintf("%d", tag)}
+			g.e = strconv.AppendInt(g.e, int64(tag), 10)
 			for i := range elem.Fields {
 				if i == tag {
-					parts = append(parts, g.expr(lit.Value))
+					g.e = append(g.e, ", "...)
+					g.expr(lit.Value)
 				} else {
-					parts = append(parts, "0")
+					g.e = append(g.e, ", 0"...)
 				}
 			}
-			return strings.Join(parts, ", ")
+			return
 		}
-		h := g.expr(arg)
-		n := tname(elem)
-		parts := []string{fmt.Sprintf("%s_tag[%s]", n, h)}
+		h := len(g.e)
+		g.expr(arg)
+		end := len(g.e)
+		g.e = append(appendTName(g.e, elem), "_tag["...)
+		g.e = append(append(g.e, g.e[h:end]...), ']')
 		for i := range elem.Fields {
-			parts = append(parts, fmt.Sprintf("%s_f%d[%s]", n, i, h))
+			g.e = append(appendField(append(g.e, ", "...), elem, i), '[')
+			g.e = append(append(g.e, g.e[h:end]...), ']')
 		}
-		return strings.Join(parts, ", ")
+		g.e = g.e[:h+copy(g.e[h:], g.e[end:])]
 	default:
-		return g.expr(arg)
+		g.expr(arg)
 	}
 }
 
 // recvPattern emits a receive with pattern tests folded into eval()
-// arguments and bindings into plain variables.
+// arguments and bindings into plain variables. The receive's fields are
+// built in e; the statements that complete the bindings collect in post
+// and follow the receive.
 func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 	elem := ch.Elem
-	var fields []string
-	var post []string
+	mark := len(g.e)
+	g.post = g.post[:0]
+	sep := func() {
+		if len(g.e) > mark {
+			g.e = append(g.e, ", "...)
+		}
+	}
+	// postLine starts a statement in post.
+	postLine := func() { g.post = g.indentTo(g.post) }
 
-	bindField := func(p ast.Expr, ft *types.Type) string {
+	bindField := func(p ast.Expr, ft *types.Type) {
+		sep()
 		switch y := p.(type) {
 		case *ast.Binding:
 			v := g.info.Defs[y.Name]
 			if ft.IsRef() {
-				post = append(post, fmt.Sprintf("link_%s(%s);", tname(ft), g.varRef(v)))
+				postLine()
+				g.post = appendTName(append(g.post, "link_"...), ft)
+				g.post = append(appendVar(append(g.post, '('), v), ");\n"...)
 			}
-			return g.varRef(v)
+			g.e = appendVar(g.e, v)
 		case *ast.Wildcard:
-			return "_"
+			g.e = append(g.e, '_')
 		case *ast.Self:
-			return "eval(_pid)"
+			g.e = append(g.e, "eval(_pid)"...)
 		case *ast.IntLit:
-			return fmt.Sprintf("eval(%d)", y.Value)
+			g.e = append(strconv.AppendInt(append(g.e, "eval("...), y.Value, 10), ')')
 		case *ast.BoolLit:
-			if y.Value {
-				return "eval(true)"
-			}
-			return "eval(false)"
+			g.e = append(strconv.AppendBool(append(g.e, "eval("...), y.Value), ')')
 		case *ast.Ident:
-			return fmt.Sprintf("eval(%s)", g.expr(p))
+			g.e = append(g.e, "eval("...)
+			g.expr(p)
+			g.e = append(g.e, ')')
 		default:
 			// Nested composite pattern on a handle field: bind to a temp
 			// and destructure after the receive.
-			tmp := g.temp()
-			post = append(post, g.destructureStr(p, tmp, ft)...)
-			return tmp
+			tmp := len(g.e)
+			g.e = appendTemp(g.e, g.temp())
+			g.destructure(&g.post, p, tmp, len(g.e), ft)
 		}
+	}
+	// tempField binds a fresh temp as the next field and returns it.
+	tempField := func() int {
+		t := g.temp()
+		sep()
+		g.e = appendTemp(g.e, t)
+		return t
 	}
 
 	switch elem.Kind {
 	case types.Record:
 		if lit, ok := pat.(*ast.RecordLit); ok {
 			for i, el := range lit.Elems {
-				fields = append(fields, bindField(el, elem.Fields[i].Type))
+				bindField(el, elem.Fields[i].Type)
 			}
-		} else {
-			// Whole-record binding: allocate a fresh record and fill it.
-			tmp := g.temp()
-			n := tname(elem)
-			for i := range elem.Fields {
-				fields = append(fields, fmt.Sprintf("%s_f%d_in", n, i))
-			}
-			_ = tmp
-			fields = fields[:0]
-			for i := range elem.Fields {
-				t := g.temp()
-				fields = append(fields, t)
-				post = append(post, fmt.Sprintf("%s_f%d[%s] = %s;", n, i, tmp, t))
-			}
-			post = append([]string{fmt.Sprintf("alloc_%s(%s);", n, tmp)}, post...)
-			if b, ok := pat.(*ast.Binding); ok {
-				v := g.info.Defs[b.Name]
-				post = append(post, fmt.Sprintf("%s = %s;", g.varRef(v), tmp))
-			}
+			break
+		}
+		// Whole-record binding: allocate a fresh record and fill it.
+		tmp := g.temp()
+		postLine()
+		g.post = appendTName(append(g.post, "alloc_"...), elem)
+		g.post = append(appendTemp(append(g.post, '('), tmp), ");\n"...)
+		for i := range elem.Fields {
+			t := tempField()
+			postLine()
+			g.post = append(appendField(g.post, elem, i), '[')
+			g.post = append(appendTemp(g.post, tmp), "] = "...)
+			g.post = append(appendTemp(g.post, t), ";\n"...)
+		}
+		if b, ok := pat.(*ast.Binding); ok {
+			postLine()
+			g.post = append(appendVar(g.post, g.info.Defs[b.Name]), " = "...)
+			g.post = append(appendTemp(g.post, tmp), ";\n"...)
 		}
 	case types.Union:
 		if lit, ok := pat.(*ast.UnionLit); ok {
 			tag := elem.FieldIndex(lit.Field.Name)
-			fields = append(fields, fmt.Sprintf("eval(%d)", tag))
+			g.e = append(strconv.AppendInt(append(g.e, "eval("...), int64(tag), 10), ')')
 			for i := range elem.Fields {
 				if i == tag {
-					fields = append(fields, bindField(lit.Value, elem.Fields[i].Type))
+					bindField(lit.Value, elem.Fields[i].Type)
 				} else {
-					fields = append(fields, "_")
+					g.e = append(g.e, ", _"...)
 				}
 			}
 		} else if b, ok := pat.(*ast.Binding); ok {
-			v := g.info.Defs[b.Name]
-			n := tname(elem)
 			tmp := g.temp()
-			post = append(post, fmt.Sprintf("alloc_%s(%s);", n, tmp))
-			fields = append(fields, g.temp())
-			tagTmp := fields[0]
-			post = append(post, fmt.Sprintf("%s_tag[%s] = %s;", n, tmp, tagTmp))
+			postLine()
+			g.post = appendTName(append(g.post, "alloc_"...), elem)
+			g.post = append(appendTemp(append(g.post, '('), tmp), ");\n"...)
+			tag := tempField()
+			postLine()
+			g.post = appendTName(g.post, elem)
+			g.post = append(appendTemp(append(g.post, "_tag["...), tmp), "] = "...)
+			g.post = append(appendTemp(g.post, tag), ";\n"...)
 			for i := range elem.Fields {
-				t := g.temp()
-				fields = append(fields, t)
-				post = append(post, fmt.Sprintf("%s_f%d[%s] = %s;", n, i, tmp, t))
+				t := tempField()
+				postLine()
+				g.post = append(appendField(g.post, elem, i), '[')
+				g.post = append(appendTemp(g.post, tmp), "] = "...)
+				g.post = append(appendTemp(g.post, t), ";\n"...)
 			}
-			post = append(post, fmt.Sprintf("%s = %s;", g.varRef(v), tmp))
+			postLine()
+			g.post = append(appendVar(g.post, g.info.Defs[b.Name]), " = "...)
+			g.post = append(appendTemp(g.post, tmp), ";\n"...)
 		} else {
-			fields = append(fields, "_")
+			g.e = append(g.e, '_')
 			for range elem.Fields {
-				fields = append(fields, "_")
+				g.e = append(g.e, ", _"...)
 			}
 		}
 	default:
-		fields = append(fields, bindField(pat, elem))
+		bindField(pat, elem)
 	}
 
-	g.w("%s?%s;", ch.Name, strings.Join(fields, ", "))
-	for _, p := range post {
-		g.w("%s", p)
-	}
+	g.b = append(g.indentTo(g.b), ch.Name...)
+	g.b = append(g.b, '?')
+	g.flush(mark)
+	g.b = append(g.b, ";\n"...)
+	g.b = append(g.b, g.post...)
 }
 
-// destructure emits statements binding a local pattern match (lhs pattern
-// = rhs handle).
-func (g *gen) destructure(pat ast.Expr, rhs string, t *types.Type) {
-	for _, line := range g.destructureStr(pat, rhs, t) {
-		g.w("%s", line)
+// destructure appends to *out the statements binding a local pattern
+// match against the handle whose expression is e[root:end], under the
+// access path g.path.
+func (g *gen) destructure(out *[]byte, pat ast.Expr, root, end int, t *types.Type) {
+	// assert appends "assert(<path> == " and returns the line's end.
+	assert := func() {
+		*out = g.appendPath(append(g.indentTo(*out), "assert("...), root, end)
+		*out = append(*out, " == "...)
 	}
-}
-
-func (g *gen) destructureStr(pat ast.Expr, rhs string, t *types.Type) []string {
-	var out []string
 	switch x := pat.(type) {
 	case *ast.Binding:
-		v := g.info.Defs[x.Name]
-		out = append(out, fmt.Sprintf("%s = %s;", g.varRef(v), rhs))
+		*out = append(appendVar(g.indentTo(*out), g.info.Defs[x.Name]), " = "...)
+		*out = append(g.appendPath(*out, root, end), ";\n"...)
 	case *ast.Wildcard:
 	case *ast.IntLit:
-		out = append(out, fmt.Sprintf("assert(%s == %d);", rhs, x.Value))
+		assert()
+		*out = append(strconv.AppendInt(*out, x.Value, 10), ");\n"...)
 	case *ast.BoolLit:
-		out = append(out, fmt.Sprintf("assert(%s == %t);", rhs, x.Value))
+		assert()
+		*out = append(strconv.AppendBool(*out, x.Value), ");\n"...)
 	case *ast.Self:
-		out = append(out, fmt.Sprintf("assert(%s == _pid);", rhs))
+		assert()
+		*out = append(*out, "_pid);\n"...)
 	case *ast.Ident:
-		out = append(out, fmt.Sprintf("assert(%s == %s);", rhs, g.expr(pat)))
+		mark := len(g.e)
+		g.expr(pat)
+		assert()
+		*out = append(append(*out, g.e[mark:]...), ");\n"...)
+		g.e = g.e[:mark]
 	case *ast.RecordLit:
-		n := tname(t)
-		out = append(out, fmt.Sprintf("assert(%s_live[%s]);", n, rhs))
+		g.tableRef(out, t, "_live[", root, end)
+		*out = append(*out, "]);\n"...)
 		for i, el := range x.Elems {
-			out = append(out, g.destructureStr(el, fmt.Sprintf("%s_f%d[%s]", n, i, rhs), t.Fields[i].Type)...)
+			g.path = append(g.path, field{t, i})
+			g.destructure(out, el, root, end, t.Fields[i].Type)
+			g.path = g.path[:len(g.path)-1]
 		}
 	case *ast.UnionLit:
-		n := tname(t)
 		tag := t.FieldIndex(x.Field.Name)
-		out = append(out, fmt.Sprintf("assert(%s_live[%s]);", n, rhs))
-		out = append(out, fmt.Sprintf("assert(%s_tag[%s] == %d);", n, rhs, tag))
-		out = append(out, g.destructureStr(x.Value, fmt.Sprintf("%s_f%d[%s]", n, tag, rhs), t.Fields[tag].Type)...)
+		g.tableRef(out, t, "_live[", root, end)
+		*out = append(*out, "]);\n"...)
+		g.tableRef(out, t, "_tag[", root, end)
+		*out = append(strconv.AppendInt(append(*out, "] == "...), int64(tag), 10), ");\n"...)
+		g.path = append(g.path, field{t, tag})
+		g.destructure(out, x.Value, root, end, t.Fields[tag].Type)
+		g.path = g.path[:len(g.path)-1]
 	}
-	return out
+}
+
+// tableRef starts an assertion on a table of type t at the current
+// access path: "assert(<t><table><path>".
+func (g *gen) tableRef(out *[]byte, t *types.Type, table string, root, end int) {
+	*out = appendTName(append(g.indentTo(*out), "assert("...), t)
+	*out = g.appendPath(append(*out, table...), root, end)
+}
+
+// appendPath appends the access path g.path applied to the handle
+// e[root:end]: <t>_f<i>[...] for each level, the outermost last.
+func (g *gen) appendPath(b []byte, root, end int) []byte {
+	for k := len(g.path) - 1; k >= 0; k-- {
+		b = append(appendField(b, g.path[k].t, g.path[k].i), '[')
+	}
+	b = append(b, g.e[root:end]...)
+	for range g.path {
+		b = append(b, ']')
+	}
+	return b
 }
 
 // ---------------------------------------------------------------------------
 // Expressions
 
-func (g *gen) temp() string {
-	t := fmt.Sprintf("tmp%d", g.tempOf[g.proc])
-	g.tempOf[g.proc]++
-	if g.tempOf[g.proc] > g.maxTemps {
-		g.maxTemps = g.tempOf[g.proc]
-	}
-	return t
+// temp allocates the next tmp<n> variable of the current process.
+func (g *gen) temp() int {
+	g.temps++
+	return g.temps - 1
 }
 
-func (g *gen) varRef(v *check.Var) string {
-	return fmt.Sprintf("%s_%d", v.Name, v.Slot)
-}
-
-func (g *gen) lvalue(e ast.Expr) string {
+// lvalue appends an assignable expression to e.
+func (g *gen) lvalue(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		return g.varRef(g.info.Uses[x])
-	case *ast.Index:
-		arrT := g.info.Types[x.X]
-		n := tname(arrT)
-		h := g.expr(x.X)
-		return fmt.Sprintf("%s_data[%s].e[%s]", n, h, g.expr(x.I))
-	case *ast.FieldSel:
-		recT := g.info.Types[x.X]
-		n := tname(recT)
-		return fmt.Sprintf("%s_f%d[%s]", n, recT.FieldIndex(x.Name.Name), g.expr(x.X))
+		g.e = appendVar(g.e, g.info.Uses[x])
+	case *ast.Index, *ast.FieldSel:
+		g.expr(e)
+	default:
+		g.e = append(g.e, "/* bad lvalue */"...)
 	}
-	return "/* bad lvalue */"
 }
 
-// expr renders an expression. Allocations emit prelude statements via
-// g.w and return the handle temp.
-func (g *gen) expr(e ast.Expr) string {
+// expr appends an expression to e. Allocations write their statements
+// to the output first and leave the handle temp in e.
+func (g *gen) expr(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return fmt.Sprintf("%d", x.Value)
+		g.e = strconv.AppendInt(g.e, x.Value, 10)
 	case *ast.BoolLit:
-		return fmt.Sprintf("%t", x.Value)
+		g.e = strconv.AppendBool(g.e, x.Value)
 	case *ast.Self:
-		return "_pid"
+		g.e = append(g.e, "_pid"...)
 	case *ast.Ident:
 		if v, ok := g.info.Uses[x]; ok {
-			return g.varRef(v)
+			g.e = appendVar(g.e, v)
+		} else {
+			g.e = append(g.e, x.Name...) // constant (#define)
 		}
-		return x.Name // constant (#define)
 	case *ast.Unary:
 		if x.Op == token.NOT {
-			return fmt.Sprintf("!(%s)", g.expr(x.X))
+			g.e = append(g.e, "!("...)
+		} else {
+			g.e = append(g.e, "-("...)
 		}
-		return fmt.Sprintf("-(%s)", g.expr(x.X))
+		g.expr(x.X)
+		g.e = append(g.e, ')')
 	case *ast.Binary:
-		return fmt.Sprintf("(%s %s %s)", g.expr(x.X), x.Op, g.expr(x.Y))
+		g.e = append(g.e, '(')
+		g.expr(x.X)
+		g.e = append(append(append(g.e, ' '), x.Op.String()...), ' ')
+		g.expr(x.Y)
+		g.e = append(g.e, ')')
 	case *ast.Index:
-		arrT := g.info.Types[x.X]
-		n := tname(arrT)
-		h := g.expr(x.X)
-		return fmt.Sprintf("%s_data[%s].e[%s]", n, h, g.expr(x.I))
+		g.e = append(appendTName(g.e, g.info.Types[x.X]), "_data["...)
+		g.expr(x.X)
+		g.e = append(g.e, "].e["...)
+		g.expr(x.I)
+		g.e = append(g.e, ']')
 	case *ast.FieldSel:
 		recT := g.info.Types[x.X]
-		n := tname(recT)
-		return fmt.Sprintf("%s_f%d[%s]", n, recT.FieldIndex(x.Name.Name), g.expr(x.X))
+		g.e = append(appendField(g.e, recT, recT.FieldIndex(x.Name.Name)), '[')
+		g.expr(x.X)
+		g.e = append(g.e, ']')
 	case *ast.RecordLit:
 		t := g.info.Types[e]
-		n := tname(t)
-		tmp := g.temp()
-		g.w("alloc_%s(%s);", n, tmp)
+		tmp := g.alloc(t)
 		for i, el := range x.Elems {
-			g.w("%s_f%d[%s] = %s;", n, i, tmp, g.expr(el))
+			mark := len(g.e)
+			g.expr(el)
+			g.b = append(appendField(g.indentTo(g.b), t, i), '[')
+			g.b = append(appendTemp(g.b, tmp), "] = "...)
+			g.flush(mark)
+			g.b = append(g.b, ";\n"...)
 		}
-		return tmp
+		g.e = appendTemp(g.e, tmp)
 	case *ast.UnionLit:
 		t := g.info.Types[e]
-		n := tname(t)
 		tag := t.FieldIndex(x.Field.Name)
-		tmp := g.temp()
-		g.w("alloc_%s(%s);", n, tmp)
-		g.w("%s_tag[%s] = %d;", n, tmp, tag)
-		g.w("%s_f%d[%s] = %s;", n, tag, tmp, g.expr(x.Value))
-		return tmp
+		tmp := g.alloc(t)
+		g.b = append(appendTName(g.indentTo(g.b), t), "_tag["...)
+		g.b = append(appendTemp(g.b, tmp), "] = "...)
+		g.b = append(strconv.AppendInt(g.b, int64(tag), 10), ";\n"...)
+		mark := len(g.e)
+		g.expr(x.Value)
+		g.b = append(appendField(g.indentTo(g.b), t, tag), '[')
+		g.b = append(appendTemp(g.b, tmp), "] = "...)
+		g.flush(mark)
+		g.b = append(g.b, ";\n"...)
+		g.e = appendTemp(g.e, tmp)
 	case *ast.ArrayLit:
 		t := g.info.Types[e]
 		n := tname(t)
-		tmp := g.temp()
-		g.w("alloc_%s(%s);", n, tmp)
-		g.w("%s_data[%s].n = %s;", n, tmp, g.expr(x.Count))
-		g.w("d_step { byte init_i; for (init_i : 0 .. %s_BOUND-1) { %s_data[%s].e[init_i] = %s } };",
-			n, n, tmp, g.expr(x.Init))
-		return tmp
+		tmp := g.alloc(t)
+		mark := len(g.e)
+		g.expr(x.Count)
+		g.b = append(g.indentTo(g.b), n...)
+		g.b = append(appendTemp(append(g.b, "_data["...), tmp), "].n = "...)
+		g.flush(mark)
+		g.b = append(g.b, ";\n"...)
+		g.expr(x.Init)
+		g.b = emit.Appendf(g.indentTo(g.b), "d_step { byte init_i; for (init_i : 0 .. %s_BOUND-1) { %s_data[tmp%d].e[init_i] = ", n, n, tmp)
+		g.flush(mark)
+		g.b = append(g.b, " } };\n"...)
+		g.e = appendTemp(g.e, tmp)
 	case *ast.Cast:
 		// Mutability does not exist in the SPIN model (§5.2's objectId
 		// aliasing scheme makes every structure updatable); the cast is
 		// the identity.
-		return g.expr(x.X)
+		g.expr(x.X)
+	default:
+		g.e = append(g.e, "/* bad expr */"...)
 	}
-	return "/* bad expr */"
+}
+
+// alloc emits the allocation of a fresh object of type t into a new
+// temp and returns the temp.
+func (g *gen) alloc(t *types.Type) int {
+	tmp := g.temp()
+	g.b = appendTName(append(g.indentTo(g.b), "alloc_"...), t)
+	g.b = append(appendTemp(append(g.b, '('), tmp), ");\n"...)
+	return tmp
 }
