@@ -46,7 +46,7 @@ func main() {
 		optStats  = flag.Bool("opt-stats", false, "print per-pass optimizer statistics")
 		verifyIR  = flag.Bool("verify-ir", false, "check IR structural invariants after compilation and after every optimizer pass")
 		maxObjs   = flag.Int("max-objects", 1024, "C target: static heap size (0 = 1024)")
-		instances = flag.Int("instances", 1, "Promela target: program copies")
+		instances = flag.Int("instances", 1, "Promela target: value of the INSTANCES constant for a hand-written SPIN driver (the model itself runs one copy)")
 		bound     = flag.Int("bound", 16, "Promela target: default objectId table size (0 = 16)")
 		mcRun     = flag.Bool("mc", false, "model-check the program with the bundled checker (the program must be closed); a violation exits nonzero")
 		mcWorkers = flag.Int("mc-workers", 0, "model checker: parallel search workers (0 = all cores; 1 = deterministic)")

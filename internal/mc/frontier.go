@@ -101,13 +101,22 @@ type node struct {
 // in-flight count for termination detection. pop blocks until a node is
 // available, every node has been fully expanded (pending == 0), or the
 // search was shut down early (violation found or state bound reached).
+//
+// The search is level-synchronous: pop hands out a node one level deeper
+// only when no node of the current level is still expanding. Every
+// state is then first admitted from a parent at the least depth, so its
+// depth, Result.MaxDepth and the states a MaxDepth bound cuts do not
+// depend on how the workers interleave. With one worker the FIFO order
+// is already breadth-first.
 type frontier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	queue   []*node
-	head    int
-	pending int // queued + currently-expanding nodes
-	closed  bool
+	mu        sync.Mutex
+	cond      sync.Cond
+	queue     []*node
+	head      int
+	pending   int // queued + currently-expanding nodes
+	expanding int // popped nodes not yet done, all at depth level
+	level     int
+	closed    bool
 }
 
 func (f *frontier) push(n *node) {
@@ -129,7 +138,7 @@ func (f *frontier) pop() *node {
 		if f.closed {
 			return nil
 		}
-		if f.head < len(f.queue) {
+		if f.head < len(f.queue) && (f.expanding == 0 || f.queue[f.head].depth == f.level) {
 			n := f.queue[f.head]
 			f.queue[f.head] = nil
 			f.head++
@@ -137,6 +146,8 @@ func (f *frontier) pop() *node {
 				f.queue = append(f.queue[:0], f.queue[f.head:]...)
 				f.head = 0
 			}
+			f.level = n.depth
+			f.expanding++
 			return n
 		}
 		if f.pending == 0 {
@@ -146,13 +157,15 @@ func (f *frontier) pop() *node {
 	}
 }
 
-// done marks one popped node fully expanded.
+// done marks one popped node fully expanded. The last node of a level
+// releases the workers waiting to start the next.
 func (f *frontier) done() {
 	f.mu.Lock()
 	f.pending--
-	exhausted := f.pending == 0
+	f.expanding--
+	wake := f.pending == 0 || f.expanding == 0
 	f.mu.Unlock()
-	if exhausted {
+	if wake {
 		f.cond.Broadcast()
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"runtime"
 	"testing"
 
+	esplang "esplang"
 	"esplang/internal/mc"
+	"esplang/internal/nic"
 	"esplang/internal/parser"
 	"esplang/internal/vm"
+	"esplang/internal/vmmc"
 
 	"esplang/internal/check"
 	"esplang/internal/compile"
@@ -280,6 +283,43 @@ process sink { while (true) { in( c, $v); } }
 	}
 	if res.MaxDepth != 10 {
 		t.Errorf("MaxDepth = %d, want exactly the bound 10", res.MaxDepth)
+	}
+}
+
+// TestParallelDepthDeterministic: with several workers every state gets
+// its breadth-first depth, so MaxDepth and the states a depth bound cuts
+// match Workers 1 whatever the scheduling. When a state's depth was that
+// of whichever parent admitted it first, the two-node model reported
+// depth 40 in some searches at Workers 2 and 4.
+func TestParallelDepthDeterministic(t *testing.T) {
+	p, err := esplang.Compile(vmmc.TwoNodeModel(nic.DefaultConfig(), 2), esplang.CompileOptions{Name: "two-node"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(workers, maxDepth int) mc.Options {
+		return mc.Options{Workers: workers, EndRecvOK: true, MaxLiveObjects: 64, MaxDepth: maxDepth}
+	}
+	for _, workers := range []int{2, 4} {
+		for i := 0; i < 30; i++ {
+			res := mc.Check(p.IR, opts(workers, 0))
+			if res.Violation != nil || res.MaxDepth != 39 || res.States != 781 || res.Transitions != 1705 {
+				t.Fatalf("Workers %d, search %d: violation %v, depth %d, %d states, %d transitions; want none, 39, 781, 1705",
+					workers, i, res.Violation, res.MaxDepth, res.States, res.Transitions)
+			}
+		}
+	}
+	want := mc.Check(p.IR, opts(1, 20))
+	if !want.Truncated {
+		t.Fatal("a depth-20 search of the two-node model is not truncated")
+	}
+	for _, workers := range []int{2, 4} {
+		for i := 0; i < 3; i++ {
+			got := mc.Check(p.IR, opts(workers, 20))
+			if got.States != want.States || got.Transitions != want.Transitions || got.Truncated != want.Truncated {
+				t.Fatalf("MaxDepth 20 at Workers %d: %d states, %d transitions, truncated %v; Workers 1: %d, %d, %v",
+					workers, got.States, got.Transitions, got.Truncated, want.States, want.Transitions, want.Truncated)
+			}
+		}
 	}
 }
 

@@ -227,7 +227,7 @@ func (g *gen) run(prog *ast.Program) string {
 		g.emitProcess(p)
 	}
 
-	// init: instantiate every process (per instance copy).
+	// init: run every process once.
 	g.raw("init {")
 	g.raw("    atomic {")
 	for _, p := range g.info.Processes {
