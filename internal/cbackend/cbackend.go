@@ -73,7 +73,7 @@ func (g *cgen) w(format string, args ...any) {
 
 func (g *cgen) str(s string) { g.b = append(g.b, s...) }
 
-func (g *cgen) int(v int) { g.b = strconv.AppendInt(g.b, int64(v), 10) }
+func (g *cgen) num(v int) { g.b = strconv.AppendInt(g.b, int64(v), 10) }
 
 // sizeHint estimates the length of the C text: about 13 KB of runtime
 // plus what every process, instruction and table entry adds.
@@ -280,7 +280,7 @@ func (g *cgen) paramDecl(t *types.Type, pi int, writer bool) {
 	} else {
 		g.str(" p")
 	}
-	g.int(pi)
+	g.num(pi)
 }
 
 func (g *cgen) externDecls() {
@@ -345,7 +345,7 @@ func (g *cgen) accessPath(root string) {
 	g.str(root)
 	for _, i := range g.path {
 		g.str(")->elems[")
-		g.int(i)
+		g.num(i)
 		g.b = append(g.b, ']')
 	}
 }
@@ -545,7 +545,7 @@ func (g *cgen) tables() {
 		if i > 0 {
 			g.str(", ")
 		}
-		g.int(int(ch.Ext))
+		g.num(int(ch.Ext))
 	}
 	g.str(" }; /* 0 none, 1 reader, 2 writer */\n")
 	g.w("")
@@ -558,7 +558,7 @@ func (g *cgen) perProc(prefix string) {
 			g.str(", ")
 		}
 		g.str(prefix)
-		g.int(p.ID)
+		g.num(p.ID)
 	}
 }
 

@@ -34,7 +34,7 @@ func (g *cgen) emitBuilders() {
 					g.str(", ")
 				}
 				g.str("&p")
-				g.int(pi)
+				g.num(pi)
 			}
 			g.str(");\n")
 			tmp := 0

@@ -721,7 +721,7 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 // match against the handle whose expression is e[root:end], under the
 // access path g.path.
 func (g *gen) destructure(out *[]byte, pat ast.Expr, root, end int, t *types.Type) {
-	// assert appends "assert(<path> == " and returns the line's end.
+	// assert starts the line "assert(<path> == ".
 	assert := func() {
 		*out = g.appendPath(append(g.indentTo(*out), "assert("...), root, end)
 		*out = append(*out, " == "...)
