@@ -118,7 +118,7 @@ func (g *cgen) emitExtPut() {
 				g.str("    if (")
 				g.patMatch(c.Pat, "v", -1)
 				g.b = emit.Appendf(g.b, ") { %s%s(", ch.IfaceName, c.Name)
-				g.paramPaths(c.Pat, "v", true)
+				g.paramPaths(c.Pat, "v", len(g.b))
 				g.str("); goto done; }\n")
 			}
 			g.w("    esp_fail(\"value on channel %s matches no interface case\");", ch.Name)
@@ -132,28 +132,27 @@ func (g *cgen) emitExtPut() {
 }
 
 // paramPaths appends the C access path below root of every parameter an
-// interface pattern binds, comma-separated. The compiler numbers the
-// parameters in pattern order, so the walk meets them in slot order.
-func (g *cgen) paramPaths(p *ir.Pat, root string, first bool) bool {
+// interface pattern binds, comma-separated after the text that starts
+// at g.b[start:]. The compiler numbers the parameters in pattern order,
+// so the walk meets them in slot order.
+func (g *cgen) paramPaths(p *ir.Pat, root string, start int) {
 	switch p.Kind {
 	case ir.PatBind:
-		if !first {
+		if len(g.b) > start {
 			g.str(", ")
 		}
 		g.accessPath(root)
-		return false
 	case ir.PatRecord:
 		for i, sub := range p.Elems {
 			g.path = append(g.path, i)
-			first = g.paramPaths(sub, root, first)
+			g.paramPaths(sub, root, start)
 			g.path = g.path[:len(g.path)-1]
 		}
 	case ir.PatUnion:
 		g.path = append(g.path, 0)
-		first = g.paramPaths(p.Elems[0], root, first)
+		g.paramPaths(p.Elems[0], root, start)
 		g.path = g.path[:len(g.path)-1]
 	}
-	return first
 }
 
 // emitPoll generates the idle-loop polling function (§6.1: "the generated

@@ -65,30 +65,12 @@ func Appendf(dst []byte, format string, args ...any) []byte {
 func appendArg(dst []byte, verb byte, plus bool, width int, arg any) []byte {
 	switch verb {
 	case 'd', 'x', 'b':
-		base := 10
-		switch verb {
-		case 'x':
-			base = 16
-		case 'b':
-			base = 2
+		var buf [66]byte
+		num := appendInt(buf[:0], verb, plus, arg)
+		for i := len(num); i < width; i++ {
+			dst = append(dst, ' ')
 		}
-		start := len(dst)
-		switch v := arg.(type) {
-		case int:
-			dst = appendInt(dst, int64(v), base, plus)
-		case int32:
-			dst = appendInt(dst, int64(v), base, plus)
-		case int64:
-			dst = appendInt(dst, v, base, plus)
-		case uint64:
-			if plus {
-				dst = append(dst, '+')
-			}
-			dst = strconv.AppendUint(dst, v, base)
-		default:
-			panic("emit: %" + string(verb) + " of a non-integer")
-		}
-		return pad(dst, start, width)
+		return append(dst, num...)
 	case 's', 'q':
 		s, ok := arg.(string)
 		if !ok {
@@ -108,25 +90,34 @@ func appendArg(dst []byte, verb byte, plus bool, width int, arg any) []byte {
 	panic("emit: unknown verb %" + string(verb))
 }
 
-func appendInt(dst []byte, v int64, base int, plus bool) []byte {
+// appendInt appends an integer argument in the base the verb names, led
+// by '+' when plus is set and the value is not negative.
+func appendInt(dst []byte, verb byte, plus bool, arg any) []byte {
+	base := 10
+	switch verb {
+	case 'x':
+		base = 16
+	case 'b':
+		base = 2
+	}
+	var v int64
+	switch a := arg.(type) {
+	case int:
+		v = int64(a)
+	case int32:
+		v = int64(a)
+	case int64:
+		v = a
+	case uint64:
+		if plus {
+			dst = append(dst, '+')
+		}
+		return strconv.AppendUint(dst, a, base)
+	default:
+		panic("emit: %" + string(verb) + " of a non-integer")
+	}
 	if plus && v >= 0 {
 		dst = append(dst, '+')
 	}
 	return strconv.AppendInt(dst, v, base)
-}
-
-// pad right-justifies the text appended since start to width columns.
-func pad(dst []byte, start, width int) []byte {
-	n := width - (len(dst) - start)
-	if n <= 0 {
-		return dst
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, ' ')
-	}
-	copy(dst[start+n:], dst[start:len(dst)-n])
-	for i := 0; i < n; i++ {
-		dst[start+i] = ' '
-	}
-	return dst
 }
