@@ -39,7 +39,7 @@ func TestCompilerOutputAllocs(t *testing.T) {
 		got, limit float64
 	}{
 		{"C", allocs(func() { _ = prog.C(esplang.COptions{}) }), 3 * 1.1},
-		{"Promela", allocs(func() { _ = prog.Promela(esplang.PromelaOptions{}) }), 211 * 1.1},
+		{"Promela", allocs(func() { _ = prog.Promela(esplang.PromelaOptions{}) }), 196 * 1.1},
 		{"Disasm", allocs(func() { _ = prog.Disasm() }), 12 * 1.1},
 		{"DisasmFused", allocs(func() { _ = prog.DisasmFused() }), 61 * 1.1},
 		{"VerifyIR overhead", allocs(compile(true)) - allocs(compile(false)), 168 * 1.1},

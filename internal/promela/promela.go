@@ -61,6 +61,13 @@ func Generate(prog *ast.Program, info *check.Info, opts Options) string {
 		opts.Instances = 1
 	}
 	g := &gen{info: info, opts: opts}
+	for _, t := range info.Universe.All() {
+		name := t.Name()
+		if name == "" {
+			name = "anon" + strconv.Itoa(t.ID())
+		}
+		g.names = append(g.names, name)
+	}
 	return g.run(prog)
 }
 
@@ -76,6 +83,7 @@ type gen struct {
 	e      []byte // expressions under construction
 	post   []byte // the statements a receive emits after it
 	path   []field
+	names  []string // Promela identifier prefix of each type, by type ID
 	info   *check.Info
 	opts   Options
 	indent int
@@ -90,10 +98,16 @@ type field struct {
 	i int
 }
 
-func (g *gen) w(format string, args ...any) {
-	g.b = g.indentTo(g.b)
-	g.b = emit.Appendf(g.b, format, args...)
-	g.b = append(g.b, '\n')
+// tname returns the Promela identifier prefix of a composite type.
+func (g *gen) tname(t *types.Type) string { return g.names[t.ID()] }
+
+// w appends one statement line at the current indentation.
+func (g *gen) w(format string, args ...any) { g.stmtTo(&g.b, format, args...) }
+
+// stmtTo appends one statement line at the current indentation to *out.
+func (g *gen) stmtTo(out *[]byte, format string, args ...any) {
+	*out = emit.Appendf(g.indentTo(*out), format, args...)
+	*out = append(*out, '\n')
 }
 
 func (g *gen) raw(format string, args ...any) {
@@ -108,41 +122,20 @@ func (g *gen) indentTo(b []byte) []byte {
 	return b
 }
 
-// flush appends the expression text e[mark:] to the output and pops it.
-func (g *gen) flush(mark int) {
-	g.b = append(g.b, g.e[mark:]...)
+// ef appends formatted text to the expression under construction.
+func (g *gen) ef(format string, args ...any) { g.e = emit.Appendf(g.e, format, args...) }
+
+// flush appends the expression text e[mark:] and then suffix to the
+// output, and pops the expression.
+func (g *gen) flush(mark int, suffix string) {
+	g.b = append(append(g.b, g.e[mark:]...), suffix...)
 	g.e = g.e[:mark]
 }
 
-// tname returns the Promela identifier prefix of a composite type.
-func tname(t *types.Type) string {
-	if t.Name() != "" {
-		return t.Name()
-	}
-	return "anon" + strconv.Itoa(t.ID())
-}
-
-// appendTName appends tname(t).
-func appendTName(b []byte, t *types.Type) []byte {
-	if t.Name() != "" {
-		return append(b, t.Name()...)
-	}
-	return strconv.AppendInt(append(b, "anon"...), int64(t.ID()), 10)
-}
-
-// appendField appends <t>_f<i>.
-func appendField(b []byte, t *types.Type, i int) []byte {
-	b = append(appendTName(b, t), "_f"...)
-	return strconv.AppendInt(b, int64(i), 10)
-}
-
-func appendVar(b []byte, v *check.Var) []byte {
-	b = append(append(b, v.Name...), '_')
-	return strconv.AppendInt(b, int64(v.Slot), 10)
-}
-
-func appendTemp(b []byte, n int) []byte {
-	return strconv.AppendInt(append(b, "tmp"...), int64(n), 10)
+// start begins a statement line in the output: the indentation, then
+// the formatted text.
+func (g *gen) start(format string, args ...any) {
+	g.b = emit.Appendf(g.indentTo(g.b), format, args...)
 }
 
 func (g *gen) bound(t *types.Type) int {
@@ -260,7 +253,7 @@ func sortedConsts(m map[string]int64) []constEntry {
 // Types: objectId tables
 
 func (g *gen) emitTypeTables(t *types.Type) {
-	n := tname(t)
+	n := g.tname(t)
 	max := g.opts.DefaultBound
 	g.raw("/* objectId tables for %s (handle 0 = null) */", t.String())
 	g.raw("#define %s_MAX %d", n, max)
@@ -296,7 +289,7 @@ func promType(t *types.Type) string {
 }
 
 func (g *gen) emitAllocInline(t *types.Type) {
-	n := tname(t)
+	n := g.tname(t)
 	g.raw("inline alloc_%s(h) {", n)
 	g.raw("    d_step {")
 	g.raw("        h = 0;")
@@ -315,7 +308,7 @@ func (g *gen) emitAllocInline(t *types.Type) {
 }
 
 func (g *gen) emitUnlinkInline(t *types.Type) {
-	n := tname(t)
+	n := g.tname(t)
 	g.raw("inline link_%s(h) {", n)
 	g.raw("    assert(%s_live[h]); %s_rc[h]++;", n, n)
 	g.raw("}")
@@ -328,7 +321,7 @@ func (g *gen) emitUnlinkInline(t *types.Type) {
 	// Recursively unlink reference children.
 	for i, f := range t.Fields {
 		if f.Type.IsRef() {
-			g.raw("            unlink_%s(%s_f%d[h]);", tname(f.Type), n, i)
+			g.raw("            unlink_%s(%s_f%d[h]);", g.tname(f.Type), n, i)
 		}
 	}
 	g.raw("        :: else -> skip")
@@ -405,15 +398,13 @@ func (g *gen) blockStmts(b *ast.Block) {
 	}
 }
 
-// cond appends the statement line "<prefix>(<cond>)<suffix>".
-func (g *gen) cond(prefix string, e ast.Expr, suffix string) {
+// exprLine appends the statement line made of the formatted prefix,
+// expression e and suffix.
+func (g *gen) exprLine(e ast.Expr, suffix, prefix string, args ...any) {
 	mark := len(g.e)
 	g.expr(e)
-	g.b = append(g.indentTo(g.b), prefix...)
-	g.b = append(g.b, '(')
-	g.flush(mark)
-	g.b = append(append(g.b, ')'), suffix...)
-	g.b = append(g.b, '\n')
+	g.start(prefix, args...)
+	g.flush(mark, suffix)
 }
 
 func (g *gen) stmt(s ast.Stmt) {
@@ -428,12 +419,11 @@ func (g *gen) stmt(s ast.Stmt) {
 	case *ast.Block:
 		g.blockStmts(x)
 	case *ast.VarDecl:
+		v := g.info.Defs[x.Name]
 		mark := len(g.e)
 		g.expr(x.Init)
-		g.b = appendVar(g.indentTo(g.b), g.info.Defs[x.Name])
-		g.b = append(g.b, " = "...)
-		g.flush(mark)
-		g.b = append(g.b, ";\n"...)
+		g.start("%s_%d = ", v.Name, v.Slot)
+		g.flush(mark, ";\n")
 	case *ast.Assign:
 		mark := len(g.e)
 		if ast.IsPattern(x.LHS) {
@@ -447,15 +437,14 @@ func (g *gen) stmt(s ast.Stmt) {
 		g.expr(x.RHS)
 		g.b = append(g.indentTo(g.b), g.e[mark:rhs]...)
 		g.b = append(g.b, " = "...)
-		g.flush(rhs)
-		g.b = append(g.b, ";\n"...)
+		g.flush(rhs, ";\n")
 		g.e = g.e[:mark]
 	case *ast.While:
 		g.w("do")
 		if x.Cond == nil {
 			g.w(":: true ->")
 		} else {
-			g.cond(":: ", x.Cond, " ->")
+			g.exprLine(x.Cond, ") ->\n", ":: (")
 		}
 		g.indent++
 		g.blockStmts(x.Body)
@@ -466,7 +455,7 @@ func (g *gen) stmt(s ast.Stmt) {
 		g.w("od;")
 	case *ast.If:
 		g.w("if")
-		g.cond(":: ", x.Cond, " ->")
+		g.exprLine(x.Cond, ") ->\n", ":: (")
 		g.indent++
 		g.blockStmts(x.Then)
 		g.indent--
@@ -486,7 +475,7 @@ func (g *gen) stmt(s ast.Stmt) {
 		for _, cs := range x.Cases {
 			if cs.Guard != nil {
 				// Documented simplification: the guard commits the option.
-				g.cond(":: ", cs.Guard, " ->")
+				g.exprLine(cs.Guard, ") ->\n", ":: (")
 			} else {
 				g.w("::")
 			}
@@ -497,27 +486,16 @@ func (g *gen) stmt(s ast.Stmt) {
 		}
 		g.w("fi;")
 	case *ast.Link:
-		g.refCall("link_", x.X)
+		g.exprLine(x.X, ");\n", "link_%s(", g.tname(g.info.Types[x.X]))
 	case *ast.Unlink:
-		g.refCall("unlink_", x.X)
+		g.exprLine(x.X, ");\n", "unlink_%s(", g.tname(g.info.Types[x.X]))
 	case *ast.Assert:
-		g.cond("assert", x.X, ";")
+		g.exprLine(x.X, ");\n", "assert(")
 	case *ast.Skip:
 		g.w("skip;")
 	case *ast.BreakStmt:
 		g.w("break;")
 	}
-}
-
-// refCall appends "<inline><type>(<x>);", a link or unlink of x.
-func (g *gen) refCall(inline string, x ast.Expr) {
-	mark := len(g.e)
-	g.expr(x)
-	g.b = append(g.indentTo(g.b), inline...)
-	g.b = appendTName(g.b, g.info.Types[x])
-	g.b = append(g.b, '(')
-	g.flush(mark)
-	g.b = append(g.b, ");\n"...)
 }
 
 // comm emits a channel operation with the flattened payload.
@@ -526,10 +504,8 @@ func (g *gen) comm(c *ast.Comm) {
 	if c.Dir == ast.Send {
 		mark := len(g.e)
 		g.sendPayload(c.Arg, ch.Elem)
-		g.b = append(g.indentTo(g.b), ch.Name...)
-		g.b = append(g.b, '!')
-		g.flush(mark)
-		g.b = append(g.b, ";\n"...)
+		g.start("%s!", ch.Name)
+		g.flush(mark, ";\n")
 		return
 	}
 	g.recvPattern(c.Arg, ch)
@@ -537,56 +513,54 @@ func (g *gen) comm(c *ast.Comm) {
 
 // sendPayload appends the flattened send arguments to e.
 func (g *gen) sendPayload(arg ast.Expr, elem *types.Type) {
-	switch elem.Kind {
-	case types.Record:
-		if lit, ok := arg.(*ast.RecordLit); ok {
-			for i, el := range lit.Elems {
+	switch x := arg.(type) {
+	case *ast.RecordLit:
+		if elem.Kind == types.Record {
+			for i, el := range x.Elems {
 				if i > 0 {
-					g.e = append(g.e, ", "...)
+					g.ef(", ")
 				}
 				g.expr(el)
 			}
 			return
 		}
-		// A record variable: send its fields from the table.
-		h := len(g.e)
-		g.expr(arg)
-		end := len(g.e)
-		for i := range elem.Fields {
-			if i > 0 {
-				g.e = append(g.e, ", "...)
-			}
-			g.e = append(appendField(g.e, elem, i), '[')
-			g.e = append(append(g.e, g.e[h:end]...), ']')
-		}
-		g.e = g.e[:h+copy(g.e[h:], g.e[end:])]
-	case types.Union:
-		if lit, ok := arg.(*ast.UnionLit); ok {
-			tag := elem.FieldIndex(lit.Field.Name)
-			g.e = strconv.AppendInt(g.e, int64(tag), 10)
+	case *ast.UnionLit:
+		if elem.Kind == types.Union {
+			tag := elem.FieldIndex(x.Field.Name)
+			g.ef("%d", tag)
 			for i := range elem.Fields {
 				if i == tag {
-					g.e = append(g.e, ", "...)
-					g.expr(lit.Value)
+					g.ef(", ")
+					g.expr(x.Value)
 				} else {
-					g.e = append(g.e, ", 0"...)
+					g.ef(", 0")
 				}
 			}
 			return
 		}
-		h := len(g.e)
-		g.expr(arg)
-		end := len(g.e)
-		g.e = append(appendTName(g.e, elem), "_tag["...)
-		g.e = append(append(g.e, g.e[h:end]...), ']')
-		for i := range elem.Fields {
-			g.e = append(appendField(append(g.e, ", "...), elem, i), '[')
-			g.e = append(append(g.e, g.e[h:end]...), ']')
-		}
-		g.e = g.e[:h+copy(g.e[h:], g.e[end:])]
-	default:
-		g.expr(arg)
 	}
+	if elem.Kind != types.Record && elem.Kind != types.Union {
+		g.expr(arg)
+		return
+	}
+	// A record or union variable: send its cells from the tables. The
+	// handle expression h is rendered once and copied into each cell.
+	h := len(g.e)
+	g.expr(arg)
+	end := len(g.e)
+	n := g.tname(elem)
+	if elem.Kind == types.Union {
+		g.ef("%s_tag[", n)
+		g.e = append(append(g.e, g.e[h:end]...), "], "...)
+	}
+	for i := range elem.Fields {
+		if i > 0 {
+			g.ef(", ")
+		}
+		g.ef("%s_f%d[", n, i)
+		g.e = append(append(g.e, g.e[h:end]...), ']')
+	}
+	g.e = g.e[:h+copy(g.e[h:], g.e[end:])]
 }
 
 // recvPattern emits a receive with pattern tests folded into eval()
@@ -595,53 +569,44 @@ func (g *gen) sendPayload(arg ast.Expr, elem *types.Type) {
 // and follow the receive.
 func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 	elem := ch.Elem
+	n := g.tname(elem)
 	mark := len(g.e)
 	g.post = g.post[:0]
-	sep := func() {
+	// field appends the next receive field.
+	field := func(format string, args ...any) {
 		if len(g.e) > mark {
-			g.e = append(g.e, ", "...)
+			g.ef(", ")
 		}
+		g.ef(format, args...)
 	}
-	// postLine starts a statement in post.
-	postLine := func() { g.post = g.indentTo(g.post) }
-
 	bindField := func(p ast.Expr, ft *types.Type) {
-		sep()
 		switch y := p.(type) {
 		case *ast.Binding:
 			v := g.info.Defs[y.Name]
 			if ft.IsRef() {
-				postLine()
-				g.post = appendTName(append(g.post, "link_"...), ft)
-				g.post = append(appendVar(append(g.post, '('), v), ");\n"...)
+				g.stmtTo(&g.post, "link_%s(%s_%d);", g.tname(ft), v.Name, v.Slot)
 			}
-			g.e = appendVar(g.e, v)
+			field("%s_%d", v.Name, v.Slot)
 		case *ast.Wildcard:
-			g.e = append(g.e, '_')
+			field("_")
 		case *ast.Self:
-			g.e = append(g.e, "eval(_pid)"...)
+			field("eval(_pid)")
 		case *ast.IntLit:
-			g.e = append(strconv.AppendInt(append(g.e, "eval("...), y.Value, 10), ')')
+			field("eval(%d)", y.Value)
 		case *ast.BoolLit:
-			g.e = append(strconv.AppendBool(append(g.e, "eval("...), y.Value), ')')
+			field("eval(%t)", y.Value)
 		case *ast.Ident:
-			g.e = append(g.e, "eval("...)
+			field("eval(")
 			g.expr(p)
-			g.e = append(g.e, ')')
+			g.ef(")")
 		default:
 			// Nested composite pattern on a handle field: bind to a temp
 			// and destructure after the receive.
+			field("")
 			tmp := len(g.e)
-			g.e = appendTemp(g.e, g.temp())
+			g.ef("tmp%d", g.temp())
 			g.destructure(&g.post, p, tmp, len(g.e), ft)
 		}
-	}
-	// tempField binds a fresh temp as the next field and returns it.
-	tempField := func() int {
-		t := g.temp()
-		sep()
-		g.e = appendTemp(g.e, t)
-		return t
 	}
 
 	switch elem.Kind {
@@ -654,66 +619,52 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 		}
 		// Whole-record binding: allocate a fresh record and fill it.
 		tmp := g.temp()
-		postLine()
-		g.post = appendTName(append(g.post, "alloc_"...), elem)
-		g.post = append(appendTemp(append(g.post, '('), tmp), ");\n"...)
+		g.stmtTo(&g.post, "alloc_%s(tmp%d);", n, tmp)
 		for i := range elem.Fields {
-			t := tempField()
-			postLine()
-			g.post = append(appendField(g.post, elem, i), '[')
-			g.post = append(appendTemp(g.post, tmp), "] = "...)
-			g.post = append(appendTemp(g.post, t), ";\n"...)
+			t := g.temp()
+			field("tmp%d", t)
+			g.stmtTo(&g.post, "%s_f%d[tmp%d] = tmp%d;", n, i, tmp, t)
 		}
 		if b, ok := pat.(*ast.Binding); ok {
-			postLine()
-			g.post = append(appendVar(g.post, g.info.Defs[b.Name]), " = "...)
-			g.post = append(appendTemp(g.post, tmp), ";\n"...)
+			v := g.info.Defs[b.Name]
+			g.stmtTo(&g.post, "%s_%d = tmp%d;", v.Name, v.Slot, tmp)
 		}
 	case types.Union:
 		if lit, ok := pat.(*ast.UnionLit); ok {
 			tag := elem.FieldIndex(lit.Field.Name)
-			g.e = append(strconv.AppendInt(append(g.e, "eval("...), int64(tag), 10), ')')
+			field("eval(%d)", tag)
 			for i := range elem.Fields {
 				if i == tag {
 					bindField(lit.Value, elem.Fields[i].Type)
 				} else {
-					g.e = append(g.e, ", _"...)
+					field("_")
 				}
 			}
 		} else if b, ok := pat.(*ast.Binding); ok {
 			tmp := g.temp()
-			postLine()
-			g.post = appendTName(append(g.post, "alloc_"...), elem)
-			g.post = append(appendTemp(append(g.post, '('), tmp), ");\n"...)
-			tag := tempField()
-			postLine()
-			g.post = appendTName(g.post, elem)
-			g.post = append(appendTemp(append(g.post, "_tag["...), tmp), "] = "...)
-			g.post = append(appendTemp(g.post, tag), ";\n"...)
+			g.stmtTo(&g.post, "alloc_%s(tmp%d);", n, tmp)
+			tag := g.temp()
+			field("tmp%d", tag)
+			g.stmtTo(&g.post, "%s_tag[tmp%d] = tmp%d;", n, tmp, tag)
 			for i := range elem.Fields {
-				t := tempField()
-				postLine()
-				g.post = append(appendField(g.post, elem, i), '[')
-				g.post = append(appendTemp(g.post, tmp), "] = "...)
-				g.post = append(appendTemp(g.post, t), ";\n"...)
+				t := g.temp()
+				field("tmp%d", t)
+				g.stmtTo(&g.post, "%s_f%d[tmp%d] = tmp%d;", n, i, tmp, t)
 			}
-			postLine()
-			g.post = append(appendVar(g.post, g.info.Defs[b.Name]), " = "...)
-			g.post = append(appendTemp(g.post, tmp), ";\n"...)
+			v := g.info.Defs[b.Name]
+			g.stmtTo(&g.post, "%s_%d = tmp%d;", v.Name, v.Slot, tmp)
 		} else {
-			g.e = append(g.e, '_')
+			field("_")
 			for range elem.Fields {
-				g.e = append(g.e, ", _"...)
+				field("_")
 			}
 		}
 	default:
 		bindField(pat, elem)
 	}
 
-	g.b = append(g.indentTo(g.b), ch.Name...)
-	g.b = append(g.b, '?')
-	g.flush(mark)
-	g.b = append(g.b, ";\n"...)
+	g.start("%s?", ch.Name)
+	g.flush(mark, ";\n")
 	g.b = append(g.b, g.post...)
 }
 
@@ -721,33 +672,35 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 // match against the handle whose expression is e[root:end], under the
 // access path g.path.
 func (g *gen) destructure(out *[]byte, pat ast.Expr, root, end int, t *types.Type) {
-	// assert starts the line "assert(<path> == ".
-	assert := func() {
-		*out = g.appendPath(append(g.indentTo(*out), "assert("...), root, end)
-		*out = append(*out, " == "...)
+	// open starts a statement: the formatted text, then the path.
+	open := func(format string, args ...any) {
+		*out = emit.Appendf(g.indentTo(*out), format, args...)
+		*out = g.appendPath(*out, root, end)
 	}
 	switch x := pat.(type) {
 	case *ast.Binding:
-		*out = append(appendVar(g.indentTo(*out), g.info.Defs[x.Name]), " = "...)
-		*out = append(g.appendPath(*out, root, end), ";\n"...)
+		v := g.info.Defs[x.Name]
+		open("%s_%d = ", v.Name, v.Slot)
+		*out = append(*out, ";\n"...)
 	case *ast.Wildcard:
 	case *ast.IntLit:
-		assert()
-		*out = append(strconv.AppendInt(*out, x.Value, 10), ");\n"...)
+		open("assert(")
+		*out = emit.Appendf(*out, " == %d);\n", x.Value)
 	case *ast.BoolLit:
-		assert()
-		*out = append(strconv.AppendBool(*out, x.Value), ");\n"...)
+		open("assert(")
+		*out = emit.Appendf(*out, " == %t);\n", x.Value)
 	case *ast.Self:
-		assert()
-		*out = append(*out, "_pid);\n"...)
+		open("assert(")
+		*out = append(*out, " == _pid);\n"...)
 	case *ast.Ident:
 		mark := len(g.e)
 		g.expr(pat)
-		assert()
-		*out = append(append(*out, g.e[mark:]...), ");\n"...)
+		open("assert(")
+		*out = append(append(*out, " == "...), g.e[mark:]...)
+		*out = append(*out, ");\n"...)
 		g.e = g.e[:mark]
 	case *ast.RecordLit:
-		g.tableRef(out, t, "_live[", root, end)
+		open("assert(%s_live[", g.tname(t))
 		*out = append(*out, "]);\n"...)
 		for i, el := range x.Elems {
 			g.path = append(g.path, field{t, i})
@@ -756,28 +709,21 @@ func (g *gen) destructure(out *[]byte, pat ast.Expr, root, end int, t *types.Typ
 		}
 	case *ast.UnionLit:
 		tag := t.FieldIndex(x.Field.Name)
-		g.tableRef(out, t, "_live[", root, end)
+		open("assert(%s_live[", g.tname(t))
 		*out = append(*out, "]);\n"...)
-		g.tableRef(out, t, "_tag[", root, end)
-		*out = append(strconv.AppendInt(append(*out, "] == "...), int64(tag), 10), ");\n"...)
+		open("assert(%s_tag[", g.tname(t))
+		*out = emit.Appendf(*out, "] == %d);\n", tag)
 		g.path = append(g.path, field{t, tag})
 		g.destructure(out, x.Value, root, end, t.Fields[tag].Type)
 		g.path = g.path[:len(g.path)-1]
 	}
 }
 
-// tableRef starts an assertion on a table of type t at the current
-// access path: "assert(<t><table><path>".
-func (g *gen) tableRef(out *[]byte, t *types.Type, table string, root, end int) {
-	*out = appendTName(append(g.indentTo(*out), "assert("...), t)
-	*out = g.appendPath(append(*out, table...), root, end)
-}
-
 // appendPath appends the access path g.path applied to the handle
 // e[root:end]: <t>_f<i>[...] for each level, the outermost last.
 func (g *gen) appendPath(b []byte, root, end int) []byte {
 	for k := len(g.path) - 1; k >= 0; k-- {
-		b = append(appendField(b, g.path[k].t, g.path[k].i), '[')
+		b = emit.Appendf(b, "%s_f%d[", g.tname(g.path[k].t), g.path[k].i)
 	}
 	b = append(b, g.e[root:end]...)
 	for range g.path {
@@ -799,11 +745,12 @@ func (g *gen) temp() int {
 func (g *gen) lvalue(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		g.e = appendVar(g.e, g.info.Uses[x])
+		v := g.info.Uses[x]
+		g.ef("%s_%d", v.Name, v.Slot)
 	case *ast.Index, *ast.FieldSel:
 		g.expr(e)
 	default:
-		g.e = append(g.e, "/* bad lvalue */"...)
+		g.ef("/* bad lvalue */")
 	}
 }
 
@@ -812,90 +759,81 @@ func (g *gen) lvalue(e ast.Expr) {
 func (g *gen) expr(e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		g.e = strconv.AppendInt(g.e, x.Value, 10)
+		g.ef("%d", x.Value)
 	case *ast.BoolLit:
-		g.e = strconv.AppendBool(g.e, x.Value)
+		g.ef("%t", x.Value)
 	case *ast.Self:
-		g.e = append(g.e, "_pid"...)
+		g.ef("_pid")
 	case *ast.Ident:
 		if v, ok := g.info.Uses[x]; ok {
-			g.e = appendVar(g.e, v)
+			g.ef("%s_%d", v.Name, v.Slot)
 		} else {
-			g.e = append(g.e, x.Name...) // constant (#define)
+			g.ef("%s", x.Name) // constant (#define)
 		}
 	case *ast.Unary:
 		if x.Op == token.NOT {
-			g.e = append(g.e, "!("...)
+			g.ef("!(")
 		} else {
-			g.e = append(g.e, "-("...)
+			g.ef("-(")
 		}
 		g.expr(x.X)
-		g.e = append(g.e, ')')
+		g.ef(")")
 	case *ast.Binary:
-		g.e = append(g.e, '(')
+		g.ef("(")
 		g.expr(x.X)
-		g.e = append(append(append(g.e, ' '), x.Op.String()...), ' ')
+		g.ef(" %s ", x.Op.String())
 		g.expr(x.Y)
-		g.e = append(g.e, ')')
+		g.ef(")")
 	case *ast.Index:
-		g.e = append(appendTName(g.e, g.info.Types[x.X]), "_data["...)
+		g.ef("%s_data[", g.tname(g.info.Types[x.X]))
 		g.expr(x.X)
-		g.e = append(g.e, "].e["...)
+		g.ef("].e[")
 		g.expr(x.I)
-		g.e = append(g.e, ']')
+		g.ef("]")
 	case *ast.FieldSel:
 		recT := g.info.Types[x.X]
-		g.e = append(appendField(g.e, recT, recT.FieldIndex(x.Name.Name)), '[')
+		g.ef("%s_f%d[", g.tname(recT), recT.FieldIndex(x.Name.Name))
 		g.expr(x.X)
-		g.e = append(g.e, ']')
+		g.ef("]")
 	case *ast.RecordLit:
 		t := g.info.Types[e]
 		tmp := g.alloc(t)
 		for i, el := range x.Elems {
 			mark := len(g.e)
 			g.expr(el)
-			g.b = append(appendField(g.indentTo(g.b), t, i), '[')
-			g.b = append(appendTemp(g.b, tmp), "] = "...)
-			g.flush(mark)
-			g.b = append(g.b, ";\n"...)
+			g.start("%s_f%d[tmp%d] = ", g.tname(t), i, tmp)
+			g.flush(mark, ";\n")
 		}
-		g.e = appendTemp(g.e, tmp)
+		g.ef("tmp%d", tmp)
 	case *ast.UnionLit:
 		t := g.info.Types[e]
 		tag := t.FieldIndex(x.Field.Name)
 		tmp := g.alloc(t)
-		g.b = append(appendTName(g.indentTo(g.b), t), "_tag["...)
-		g.b = append(appendTemp(g.b, tmp), "] = "...)
-		g.b = append(strconv.AppendInt(g.b, int64(tag), 10), ";\n"...)
+		g.w("%s_tag[tmp%d] = %d;", g.tname(t), tmp, tag)
 		mark := len(g.e)
 		g.expr(x.Value)
-		g.b = append(appendField(g.indentTo(g.b), t, tag), '[')
-		g.b = append(appendTemp(g.b, tmp), "] = "...)
-		g.flush(mark)
-		g.b = append(g.b, ";\n"...)
-		g.e = appendTemp(g.e, tmp)
+		g.start("%s_f%d[tmp%d] = ", g.tname(t), tag, tmp)
+		g.flush(mark, ";\n")
+		g.ef("tmp%d", tmp)
 	case *ast.ArrayLit:
 		t := g.info.Types[e]
-		n := tname(t)
+		n := g.tname(t)
 		tmp := g.alloc(t)
 		mark := len(g.e)
 		g.expr(x.Count)
-		g.b = append(g.indentTo(g.b), n...)
-		g.b = append(appendTemp(append(g.b, "_data["...), tmp), "].n = "...)
-		g.flush(mark)
-		g.b = append(g.b, ";\n"...)
+		g.start("%s_data[tmp%d].n = ", n, tmp)
+		g.flush(mark, ";\n")
 		g.expr(x.Init)
-		g.b = emit.Appendf(g.indentTo(g.b), "d_step { byte init_i; for (init_i : 0 .. %s_BOUND-1) { %s_data[tmp%d].e[init_i] = ", n, n, tmp)
-		g.flush(mark)
-		g.b = append(g.b, " } };\n"...)
-		g.e = appendTemp(g.e, tmp)
+		g.start("d_step { byte init_i; for (init_i : 0 .. %s_BOUND-1) { %s_data[tmp%d].e[init_i] = ", n, n, tmp)
+		g.flush(mark, " } };\n")
+		g.ef("tmp%d", tmp)
 	case *ast.Cast:
 		// Mutability does not exist in the SPIN model (§5.2's objectId
 		// aliasing scheme makes every structure updatable); the cast is
 		// the identity.
 		g.expr(x.X)
 	default:
-		g.e = append(g.e, "/* bad expr */"...)
+		g.ef("/* bad expr */")
 	}
 }
 
@@ -903,7 +841,6 @@ func (g *gen) expr(e ast.Expr) {
 // temp and returns the temp.
 func (g *gen) alloc(t *types.Type) int {
 	tmp := g.temp()
-	g.b = appendTName(append(g.indentTo(g.b), "alloc_"...), t)
-	g.b = append(appendTemp(append(g.b, '('), tmp), ");\n"...)
+	g.w("alloc_%s(tmp%d);", g.tname(t), tmp)
 	return tmp
 }
