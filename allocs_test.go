@@ -13,10 +13,8 @@ import (
 // a file name so the C carries #line directives and the Promela location
 // comments. The emitters append into one buffer sized from the program,
 // and a verified compile re-checks only the process each per-process
-// pass rewrote. Each limit is the count this code reaches plus 10%; the
-// fmt-based emitters allocated 2,485 (C), 1,694 (Promela), 910 (Disasm)
-// and 788 (DisasmFused) times, and VerifyIR added 3,679 allocations to a
-// compile when every pass re-verified the whole program.
+// pass rewrote. Each limit is the count this code reaches plus 10%
+// (docs/PERFORMANCE.md has the counts before).
 func TestCompilerOutputAllocs(t *testing.T) {
 	src := vmmc.ESPSource(nic.DefaultConfig())
 	opts := esplang.CompileOptions{Name: "vmmcESP", File: "vmmcESP"}

@@ -572,8 +572,8 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 	n := g.tname(elem)
 	mark := len(g.e)
 	g.post = g.post[:0]
-	// field appends the next receive field.
-	field := func(format string, args ...any) {
+	// next appends the next receive field.
+	next := func(format string, args ...any) {
 		if len(g.e) > mark {
 			g.ef(", ")
 		}
@@ -586,23 +586,23 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 			if ft.IsRef() {
 				g.stmtTo(&g.post, "link_%s(%s_%d);", g.tname(ft), v.Name, v.Slot)
 			}
-			field("%s_%d", v.Name, v.Slot)
+			next("%s_%d", v.Name, v.Slot)
 		case *ast.Wildcard:
-			field("_")
+			next("_")
 		case *ast.Self:
-			field("eval(_pid)")
+			next("eval(_pid)")
 		case *ast.IntLit:
-			field("eval(%d)", y.Value)
+			next("eval(%d)", y.Value)
 		case *ast.BoolLit:
-			field("eval(%t)", y.Value)
+			next("eval(%t)", y.Value)
 		case *ast.Ident:
-			field("eval(")
+			next("eval(")
 			g.expr(p)
 			g.ef(")")
 		default:
 			// Nested composite pattern on a handle field: bind to a temp
 			// and destructure after the receive.
-			field("")
+			next("")
 			tmp := len(g.e)
 			g.ef("tmp%d", g.temp())
 			g.destructure(&g.post, p, tmp, len(g.e), ft)
@@ -622,7 +622,7 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 		g.stmtTo(&g.post, "alloc_%s(tmp%d);", n, tmp)
 		for i := range elem.Fields {
 			t := g.temp()
-			field("tmp%d", t)
+			next("tmp%d", t)
 			g.stmtTo(&g.post, "%s_f%d[tmp%d] = tmp%d;", n, i, tmp, t)
 		}
 		if b, ok := pat.(*ast.Binding); ok {
@@ -632,31 +632,31 @@ func (g *gen) recvPattern(pat ast.Expr, ch *check.Channel) {
 	case types.Union:
 		if lit, ok := pat.(*ast.UnionLit); ok {
 			tag := elem.FieldIndex(lit.Field.Name)
-			field("eval(%d)", tag)
+			next("eval(%d)", tag)
 			for i := range elem.Fields {
 				if i == tag {
 					bindField(lit.Value, elem.Fields[i].Type)
 				} else {
-					field("_")
+					next("_")
 				}
 			}
 		} else if b, ok := pat.(*ast.Binding); ok {
 			tmp := g.temp()
 			g.stmtTo(&g.post, "alloc_%s(tmp%d);", n, tmp)
 			tag := g.temp()
-			field("tmp%d", tag)
+			next("tmp%d", tag)
 			g.stmtTo(&g.post, "%s_tag[tmp%d] = tmp%d;", n, tmp, tag)
 			for i := range elem.Fields {
 				t := g.temp()
-				field("tmp%d", t)
+				next("tmp%d", t)
 				g.stmtTo(&g.post, "%s_f%d[tmp%d] = tmp%d;", n, i, tmp, t)
 			}
 			v := g.info.Defs[b.Name]
 			g.stmtTo(&g.post, "%s_%d = tmp%d;", v.Name, v.Slot, tmp)
 		} else {
-			field("_")
+			next("_")
 			for range elem.Fields {
-				field("_")
+				next("_")
 			}
 		}
 	default:
