@@ -1,9 +1,9 @@
 // Package emit holds the append-only text primitives the compiler's C,
-// Promela and IR emitters write with. Emitters append into one []byte:
-// numbers through strconv, sub-expressions in place, and constant
-// boilerplate lines through Appendf, a format-string writer that never
-// reflects and knows only the verbs the emitters use. String hands the
-// finished buffer out as a string without copying it.
+// Promela and IR emitters write with. Emitters append into one []byte,
+// sub-expressions in place, and format their lines and fragments with
+// Appendf, a format-string writer that never reflects and knows only
+// the verbs the emitters use. String hands the finished buffer out as a
+// string without copying it.
 package emit
 
 import (
