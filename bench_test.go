@@ -11,10 +11,13 @@ package esplang_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	esplang "esplang"
 	"esplang/internal/nic"
+	"esplang/internal/obs"
 	"esplang/internal/vmmc"
 )
 
@@ -343,5 +346,85 @@ func BenchmarkVMThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.Run()
+	}
+}
+
+// execSrc is an exec-bound program: 400 int messages with arithmetic
+// between them, so instruction dispatch and per-event recording dominate
+// rather than heap traffic or a NIC simulation.
+const execSrc = `
+channel c: int
+channel done: int external reader
+process producer {
+    $n = 0;
+    $acc = 1;
+    while (n < 400) {
+        acc = (acc * 3) % 9973;
+        acc = acc + n;
+        out( c, acc);
+        n = n + 1;
+    }
+}
+process consumer {
+    $n = 0;
+    $sum = 0;
+    while (n < 400) {
+        in( c, $v);
+        sum = sum + v;
+        n = n + 1;
+    }
+    out( done, sum);
+}
+`
+
+// BenchmarkRecorderOverhead measures the flight recorder's hot-path cost
+// on each engine, the number held to the ≤10% leave-it-on budget. Every
+// iteration runs execSrc once without and once with a recorder, so a
+// drift in machine speed hits both runs of a pair alike; overhead-% is
+// 100 × (median of the per-iteration on/off time ratios − 1), and the
+// median drops pairs a scheduler hiccup hit. One recorder is reused
+// across runs, as a long-lived deployment keeps one ring, so ring
+// construction is not part of the cost.
+func BenchmarkRecorderOverhead(b *testing.B) {
+	prog, err := esplang.Compile(execSrc, esplang.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, engine := range []esplang.Engine{esplang.EngineBaseline, esplang.EngineFused} {
+		b.Run(engine.String(), func(b *testing.B) {
+			rec := obs.NewFlightRecorder(0)
+			run := func(r *obs.FlightRecorder) (*esplang.Machine, *esplang.CollectReader, time.Duration) {
+				done := &esplang.CollectReader{}
+				start := time.Now()
+				m := prog.Machine(esplang.MachineConfig{Engine: engine})
+				if r != nil {
+					m.SetRecorder(r)
+				}
+				if err := m.BindReader("done", done); err != nil {
+					b.Fatal(err)
+				}
+				m.Run()
+				return m, done, time.Since(start)
+			}
+			ratios := make([]float64, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				off, offDone, offT := run(nil)
+				on, onDone, onT := run(rec)
+				for _, m := range []*esplang.Machine{off, on} {
+					if f := m.Fault(); f != nil {
+						b.Fatal(f)
+					}
+				}
+				if on.Stats != off.Stats || on.Cycles != off.Cycles ||
+					len(onDone.Values) != 1 || len(offDone.Values) != 1 ||
+					onDone.Values[0].Scalar != offDone.Values[0].Scalar {
+					b.Fatalf("the recorder changed the run: stats %+v cycles %d done %v, without it %+v, %d, %v",
+						on.Stats, on.Cycles, onDone.Values, off.Stats, off.Cycles, offDone.Values)
+				}
+				ratios = append(ratios, float64(onT)/float64(offT))
+			}
+			sort.Float64s(ratios)
+			b.ReportMetric(100*(ratios[len(ratios)/2]-1), "overhead-%")
+		})
 	}
 }

@@ -329,15 +329,11 @@ func (p *Program) DumpSchedule() string {
 // DumpIndependence renders the transition-independence table the
 // partial-order reduction and the ESPV013/ESPV014 checks consume: which
 // processes touch each channel, per-process heap-cleanliness verdicts,
-// ref-flow regions, and the resulting independent process pairs. When
-// the optimizer has not cached the table (e.g. -O0), it is computed on
-// the fly, exactly as the optimizer's final pass would.
+// ref-flow regions, and the resulting independent process pairs. The
+// table is computed from the program's code, optimized unless compiled
+// with NoOptimize, exactly as a reduced search computes it.
 func (p *Program) DumpIndependence() string {
-	ind := p.IR.Indep
-	if ind == nil {
-		ind = analysis.ComputeIndependence(p.IR)
-	}
-	return ir.FormatIndependence(p.IR, ind)
+	return ir.FormatIndependence(p.IR, analysis.ComputeIndependence(p.IR))
 }
 
 // Stats summarizes the program.

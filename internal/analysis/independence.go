@@ -30,10 +30,10 @@ import (
 // construct demotes the process to "unclean" (its whole ref-flow region
 // becomes dependent) rather than guessing.
 
-// ComputeIndependence builds the independence side table for prog. The
-// optimizer driver calls it on the settled IR; the model checker calls
-// it on demand when partial-order reduction is requested and the table
-// is missing.
+// ComputeIndependence builds the independence side table for prog. A
+// reduced model-checking search calls it when it starts, and
+// Program.DumpIndependence when it prints the table; both read the code
+// the search runs.
 func ComputeIndependence(prog *ir.Program) *ir.Independence {
 	cfgs := make([]*cfg, len(prog.Procs))
 	for i, p := range prog.Procs {

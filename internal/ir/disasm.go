@@ -35,12 +35,6 @@ func Disasm(p *Proc) string {
 	return emit.String(b)
 }
 
-// FormatInstr renders one instruction.
-func FormatInstr(p *Proc, in Instr) string {
-	var buf [64]byte
-	return string(AppendInstr(buf[:0], p, in))
-}
-
 // appendSlot appends a local slot, with its source name when it has one.
 func appendSlot(b []byte, p *Proc, slot int) []byte {
 	b = strconv.AppendInt(b, int64(slot), 10)
@@ -52,8 +46,8 @@ func appendSlot(b []byte, p *Proc, slot int) []byte {
 	return b
 }
 
-// AppendInstr appends the rendering of one instruction to b, as
-// FormatInstr returns it.
+// AppendInstr appends the rendering of one instruction to b, as Disasm
+// prints it after the pc.
 func AppendInstr(b []byte, p *Proc, in Instr) []byte {
 	switch in.Op {
 	case Const:
@@ -125,14 +119,8 @@ func DisasmFused(p *Proc, fp *FusedProc) string {
 	return emit.String(b)
 }
 
-// FormatFInstr renders one fused instruction.
-func FormatFInstr(p *Proc, in FInstr) string {
-	var buf [64]byte
-	return string(AppendFInstr(buf[:0], p, in))
-}
-
 // AppendFInstr appends the rendering of one fused instruction to b, as
-// FormatFInstr returns it.
+// DisasmFused prints it after the base-pc range.
 func AppendFInstr(b []byte, p *Proc, in FInstr) []byte {
 	slot := func(b []byte, s int32) []byte { return appendSlot(b, p, int(s)) }
 	typeName := "?"

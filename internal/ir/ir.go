@@ -286,7 +286,10 @@ type Channel struct {
 	AllPortsCover bool
 }
 
-// Program is a fully compiled ESP program.
+// Program is a fully compiled ESP program. It does not carry the
+// transition-independence table (independence.go): only partial-order
+// reduction and the -dump-indep printer read it, and each computes it
+// from the code it reads.
 type Program struct {
 	Name     string
 	Universe *types.Universe
@@ -311,11 +314,6 @@ type Program struct {
 	// fuseprocs pass computed (see schedule.go); nil when process fusion
 	// is off or the program has not been optimized.
 	Schedule *Schedule
-	// Indep is the whole-program transition-independence table (see
-	// independence.go); nil when the program has not been optimized. The
-	// model checker recomputes it on demand when partial-order reduction
-	// is requested on an unoptimized program.
-	Indep *Independence
 }
 
 // ChannelByName returns the named channel or nil.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"esplang/internal/analysis"
 	"esplang/internal/ir"
 )
 
@@ -59,7 +60,7 @@ func (c *checkedSet) TryAdd(sc *keyScratch, key []byte, ends []int32, copied []b
 func AmpleOrderAllocs(prog *ir.Program) (allocs float64, ample, full int) {
 	opts := Options{Workers: 1, Reduction: AmpleSets}
 	opts.fill()
-	s := &search{opts: opts, prog: prog, reduce: true, ind: independence(prog)}
+	s := &search{opts: opts, prog: prog, reduce: true, ind: analysis.ComputeIndependence(prog)}
 	m := newMachine(prog, opts)
 	m.Settle()
 	comms := m.EnabledComms()

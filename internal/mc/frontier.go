@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"esplang/internal/analysis"
 	"esplang/internal/ir"
 	"esplang/internal/obs"
 	"esplang/internal/vm"
@@ -202,7 +203,8 @@ type search struct {
 	front   frontier
 
 	// reduce enables the ample-set partial-order reduction; ind is the
-	// static independence table it selects ample sets from.
+	// static independence table it selects ample sets from, computed from
+	// the program's code when the search starts.
 	reduce bool
 	ind    *ir.Independence
 
@@ -278,7 +280,7 @@ func searchFrontier(prog *ir.Program, opts Options, visited visitedSet, progress
 	s.states.Store(1)
 	if opts.Reduction == AmpleSets {
 		s.reduce = true
-		s.ind = independence(prog)
+		s.ind = analysis.ComputeIndependence(prog)
 	}
 	ample0 := s.ampleOrder(w0, m0, comms0)
 	s.front.push(&node{snap: snap0, comms: comms0, ample: ample0, ref: ref0})

@@ -131,8 +131,8 @@ type Options struct {
 	// deterministic.
 	Workers int
 	// Reduction selects the partial-order reduction (default: none). The
-	// AmpleSets mode uses the program's ir.Independence table, computing
-	// it on demand when the program was not optimized.
+	// AmpleSets mode computes the ir.Independence table from the
+	// program's code once, when the search starts.
 	Reduction Reduction
 	// MaxStates bounds the number of distinct states explored
 	// (0 = 10 million).

@@ -3,8 +3,6 @@ package mc
 import (
 	"math/bits"
 
-	"esplang/internal/analysis"
-	"esplang/internal/ir"
 	"esplang/internal/vm"
 )
 
@@ -53,15 +51,6 @@ import (
 // fall back to full expansion. (64 processes is far beyond any model in
 // the repo; lifting it means swapping the uint64 masks for bitsets.)
 const porProcLimit = 64
-
-// independence returns the program's independence table, computing it on
-// demand for unoptimized programs.
-func independence(prog *ir.Program) *ir.Independence {
-	if prog.Indep != nil {
-		return prog.Indep
-	}
-	return analysis.ComputeIndependence(prog)
-}
 
 // ampleScratch is a worker's reusable scratch for ampleOrder: the
 // channels one process offers, and the partitioned communications.

@@ -4,8 +4,8 @@ import "testing"
 
 // BenchmarkRecordID measures the recorder's per-event hot path as the
 // VM drives it: pre-interned name ID, packed proc/arg and kind/name
-// words, staging-buffer store. benchrec measures the same thing
-// end-to-end as VMThroughput/recorder overhead.
+// words, staging-buffer store. BenchmarkRecorderOverhead in the root
+// package measures what it costs a whole VM run, per engine.
 func BenchmarkRecordID(b *testing.B) {
 	r := NewFlightRecorder(0)
 	id := r.Intern("c")

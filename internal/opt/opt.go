@@ -37,13 +37,6 @@ type Options struct {
 	CrossProc bool
 	// MaxRounds bounds the whole-program fixpoint iteration (0 = 8).
 	MaxRounds int
-	// Fuse translates the final code into the fused execution form
-	// (ir.FuseProgram) once the rewrites settle, caching it on
-	// Program.Fused so every machine created from the program shares one
-	// translation. Run always clears a stale translation first, so a
-	// pipeline without Fuse leaves Fused nil and vm.New fuses locally on
-	// demand.
-	Fuse bool
 	// FuseProcs runs the process-fusion pass after the fixpoint: it
 	// computes the static rendezvous schedule (analysis.ComputeSchedule)
 	// from the settled IR and stores it on Program.Schedule, so the fused
@@ -62,7 +55,7 @@ type Options struct {
 // All returns the full pipeline, including the cross-process analysis.
 func All() Options {
 	return Options{ConstFold: true, CopyProp: true, DCE: true, CastReuse: true,
-		CrossProc: true, Fuse: true, FuseProcs: true}
+		CrossProc: true, FuseProcs: true}
 }
 
 // Optimize rewrites every process of the program in place and returns

@@ -123,6 +123,9 @@ func pipeline(opts Options) (progPasses []ProgramPass, local []Pass) {
 // constants planted across channels enable local folding, and local
 // folding exposes new constant sends to the next cross-process round —
 // which the old "cross-process once, then local rounds" loop missed.
+// Once the code settles, Run caches its fused translation
+// (ir.FuseProgram) on prog.Fused, so every machine created from the
+// program shares one translation.
 //
 // With opts.Verify set, every pass invocation is verified and Run aborts
 // with a descriptive error naming the offending pass the moment a
@@ -131,11 +134,9 @@ func pipeline(opts Options) (progPasses []ProgramPass, local []Pass) {
 // no program table, so it is followed by ir.VerifyProc of the process it
 // rewrote, which reports what ir.Verify would.
 func Run(prog *ir.Program, opts Options) (*Stats, error) {
-	// Any rewrite invalidates a cached fused translation, schedule, and
-	// independence table.
+	// Any rewrite invalidates a cached fused translation and schedule.
 	prog.Fused = nil
 	prog.Schedule = nil
-	prog.Indep = nil
 	rounds := opts.MaxRounds
 	if rounds == 0 {
 		rounds = 8
@@ -218,12 +219,7 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 			ps.Changed++
 		}
 	}
-	if opts.Fuse {
-		prog.Fused = ir.FuseProgram(prog)
-	}
-	// The independence table, like the schedule, is read off the settled
-	// code; the model checker's partial-order reduction consumes it.
-	prog.Indep = analysis.ComputeIndependence(prog)
+	prog.Fused = ir.FuseProgram(prog)
 	return stats, nil
 }
 
@@ -251,9 +247,6 @@ func runExtra(prog *ir.Program, opts Options, extra ...Pass) (*Stats, error) {
 	if opts.FuseProcs {
 		fuseProcsPass{}.RunProgram(prog)
 	}
-	if opts.Fuse {
-		prog.Fused = ir.FuseProgram(prog)
-	}
-	prog.Indep = analysis.ComputeIndependence(prog)
+	prog.Fused = ir.FuseProgram(prog)
 	return stats, nil
 }

@@ -1,47 +1,41 @@
 #!/bin/sh
-# Record the PR's headline benchmarks — firmware latency/bandwidth,
-# verifier throughput on both engines (baseline, fused), and the
-# verification workloads under ample-set partial-order reduction — into
-# BENCH_PR10.json at the repository root. Commit the file so performance
-# claims travel with the code.
+# Record every espbench workload into BENCH_PR<n>.json at the repository
+# root, then compare it with the newest earlier record espbench wrote.
+# Commit the file so performance claims travel with the code.
 #
 # Usage:
-#   scripts/bench.sh                    # both engines
-#   scripts/bench.sh -engines fused     # one engine only
-#   scripts/bench.sh -seed <gitref>     # also benchmark an earlier commit
-#                                       # in a worktree and record its
-#                                       # <workload>/<tier>_over_seed
-#                                       # entries in the speedups map
-# Extra arguments are passed through to cmd/benchrec.
+#   scripts/bench.sh <n> [espbench flags]    # e.g. scripts/bench.sh 25 -runs 5 -seconds 10
+#
+# Records from an older harness have their own schema (a top-level
+# "benchmarks" key, not espbench's "workloads") and are never compared
+# against.
 set -eu
 cd "$(dirname "$0")/.."
 
-seed_file=""
-wt=""
-while [ $# -gt 0 ]; do
-    case "$1" in
-    -seed)
-        ref="$2"
-        shift 2
-        wt=$(mktemp -d /tmp/espseed.XXXXXX)
-        git worktree add --detach --force "$wt" "$ref" >/dev/null
-        echo "benchmarking seed $ref ..." >&2
-        (cd "$wt" && go test -run xxx \
-            -bench 'Fig5aLatency/vmmcESP|Fig5bBandwidth/vmmcESP/1024B|VerifyMemSafety|VerifyFirmwareModel' \
-            -benchtime 2s .) | tee "$wt/seed_bench.txt" >&2
-        seed_file="$wt/seed_bench.txt"
-        ;;
-    *)
-        break
-        ;;
-    esac
+n=${1:-}
+case $n in
+'' | *[!0-9]*)
+    echo "usage: scripts/bench.sh <n> [espbench flags]" >&2
+    exit 2
+    ;;
+esac
+shift
+out=BENCH_PR$n.json
+bash cmd/espbench/run.sh -seed 1 -runs 3 "$@" -out "$out"
+
+prev=""
+best=-1
+for f in BENCH_PR*.json; do
+    m=${f#BENCH_PR}
+    m=${m%.json}
+    case $m in '' | *[!0-9]*) continue ;; esac
+    if [ "$m" -lt "$n" ] && [ "$m" -gt "$best" ] && grep -q '^  "workloads"' "$f"; then
+        prev=$f
+        best=$m
+    fi
 done
-
-if [ -n "$seed_file" ]; then
-    set -- -seed-bench "$seed_file" "$@"
+if [ -z "$prev" ]; then
+    echo "bench.sh: no earlier espbench record to compare $out against"
+    exit 0
 fi
-go run ./cmd/benchrec -out BENCH_PR10.json "$@"
-
-if [ -n "$wt" ]; then
-    git worktree remove --force "$wt"
-fi
+exec bash cmd/espbench/run.sh -compare "$prev" "$out"
