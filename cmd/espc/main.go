@@ -7,9 +7,9 @@
 //	espc [flags] program.esp
 //
 // With no output flags it writes program.c and program.pml next to the
-// input. -mc additionally model-checks the program with the bundled
-// checker (-mc-workers sizes its parallel search). Compile errors are
-// reported with caret-marked source excerpts:
+// input; espverify model-checks the same program with the bundled
+// checker. Compile errors are reported with caret-marked source
+// excerpts:
 //
 //	program.esp:12:9: error: undefined variable x
 //	    out( c, x);
@@ -35,7 +35,6 @@ func main() {
 		noPml     = flag.Bool("no-pml", false, "skip the Promela target")
 		noOpt     = flag.Bool("O0", false, "disable the §6.1 IR optimizations")
 		disasm    = flag.Bool("S", false, "print the compiled IR to stdout")
-		dumpIR    = flag.Bool("dump-ir", false, "print the compiled IR to stdout (alias of -S)")
 		dumpFused = flag.Bool("dump-fused", false, "print the fused-engine superinstruction translation to stdout")
 		dumpSched = flag.Bool("dump-schedule", false, "print the static rendezvous schedule (fused channels, dynamic fallbacks with reasons) to stdout")
 		dumpIndep = flag.Bool("dump-indep", false, "print the transition-independence table (channel touch sets, heap cleanliness, ref-flow regions, independent pairs) to stdout")
@@ -48,12 +47,6 @@ func main() {
 		maxObjs   = flag.Int("max-objects", 1024, "C target: static heap size (0 = 1024)")
 		instances = flag.Int("instances", 1, "Promela target: value of the INSTANCES constant for a hand-written SPIN driver (the model itself runs one copy)")
 		bound     = flag.Int("bound", 16, "Promela target: default objectId table size (0 = 16)")
-		mcRun     = flag.Bool("mc", false, "model-check the program with the bundled checker (the program must be closed); a violation exits nonzero")
-		mcWorkers = flag.Int("mc-workers", 0, "model checker: parallel search workers (0 = all cores; 1 = deterministic)")
-		mcProg    = flag.Bool("mc-progress", false, "model checker: print periodic search progress to stderr")
-		mcPOR     = flag.Bool("mc-por", false, "model checker: ample-set partial-order reduction (verdict-preserving)")
-		engineN   = flag.String("engine", "fused", "model checker: VM engine driving the search, fused or baseline")
-		noFuse    = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -61,13 +54,12 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	// Zero selects a size's default (all cores for -mc-workers); a
-	// negative size, or fewer than one Promela instance, would silently
-	// emit the defaults or run one worker.
+	// Zero selects a size's default; a negative size, or fewer than one
+	// Promela instance, would silently emit the defaults.
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"max-objects", *maxObjs}, {"bound", *bound}, {"mc-workers", *mcWorkers}} {
+	}{{"max-objects", *maxObjs}, {"bound", *bound}} {
 		if f.v < 0 {
 			fmt.Fprintf(os.Stderr, "espc: -%s must not be negative, got %d\n", f.name, f.v)
 			os.Exit(2)
@@ -96,11 +88,6 @@ func main() {
 		VerifyIR:   *verifyIR,
 		VetDisable: vetDisable,
 	}
-	if *noFuse {
-		passes := esplang.OptAll()
-		passes.FuseProcs = false
-		copts.Passes = passes
-	}
 	prog, err := esplang.Compile(string(src), copts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, diag.RenderError(err, in, string(src)))
@@ -114,7 +101,7 @@ func main() {
 	}
 
 	base := strings.TrimSuffix(in, filepath.Ext(in))
-	if *disasm || *dumpIR {
+	if *disasm {
 		fmt.Print(prog.Disasm())
 	}
 	if *dumpFused {
@@ -161,28 +148,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", path)
-	}
-	if *mcRun {
-		engine, err := esplang.ParseEngine(*engineN)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "espc: %v\n", err)
-			os.Exit(2)
-		}
-		vo := esplang.VerifyOptions{Workers: *mcWorkers, EndRecvOK: true, Engine: engine}
-		if *mcPOR {
-			vo.Reduction = esplang.AmpleSets
-		}
-		if *mcProg {
-			vo.Progress = func(info esplang.ProgressInfo) { fmt.Fprintln(os.Stderr, info) }
-		}
-		res := prog.Verify(vo)
-		fmt.Println(res)
-		if res.Violation != nil {
-			fmt.Println("counterexample:")
-			for i, step := range res.Violation.Trace {
-				fmt.Printf("  %3d. %s\n", i+1, step.Desc)
-			}
-			os.Exit(1)
-		}
 	}
 }

@@ -51,10 +51,9 @@ func pipelineDir(t *testing.T) string {
 	return dir
 }
 
-// TestRejectsBadBounds: a negative heap size, objectId bound or worker
-// count, and fewer than one Promela instance, are usage errors naming the
-// flag (exit 2), not targets silently emitted with the defaults or a
-// search silently run on one worker.
+// TestRejectsBadBounds: a negative heap size or objectId bound, and fewer
+// than one Promela instance, are usage errors naming the flag (exit 2),
+// not targets silently emitted with the defaults.
 func TestRejectsBadBounds(t *testing.T) {
 	for _, c := range []struct {
 		flag string
@@ -64,7 +63,6 @@ func TestRejectsBadBounds(t *testing.T) {
 		{"-bound", []string{"-bound", "-1"}},
 		{"-instances", []string{"-instances", "0"}},
 		{"-instances", []string{"-instances", "-1"}},
-		{"-mc-workers", []string{"-mc", "-mc-workers", "-3"}},
 	} {
 		dir := pipelineDir(t)
 		out, code := espc(t, dir, append(c.args, "pipeline.esp")...)
@@ -79,7 +77,7 @@ func TestRejectsBadBounds(t *testing.T) {
 }
 
 // TestZeroSizesPickDefaults: -max-objects 0 and -bound 0 emit the targets
-// the default sizes emit, and -mc-workers 0 runs the search on all cores.
+// the default sizes emit.
 func TestZeroSizesPickDefaults(t *testing.T) {
 	targets := func(args ...string) (string, string) {
 		dir := pipelineDir(t)
@@ -97,7 +95,7 @@ func TestZeroSizesPickDefaults(t *testing.T) {
 		return string(c), string(pml)
 	}
 	c, pml := targets()
-	c0, pml0 := targets("-max-objects", "0", "-bound", "0", "-mc", "-mc-workers", "0")
+	c0, pml0 := targets("-max-objects", "0", "-bound", "0")
 	if c0 != c || pml0 != pml {
 		t.Error("-max-objects 0 -bound 0 emit other targets than the defaults")
 	}

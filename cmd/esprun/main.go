@@ -46,7 +46,6 @@ func main() {
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
 		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus static rendezvous scheduling when the optimizer fused processes) or baseline; identical semantics and cycle accounting")
-		noFuse     = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
 		telemetry  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): /metrics, /statusz, /trace?last=N")
@@ -74,13 +73,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(2)
 	}
-	copts := esplang.CompileOptions{}
-	if *noFuse {
-		passes := esplang.OptAll()
-		passes.FuseProcs = false
-		copts.Passes = passes
-	}
-	prog, err := esplang.CompileFile(flag.Arg(0), copts)
+	prog, err := esplang.CompileFile(flag.Arg(0), esplang.CompileOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(1)

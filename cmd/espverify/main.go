@@ -39,7 +39,6 @@ func main() {
 		progressI = flag.Duration("progress-interval", 2*time.Second, "interval between -progress samples")
 		metricsF  = flag.String("metrics", "", "write a JSON metrics snapshot of the search to this file at exit")
 		engineN   = flag.String("engine", "fused", "VM engine driving the search: fused or baseline (verdicts and state counts are identical)")
-		noFuse    = flag.Bool("no-fuse", false, "disable static process fusion in the optimizer; every rendezvous stays dynamic")
 		por       = flag.Bool("por", false, "partial-order reduction: explore one ample subset of independent transitions per state (verdict-preserving)")
 		porStats  = flag.Bool("por-stats", false, "with -por (implied): print ample-set hit rate, proviso fallbacks, and deferred-transition counts after the search")
 		noVet     = flag.Bool("no-vet", false, "do not print espvet static-analysis findings before checking")
@@ -94,13 +93,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(2)
 	}
-	copts := esplang.CompileOptions{}
-	if *noFuse {
-		passes := esplang.OptAll()
-		passes.FuseProcs = false
-		copts.Passes = passes
-	}
-	prog, err := esplang.CompileFile(flag.Arg(0), copts)
+	prog, err := esplang.CompileFile(flag.Arg(0), esplang.CompileOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
 		os.Exit(1)

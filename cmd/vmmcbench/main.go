@@ -19,7 +19,6 @@ import (
 	esplang "esplang"
 	"esplang/internal/nic"
 	"esplang/internal/obs"
-	"esplang/internal/opt"
 	"esplang/internal/vmmc"
 )
 
@@ -38,18 +37,17 @@ var mcMetrics *obs.Metrics
 
 func main() {
 	var (
-		fig    = flag.String("fig", "", "figure to regenerate: 5a, 5b, 5c")
-		table  = flag.String("table", "", "table to regenerate: loc, verify, overhead")
-		all    = flag.Bool("all", false, "regenerate everything")
-		count  = flag.Int("count", 40, "messages per bandwidth measurement")
-		round  = flag.Int("rounds", 20, "round trips per latency measurement")
-		mcW    = flag.Int("mc-workers", 0, "verification tables: parallel model-checker workers (0 = all cores)")
-		trace  = flag.String("trace", "", "run one traced ESP ping-pong and write its Chrome trace-event JSON here (open in Perfetto)")
-		prof   = flag.Bool("profile", false, "run one traced ESP ping-pong and print the firmware's hot-line cycle profile")
-		tsize  = flag.Int("trace-size", 1024, "message size for -trace/-profile")
-		engN   = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused or baseline (figures and verdicts are engine-independent)")
-		noFuse = flag.Bool("no-fuse", false, "compile the firmware without static process fusion; every rendezvous stays dynamic")
-		telem  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
+		fig   = flag.String("fig", "", "figure to regenerate: 5a, 5b, 5c")
+		table = flag.String("table", "", "table to regenerate: loc, verify, overhead")
+		all   = flag.Bool("all", false, "regenerate everything")
+		count = flag.Int("count", 40, "messages per bandwidth measurement")
+		round = flag.Int("rounds", 20, "round trips per latency measurement")
+		mcW   = flag.Int("mc-workers", 0, "verification tables: parallel model-checker workers (0 = all cores)")
+		trace = flag.String("trace", "", "run one traced ESP ping-pong and write its Chrome trace-event JSON here (open in Perfetto)")
+		prof  = flag.Bool("profile", false, "run one traced ESP ping-pong and print the firmware's hot-line cycle profile")
+		tsize = flag.Int("trace-size", 1024, "message size for -trace/-profile")
+		engN  = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused or baseline (figures and verdicts are engine-independent)")
+		telem = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
 	)
 	flag.Parse()
 	for _, f := range []struct {
@@ -72,7 +70,6 @@ func main() {
 		os.Exit(2)
 	}
 	vmmc.Engine = engine
-	vmmc.NoFuseProcs = *noFuse
 	mcEngine = engine
 
 	if *telem != "" {
@@ -357,7 +354,7 @@ func tableOverhead() {
 	// Optimizer ablation: instruction counts with and without the §6.1
 	// passes, on a probe with foldable expressions, copies, and a
 	// dead-source mutability cast.
-	progOpt, err := esplang.Compile(optProbe, esplang.CompileOptions{Passes: opt.All()})
+	progOpt, err := esplang.Compile(optProbe, esplang.CompileOptions{})
 	die(err)
 	progRaw, err := esplang.Compile(optProbe, esplang.CompileOptions{NoOptimize: true})
 	die(err)

@@ -91,8 +91,6 @@ type (
 	COptions = cbackend.Options
 	// PromelaOptions configures Promela generation.
 	PromelaOptions = promela.Options
-	// OptOptions selects optimizer passes.
-	OptOptions = opt.Options
 	// OptimizerStats reports per-pass optimizer statistics.
 	OptimizerStats = opt.Stats
 )
@@ -132,11 +130,6 @@ const (
 // -engine flags.
 var ParseEngine = vm.ParseEngine
 
-// OptAll returns the full optimizer pipeline — the default when
-// CompileOptions.Passes is zero. CLIs start from it to switch single
-// passes off (e.g. -no-fuse clears FuseProcs).
-var OptAll = opt.All
-
 // Value constructors (re-exported).
 var (
 	IntVal  = vm.IntVal
@@ -154,8 +147,6 @@ type CompileOptions struct {
 	File string
 	// NoOptimize disables the §6.1 IR optimization passes.
 	NoOptimize bool
-	// Passes overrides the optimizer pipeline when non-zero.
-	Passes OptOptions
 	// VerifyIR checks structural IR invariants (ir.Verify) after
 	// compilation and again after every optimizer pass.
 	VerifyIR bool
@@ -211,12 +202,7 @@ func Compile(src string, opts CompileOptions) (*Program, error) {
 		prog.Findings = analysis.Analyze(irProg, analysis.Options{Disable: opts.VetDisable})
 	}
 	if !opts.NoOptimize {
-		passes := opts.Passes
-		if passes == (OptOptions{}) {
-			passes = opt.All()
-		}
-		passes.Verify = passes.Verify || opts.VerifyIR
-		stats, err := opt.Run(irProg, passes)
+		stats, err := opt.Run(irProg, opt.Options{Verify: opts.VerifyIR})
 		if err != nil {
 			return nil, err
 		}
@@ -316,8 +302,8 @@ func (p *Program) DisasmFused() string {
 // DumpSchedule renders the static rendezvous schedule the fused engine
 // executes: which channels were fused into direct transfers, and which
 // stay on dynamic rendezvous and why. When the optimizer has not cached
-// a schedule (e.g. -O0 or -no-fuse), it is computed on the fly, exactly
-// as the fuseprocs pass would.
+// a schedule (-O0), it is computed on the fly, exactly as the optimizer
+// would.
 func (p *Program) DumpSchedule() string {
 	sched := p.IR.Schedule
 	if sched == nil {

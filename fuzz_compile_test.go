@@ -9,6 +9,7 @@ import (
 	esplang "esplang"
 	"esplang/internal/ast"
 	"esplang/internal/diag"
+	"esplang/internal/fuzz"
 	"esplang/internal/ir"
 	"esplang/internal/parser"
 	"esplang/internal/token"
@@ -22,9 +23,12 @@ import (
 // the same IR, fused code, schedule, independence table, C, Promela and
 // findings. Every instruction of the optimized IR must be reachable
 // from its process's roots: dead-code elimination leaves nothing behind
-// that control cannot get to. Every input the parser
-// accepts must also survive the formatter round trip: ast.Print's output
-// parses again and prints to itself. The seeds are the repo's
+// that control cannot get to. Every input that compiles must pass the
+// differential oracle's VM stages (fuzz.RunDifferential without the
+// model checker): both engines, the program without its static
+// rendezvous schedule and the unoptimized program agree. Every input the
+// parser accepts must also survive the formatter round trip: ast.Print's
+// output parses again and prints to itself. The seeds are the repo's
 // ESP corpora, so plain `go test` replays them; `go test -run xxx -fuzz
 // FuzzCompile .` explores beyond them (docs/FUZZING.md).
 func FuzzCompile(f *testing.F) {
@@ -69,6 +73,9 @@ func FuzzCompile(f *testing.F) {
 		if prog != nil {
 			sameCompile(t, src, prog)
 			allReachable(t, prog)
+			if rep := fuzz.RunDifferential("input", src, fuzz.Options{SkipMC: true}); rep.Failed() {
+				t.Errorf("differential oracle:\n%s", rep)
+			}
 		}
 
 		tree, err := parser.Parse([]byte(src))

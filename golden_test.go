@@ -12,6 +12,7 @@ import (
 	esplang "esplang"
 	"esplang/internal/ast"
 	"esplang/internal/fuzz"
+	"esplang/internal/ir"
 	"esplang/internal/nic"
 	"esplang/internal/parser"
 	"esplang/internal/vmmc"
@@ -181,19 +182,20 @@ func TestCompileOutputsGolden(t *testing.T) {
 // TestFuzzPoolOutputsDigestGolden pins the compiler's outputs for
 // compile-fuzz's program pool, fuzz.Generate(1..200), which reaches
 // constructs testdata/ lacks. Each seed is compiled three ways (the
-// default pipeline, without the optimizer, and without process fusion),
-// and one line per seed and mode holds a SHA-256 over the IR, the fused
-// code, the C and the Promela; a compile error hashes its text instead.
+// default pipeline, without the optimizer, and the default pipeline with
+// its static rendezvous schedule stripped, the program the fuzz oracle's
+// unscheduled run executes), and one line per seed and mode holds a
+// SHA-256 over the IR, the fused code, the C and the Promela; a compile
+// error hashes its text instead.
 func TestFuzzPoolOutputsDigestGolden(t *testing.T) {
-	noFuse := esplang.OptAll()
-	noFuse.FuseProcs = false
 	modes := []struct {
-		name string
-		opts esplang.CompileOptions
+		name  string
+		opts  esplang.CompileOptions
+		strip bool
 	}{
-		{"default", esplang.CompileOptions{}},
-		{"noopt", esplang.CompileOptions{NoOptimize: true}},
-		{"nofuse", esplang.CompileOptions{Passes: noFuse}},
+		{"default", esplang.CompileOptions{}, false},
+		{"noopt", esplang.CompileOptions{NoOptimize: true}, false},
+		{"nofuse", esplang.CompileOptions{}, true},
 	}
 	var b strings.Builder
 	for seed := int64(1); seed <= 200; seed++ {
@@ -205,6 +207,12 @@ func TestFuzzPoolOutputsDigestGolden(t *testing.T) {
 			if prog, err := esplang.Compile(g.Source, opts); err != nil {
 				io.WriteString(h, "error: "+err.Error())
 			} else {
+				if m.strip {
+					irp := *prog.IR
+					irp.Schedule = nil
+					irp.Fused = ir.FuseProgram(&irp)
+					prog.IR = &irp
+				}
 				for _, text := range []string{prog.Disasm(), prog.DisasmFused(), prog.C(esplang.COptions{}), prog.Promela(esplang.PromelaOptions{})} {
 					io.WriteString(h, text)
 					h.Write([]byte{0})

@@ -62,7 +62,7 @@ func computeIndependence(prog *ir.Program, cfgs []*cfg) (*ir.Independence, [][]c
 		ind.ChanExt[ch.ID] = ch.Ext != ir.ExtNone
 	}
 	for pi, p := range prog.Procs {
-		reason := cleanProc(p, cfgs[pi])
+		reason := cleanProc(p, cfgs[pi], prog.Universe)
 		ind.Clean[pi] = reason == ""
 		ind.CleanReason[pi] = reason
 	}
@@ -214,8 +214,10 @@ func (v cleanVal) aliasInto(acc bitset) (bitset, bool) {
 }
 
 // cleanProc scans one process for the exclusive-ownership discipline and
-// returns "" when it holds, or the first reason it does not.
-func cleanProc(p *ir.Proc, g *cfg) string {
+// returns "" when it holds, or the first reason it does not. univ
+// resolves the type IDs of allocations and casts, so an element read
+// straight off a fresh object is typed like one read through a local.
+func cleanProc(p *ir.Proc, g *cfg, univ *types.Universe) string {
 	if len(g.blocks) == 0 {
 		return ""
 	}
@@ -330,11 +332,11 @@ func cleanProc(p *ir.Proc, g *cfg) string {
 					acc, u = pop().aliasInto(acc)
 					unknown = unknown || u
 				}
-				push(cleanVal{kind: cvFresh, slot: -1, aliases: acc, unknown: unknown})
+				push(cleanVal{kind: cvFresh, slot: -1, typ: univ.ByID(in.A), aliases: acc, unknown: unknown})
 			case ir.CastCopy:
 				v := pop()
 				acc, unknown := v.aliasInto(newBitset(p.NumLocals))
-				push(cleanVal{kind: cvFresh, slot: -1, aliases: acc, unknown: unknown})
+				push(cleanVal{kind: cvFresh, slot: -1, typ: univ.ByID(in.A), aliases: acc, unknown: unknown})
 			case ir.CastReuse:
 				v := pop()
 				v.typ = nil

@@ -171,9 +171,10 @@ func engineName(e esplang.Engine) string {
 //
 //   - parse + formatter fixpoint (print, reparse, print again);
 //   - compile determinism (disassembly, fused disassembly, vet findings);
-//   - both interpreters × {optimized, fusion-off}: outputs, faults with
-//     file:line, cycle meter, statistics, trace bytes — all must be
-//     byte-identical;
+//   - both interpreters on the optimized program, and the fused engine
+//     on the same program without its static rendezvous schedule:
+//     outputs, faults with file:line, cycle meter, statistics, trace
+//     bytes — all must be byte-identical to the baseline run;
 //   - unoptimized vs optimized: same fault message and outputs (the
 //     TestOptimizedEquivalence contract; cycle counts legitimately
 //     differ, and out-of-objects faults are exempted because the
@@ -181,7 +182,7 @@ func engineName(e esplang.Engine) string {
 //   - the model checker (closed programs only): verdict, state and
 //     transition counts identical across engines at Workers:1, verdict
 //     stable at Workers:4, verdict class stable without the optimizer;
-//   - espvet findings identical across optimizer configurations;
+//   - espvet findings identical with and without the optimizer;
 //   - C and Promela generation: deterministic, panic-free, and carrying
 //     their structural markers.
 //
@@ -219,8 +220,6 @@ func RunDifferential(name, src string, opts Options) *Report {
 
 	// --- Stage: compile matrix ------------------------------------------
 	file := name + ".esp"
-	noFuse := esplang.OptAll()
-	noFuse.FuseProcs = false
 	compileOne := func(stage string, copts esplang.CompileOptions) (*esplang.Program, error, bool) {
 		var p *esplang.Program
 		var err error
@@ -233,13 +232,12 @@ func RunDifferential(name, src string, opts Options) *Report {
 	}
 	full2, full2Err, _ := compileOne("compile-repeat", esplang.CompileOptions{Name: name, File: file, VerifyIR: true})
 	noopt, nooptErr, _ := compileOne("compile-noopt", esplang.CompileOptions{Name: name, File: file, VerifyIR: true, NoOptimize: true})
-	nofuse, nofuseErr, _ := compileOne("compile-nofuse", esplang.CompileOptions{Name: name, File: file, VerifyIR: true, Passes: noFuse})
 
 	// All configurations must agree on whether the program compiles.
 	for _, alt := range []struct {
 		stage string
 		err   error
-	}{{"compile-repeat", full2Err}, {"compile-noopt", nooptErr}, {"compile-nofuse", nofuseErr}} {
+	}{{"compile-repeat", full2Err}, {"compile-noopt", nooptErr}} {
 		if (fullErr == nil) != (alt.err == nil) {
 			rep.addBug("compile-gate-divergence", alt.stage,
 				fmt.Sprintf("default compile error: %v\n%s error: %v", fullErr, alt.stage, alt.err))
@@ -276,7 +274,7 @@ func RunDifferential(name, src string, opts Options) *Report {
 		})
 	}
 	// espvet runs before the optimizer, so its findings must not depend
-	// on the optimizer configuration.
+	// on whether the optimizer runs.
 	rep.guard("vet-independence", func() {
 		want := full.RenderFindings()
 		if noopt != nil && nooptErr == nil {
@@ -284,21 +282,13 @@ func RunDifferential(name, src string, opts Options) *Report {
 				rep.addBug("vet-opt-dependent", "vet-noopt", diffDetail(want, got))
 			}
 		}
-		if nofuse != nil && nofuseErr == nil {
-			if got := nofuse.RenderFindings(); got != want {
-				rep.addBug("vet-opt-dependent", "vet-nofuse", diffDetail(want, got))
-			}
-		}
 	})
 	rep.guard("dump-schedule", func() { _ = full.DumpSchedule() })
 
 	// --- Stage: VM engine matrix ----------------------------------------
 	// Engines are compared strictly only against runs of the SAME
-	// compiled program; opt vs fusion-off crosses two instruction
-	// streams, which agree byte-for-byte except when the step budget
-	// truncates execution (the two streams then cut off at different
-	// points — an explained resource artifact, not a semantics bug).
-	// strictMatrix (below) pinpoints the first divergent event.
+	// compiled code; strictMatrix (below) pinpoints the first divergent
+	// event.
 	runMatrix := func(cfgName string, prog *esplang.Program) []vmRun {
 		var rs []vmRun
 		for _, eng := range allEngines {
@@ -313,20 +303,17 @@ func RunDifferential(name, src string, opts Options) *Report {
 		return rs
 	}
 	runs := runMatrix("opt", full)
-	if nofuse != nil && nofuseErr == nil {
-		nofuseRuns := runMatrix("nofuse", nofuse)
-		if len(runs) > 0 && len(nofuseRuns) > 0 && runs[0].render != nofuseRuns[0].render {
-			if strings.Contains(runs[0].render+nofuseRuns[0].render, vm.FaultStep.String()) {
-				rep.Notes = append(rep.Notes, "opt-vs-nofuse differ only under step-budget truncation")
-			} else {
-				rep.addBug("fusion-divergence", "vm/opt-vs-nofuse",
-					fmt.Sprintf("--- %s ---\n%s--- %s ---\n%s", runs[0].cfg, runs[0].render, nofuseRuns[0].cfg, nofuseRuns[0].render))
-			}
-		}
-	}
 	if len(runs) > 0 {
 		rep.Outcome = outcomeOf(runs[0].render)
 		rep.Postmortem = runs[0].pm
+		// The baseline never reads the schedule, so its run is also the
+		// oracle for the fused engine's dynamic-rendezvous path on this IR.
+		const stage = "vm/unscheduled/fused"
+		var run vmRun
+		if rep.guard(stage, func() { run = runVM(unscheduled(full), esplang.EngineFused, opts) }) {
+			run.cfg = stage
+			rep.strictMatrix([]vmRun{runs[0], run})
+		}
 	}
 
 	// Optimized vs unoptimized: fault message and outputs must match
@@ -508,6 +495,19 @@ func RunDifferential(name, src string, opts Options) *Report {
 		})
 	}
 	return rep
+}
+
+// unscheduled returns a shallow copy of prog whose IR has no static
+// rendezvous schedule and whose fused translation has no direct
+// transfers, so the fused engine runs every rendezvous dynamically, as
+// on -O0, Manual and wait-queue machines.
+func unscheduled(prog *esplang.Program) *esplang.Program {
+	irp := *prog.IR
+	irp.Schedule = nil
+	irp.Fused = ir.FuseProgram(&irp)
+	p := *prog
+	p.IR = &irp
+	return &p
 }
 
 // isClosed reports whether the program has no external channels, i.e.

@@ -93,7 +93,7 @@ func appendFreeAfter(b []byte, freeAfter bool) []byte {
 // DisasmFused renders a process's fused translation as human-readable
 // assembly, one superinstruction per line, prefixed by the fused index
 // and the base-pc range it covers. It is the fused-engine counterpart of
-// Disasm, so -dump-ir stays usable after fusion.
+// Disasm: espc -dump-fused prints it as -S prints the IR.
 func DisasmFused(p *Proc, fp *FusedProc) string {
 	b := make([]byte, 0, 64+40*len(fp.Code)+8*len(fp.Map))
 	b = emit.Appendf(b, "process %s (fused: %d instrs over %d base)\n", p.Name, len(fp.Code), len(p.Code))

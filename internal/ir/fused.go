@@ -342,10 +342,10 @@ func fuseAt(code []Instr, pc int, interiorFree func(pc, n int) bool) (FInstr, in
 }
 
 // FuseProgram translates every process. When the program carries a
-// static rendezvous schedule (prog.Schedule, set by the optimizer's
-// fuseprocs pass), the direct-transfer rewrite is applied at the
-// schedule's statically-matched communication sites; otherwise the
-// translation is the plain superinstruction form. The result is
+// static rendezvous schedule (prog.Schedule, set by the optimizer), the
+// direct-transfer rewrite is applied at the schedule's statically-matched
+// communication sites; otherwise the translation is the plain
+// superinstruction form. The result is
 // independent of the program's Fused field; callers that cache it there
 // must do so before sharing the program across machines.
 func FuseProgram(prog *Program) []*FusedProc {

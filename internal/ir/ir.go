@@ -310,9 +310,9 @@ type Program struct {
 	// translated, and vm.New then fuses locally without touching the
 	// program.
 	Fused []*FusedProc
-	// Schedule is the static rendezvous schedule the optimizer's
-	// fuseprocs pass computed (see schedule.go); nil when process fusion
-	// is off or the program has not been optimized.
+	// Schedule is the static rendezvous schedule the optimizer computes
+	// once the code settles (see schedule.go); nil when the program has
+	// not been optimized.
 	Schedule *Schedule
 }
 

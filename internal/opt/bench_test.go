@@ -81,7 +81,9 @@ func BenchmarkOptimize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.Optimize(progs[i], opt.All())
+		if _, err := opt.Run(progs[i], opt.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -96,8 +98,7 @@ func BenchmarkOptimizeVerified(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := opt.All()
-	opts.Verify = true
+	opts := opt.Options{Verify: true}
 	progs := make([]*ir.Program, b.N)
 	for i := range progs {
 		progs[i] = compile.Program(tree, info)

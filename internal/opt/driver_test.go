@@ -1,19 +1,18 @@
 package opt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"esplang/internal/analysis"
 	"esplang/internal/ir"
 )
 
-// brokenJumps is a deliberately corrupting pass: it re-points every jump
+// breakJumps is a deliberately corrupting pass: it re-points every jump
 // past the end of the code, the kind of off-by-one a buggy rebuild remap
 // would produce.
-type brokenJumps struct{}
-
-func (brokenJumps) Name() string { return "break-jumps" }
-func (brokenJumps) Run(p *ir.Proc) bool {
+func breakJumps(p *ir.Proc) bool {
 	changed := false
 	for pc := range p.Code {
 		switch p.Code[pc].Op {
@@ -23,6 +22,29 @@ func (brokenJumps) Run(p *ir.Proc) bool {
 		}
 	}
 	return changed
+}
+
+// runExtra runs the pipeline, then the named per-process rewrite fn once
+// over every process, verifying each process after it when opts.Verify
+// is set, and rebuilds the schedule and fused translation the rewrite
+// may have invalidated.
+func runExtra(prog *ir.Program, opts Options, name string, fn func(*ir.Proc) bool) (*Stats, error) {
+	stats, err := Run(prog, opts)
+	if err != nil {
+		return stats, err
+	}
+	for _, p := range prog.Procs {
+		fn(p)
+		if opts.Verify {
+			if err := ir.VerifyProc(prog, p); err != nil {
+				return stats, fmt.Errorf("opt: pass %s corrupted the program: %w", name, err)
+			}
+		}
+	}
+	stats.InstrsAfter = countInstrs(prog)
+	prog.Schedule = analysis.ComputeSchedule(prog)
+	prog.Fused = ir.FuseProgram(prog)
+	return stats, nil
 }
 
 func loopProg() *ir.Program {
@@ -48,7 +70,7 @@ func loopProg() *ir.Program {
 // pass boundary and named in the error.
 func TestVerifyCatchesCorruptingPass(t *testing.T) {
 	prog := loopProg()
-	_, err := runExtra(prog, Options{Verify: true}, brokenJumps{})
+	_, err := runExtra(prog, Options{Verify: true}, "break-jumps", breakJumps)
 	if err == nil {
 		t.Fatal("corrupting pass not caught")
 	}
@@ -64,9 +86,7 @@ func TestVerifyCatchesCorruptingPass(t *testing.T) {
 // valid program: every pass boundary must verify and stats must balance.
 func TestRunVerifiedPipeline(t *testing.T) {
 	prog := loopProg()
-	opts := All()
-	opts.Verify = true
-	stats, err := Run(prog, opts)
+	stats, err := Run(prog, Options{Verify: true})
 	if err != nil {
 		t.Fatalf("verified run failed: %v", err)
 	}
@@ -88,24 +108,9 @@ func TestStatsString(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stats.String()
-	for _, want := range []string{"optimizer:", "constfold", "crossproc-const", "compactnops"} {
+	for _, want := range []string{"optimizer:", "constfold", "crossproc-const", "compactnops", "fuseprocs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestZeroOptionsNoChange(t *testing.T) {
-	prog := loopProg()
-	before := len(prog.Procs[0].Code)
-	stats, err := Run(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Procs[0].Code) != before {
-		t.Error("zero Options changed the program")
-	}
-	if !stats.Fixpoint || stats.Rounds != 1 {
-		t.Errorf("zero Options: Rounds=%d Fixpoint=%v, want immediate fixpoint", stats.Rounds, stats.Fixpoint)
 	}
 }

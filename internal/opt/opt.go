@@ -3,18 +3,26 @@
 // The ESP compiler performs "some of the traditional optimizations like
 // copy propagation and dead code elimination on each process separately
 // before combining them to generate the C code", exploiting semantic
-// information the C compiler no longer sees. This package implements:
+// information the C compiler no longer sees. Run applies one fixed
+// pipeline:
 //
+//   - cross-process constant propagation over channels (crossproc.go,
+//     the paper's §6.2 future work);
 //   - constant folding (including branch folding);
-//   - copy propagation within basic blocks;
-//   - unreachable-code elimination: instructions that no path from the
-//     process's roots reaches (ir.Reachable) are dropped, and so are the
-//     Nops the other rewrites leave;
 //   - mutability-cast reuse: a CastCopy whose source object is provably
 //     dead afterwards becomes an in-place CastReuse, eliding the copy
 //     (§4.2: "if the compiler can determine that the object being cast is
 //     no longer used afterwards, it can reuse that object");
+//   - copy propagation within basic blocks;
+//   - unreachable-code elimination: instructions that no path from the
+//     process's roots reaches (ir.Reachable) are dropped, and so are the
+//     Nops the other rewrites leave;
+//   - once the code settles, the static rendezvous schedule
+//     (analysis.ComputeSchedule) and the fused translation that carries
+//     its direct transfers (ir.FuseProgram).
 //
+// The only ablation is the whole pipeline: a compile without it
+// (esplang.CompileOptions.NoOptimize, espc -O0) keeps the lowered IR.
 // The §6.1 allocation postponement for alt send arms and the channel
 // pattern/record fusion are structural properties of the compiler's alt
 // lowering and the rendezvous transfer, respectively; their ablations are
@@ -25,49 +33,18 @@ import (
 	"esplang/internal/ir"
 )
 
-// Options selects passes. The zero value runs nothing; use All for the
-// default pipeline.
+// Options configures a Run; the pipeline itself is fixed.
 type Options struct {
-	ConstFold bool
-	CopyProp  bool
-	DCE       bool
-	CastReuse bool
-	// CrossProc enables the whole-program constant analysis across
-	// channels — the paper's §6.2 future work.
-	CrossProc bool
-	// MaxRounds bounds the whole-program fixpoint iteration (0 = 8).
-	MaxRounds int
-	// FuseProcs runs the process-fusion pass after the fixpoint: it
-	// computes the static rendezvous schedule (analysis.ComputeSchedule)
-	// from the settled IR and stores it on Program.Schedule, so the fused
-	// translation carries direct-transfer instructions at the
-	// statically-matched sites and auto-mode fused machines narrow their
-	// partner scans. A pipeline without FuseProcs leaves Schedule nil and
-	// every rendezvous stays dynamic.
-	FuseProcs bool
-	// Verify checks the IR after every pass: the whole program
-	// (ir.Verify) after a program pass, and the process it rewrote
-	// (ir.VerifyProc) after a per-process pass. Run aborts with an error
-	// naming the offending pass if a rewrite corrupts the program.
+	// Verify checks the IR after every pass (ir.Verify after the
+	// cross-process pass, ir.VerifyProc of the rewritten process after a
+	// per-process pass); Run aborts with an error naming the offending
+	// pass if a rewrite corrupts the program.
 	Verify bool
 }
 
-// All returns the full pipeline, including the cross-process analysis.
-func All() Options {
-	return Options{ConstFold: true, CopyProp: true, DCE: true, CastReuse: true,
-		CrossProc: true, FuseProcs: true}
-}
-
-// Optimize rewrites every process of the program in place and returns
-// it. It is the Stats-free convenience wrapper around Run; it panics if
-// verification is enabled and a pass corrupts the program (Run returns
-// that as an error instead).
-func Optimize(prog *ir.Program, opts Options) *ir.Program {
-	if _, err := Run(prog, opts); err != nil {
-		panic(err)
-	}
-	return prog
-}
+// All returns the zero Options, the unverified pipeline; cmd/espbench
+// names it.
+func All() Options { return Options{} }
 
 // ---------------------------------------------------------------------------
 // Removing instructions

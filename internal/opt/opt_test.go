@@ -24,6 +24,15 @@ func compileSrc(t *testing.T, src string) *ir.Program {
 	return compile.Program(prog, info)
 }
 
+// optimize runs the optimizer pipeline on p in place and returns it.
+func optimize(t *testing.T, p *ir.Program) *ir.Program {
+	t.Helper()
+	if _, err := opt.Run(p, opt.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func instrCount(p *ir.Program) int {
 	n := 0
 	for _, pr := range p.Procs {
@@ -68,7 +77,7 @@ func checkEquivalent(t *testing.T, src string, ins []int64) (before, after int) 
 	t.Helper()
 	p1 := compileSrc(t, src)
 	want := runCollect(t, compileSrc(t, src), ins)
-	p2 := opt.Optimize(compileSrc(t, src), opt.All())
+	p2 := optimize(t, compileSrc(t, src))
 	got := runCollect(t, p2, ins)
 	if len(got) != len(want) {
 		t.Fatalf("optimized program produced %d outputs, original %d", len(got), len(want))
@@ -95,13 +104,13 @@ process p {
 		t.Errorf("no reduction: %d -> %d instructions", before, after)
 	}
 	// The folded program should compute 14 + 3 = 17.
-	p := opt.Optimize(compileSrc(t, `
+	p := optimize(t, compileSrc(t, `
 channel outC: int external reader
 process p {
     $x = 2 + 3 * 4;
     out( outC, x);
 }
-`), opt.All())
+`))
 	found := false
 	for _, in := range p.Procs[0].Code {
 		if in.Op == ir.Const && in.Val == 14 {
@@ -114,12 +123,12 @@ process p {
 }
 
 func TestBranchFolding(t *testing.T) {
-	p := opt.Optimize(compileSrc(t, `
+	p := optimize(t, compileSrc(t, `
 channel outC: int external reader
 process p {
     if (true) { out( outC, 1); } else { out( outC, 2); }
 }
-`), opt.All())
+`))
 	// The else branch is unreachable after folding; "const 2" must be gone.
 	for _, in := range p.Procs[0].Code {
 		if in.Op == ir.Const && in.Val == 2 {
@@ -132,7 +141,7 @@ process p {
 // although its head is the target of its own back jump and its body
 // follows a send's resume point.
 func TestDeadLoopEliminated(t *testing.T) {
-	p := opt.Optimize(compileSrc(t, `
+	p := optimize(t, compileSrc(t, `
 channel c: int
 process p {
     $x = 0;
@@ -140,7 +149,7 @@ process p {
     while (x < 2) { x = x + 1; }
 }
 process q { while (true) { in( c, $v); } }
-`), opt.All())
+`))
 	code := p.Procs[0].Code
 	if len(code) != 5 {
 		t.Errorf("optimized p has %d instructions, want 5 (the dead loop removed):\n%s", len(code), ir.Disasm(p.Procs[0]))
@@ -155,7 +164,7 @@ process q { while (true) { in( c, $v); } }
 func TestWhileTrueNoConditionCode(t *testing.T) {
 	// while(true) compiled via Cond=nil has no test; while (true) written
 	// explicitly must fold to the same shape.
-	p := opt.Optimize(compileSrc(t, `
+	p := optimize(t, compileSrc(t, `
 channel inC: int external writer
 channel outC: int external reader
 interface i( out inC) { Put( $v) }
@@ -165,7 +174,7 @@ process p {
         out( outC, v);
     }
 }
-`), opt.All())
+`))
 	for _, in := range p.Procs[0].Code {
 		if in.Op == ir.JumpIfFalse || in.Op == ir.JumpIfTrue {
 			t.Error("while(true) still has a conditional branch")
@@ -193,7 +202,7 @@ process p {
 }
 
 func TestCastReuse(t *testing.T) {
-	p := opt.Optimize(compileSrc(t, `
+	p := optimize(t, compileSrc(t, `
 channel c: array of int
 channel outC: int external reader
 process maker {
@@ -205,7 +214,7 @@ process user {
     out( outC, d[0]);
     unlink( d);
 }
-`), opt.All())
+`))
 	found := false
 	for _, in := range p.ProcByName("maker").Code {
 		if in.Op == ir.CastReuse {
@@ -237,7 +246,7 @@ process user {
 }
 
 func TestCastNotReusedWhenSourceLive(t *testing.T) {
-	p := opt.Optimize(compileSrc(t, `
+	p := optimize(t, compileSrc(t, `
 channel c: array of int
 channel outC: int external reader
 process maker {
@@ -251,7 +260,7 @@ process user {
     in( c, $d);
     unlink( d);
 }
-`), opt.All())
+`))
 	for _, in := range p.ProcByName("maker").Code {
 		if in.Op == ir.CastReuse {
 			t.Fatal("cast reused although the source is still live")
@@ -308,33 +317,17 @@ process r2 {
 }
 
 func TestIdempotent(t *testing.T) {
-	p1 := opt.Optimize(compileSrc(t, `
+	p1 := optimize(t, compileSrc(t, `
 channel outC: int external reader
 process p {
     $x = 1 + 2;
     out( outC, x);
 }
-`), opt.All())
+`))
 	n1 := instrCount(p1)
-	p2 := opt.Optimize(p1, opt.All())
+	p2 := optimize(t, p1)
 	if instrCount(p2) != n1 {
 		t.Errorf("second optimization round changed code: %d -> %d", n1, instrCount(p2))
-	}
-}
-
-func TestZeroOptionsNoChange(t *testing.T) {
-	src := `
-channel outC: int external reader
-process p {
-    $x = 1 + 2;
-    out( outC, x);
-}
-`
-	p1 := compileSrc(t, src)
-	n := instrCount(p1)
-	opt.Optimize(p1, opt.Options{})
-	if instrCount(p1) != n {
-		t.Error("zero options modified the program")
 	}
 }
 
@@ -362,7 +355,7 @@ process r {
 	}
 	// The receiver's loads of size are now constants; after const
 	// folding, size + size becomes 8192.
-	opt.Optimize(p, opt.Options{ConstFold: true, DCE: true})
+	optimize(t, p)
 	found := false
 	for _, in := range p.ProcByName("r").Code {
 		if in.Op == ir.Const && in.Val == 8192 {
@@ -536,7 +529,7 @@ process r {
 	if n := opt.CrossProcConstants(p); n == 0 {
 		t.Fatal("alt-arm constant not propagated")
 	}
-	opt.Optimize(p, opt.Options{ConstFold: true, DCE: true})
+	optimize(t, p)
 	found := false
 	for _, in := range p.ProcByName("r").Code {
 		if in.Op == ir.Const && in.Val == 14 {

@@ -59,6 +59,7 @@ type Type struct {
 
 	id   int
 	name string // first declared name, for diagnostics and code generation
+	sig  string // Signature, stored by Universe.Intern
 }
 
 // ID returns the dense type id assigned by the Universe (0-based).
@@ -120,17 +121,25 @@ func (t *Type) String() string {
 }
 
 // Signature renders the full structural spelling of the type. It doubles
-// as the interning key.
+// as the interning key, and an interned type returns the spelling Intern
+// stored.
 func (t *Type) Signature() string {
 	if t == nil {
 		return "<nil>"
 	}
+	if t.sig != "" {
+		return t.sig
+	}
 	var b strings.Builder
-	t.sig(&b)
+	t.writeSig(&b)
 	return b.String()
 }
 
-func (t *Type) sig(b *strings.Builder) {
+func (t *Type) writeSig(b *strings.Builder) {
+	if t.sig != "" {
+		b.WriteString(t.sig)
+		return
+	}
 	if t.Mutable {
 		b.WriteByte('#')
 	}
@@ -151,12 +160,12 @@ func (t *Type) sig(b *strings.Builder) {
 			}
 			b.WriteString(f.Name)
 			b.WriteString(": ")
-			f.Type.sig(b)
+			f.Type.writeSig(b)
 		}
 		b.WriteString(" }")
 	case Array:
 		b.WriteString("array of ")
-		t.Elem.sig(b)
+		t.Elem.writeSig(b)
 		if t.Bound > 0 {
 			fmt.Fprintf(b, "[%d]", t.Bound)
 		}
@@ -190,6 +199,7 @@ func (u *Universe) Intern(t *Type) *Type {
 		return got
 	}
 	t.id = len(u.all)
+	t.sig = sig
 	u.bySig[sig] = t
 	u.all = append(u.all, t)
 	return t

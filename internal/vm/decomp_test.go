@@ -64,16 +64,16 @@ func TestCycleDecompositionExact(t *testing.T) {
 
 // TestDirectTransfersNeedSchedule: the fused engine takes the static
 // schedule's direct transfers exactly when the program carries a
-// schedule and the machine runs in auto mode. Compiling without the
-// process-fusion pass, or driving the machine manually (the model
-// checker's mode), leaves every rendezvous dynamic; the baseline never
-// consults the schedule.
+// schedule and the machine runs in auto mode. An unoptimized program
+// carries no schedule, and driving the machine manually (the model
+// checker's mode) or on wait queues leaves every rendezvous dynamic; the
+// baseline never consults the schedule.
 func TestDirectTransfersNeedSchedule(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		fuseProcs bool
-		cfg       vm.Config
-		direct    bool
+		name     string
+		optimize bool
+		cfg      vm.Config
+		direct   bool
 	}{
 		{"fused-auto", true, vm.Config{}, true},
 		{"fused-nofuseprocs", false, vm.Config{}, false},
@@ -83,13 +83,13 @@ func TestDirectTransfersNeedSchedule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := compileSrc(t, pingPongSrc)
-			o := opt.All()
-			o.FuseProcs = tc.fuseProcs
-			if _, err := opt.Run(prog, o); err != nil {
-				t.Fatalf("opt: %v", err)
+			if tc.optimize {
+				if _, err := opt.Run(prog, opt.Options{}); err != nil {
+					t.Fatalf("opt: %v", err)
+				}
 			}
-			if (prog.Schedule != nil) != tc.fuseProcs {
-				t.Fatalf("schedule present = %v, want %v", prog.Schedule != nil, tc.fuseProcs)
+			if (prog.Schedule != nil) != tc.optimize {
+				t.Fatalf("schedule present = %v, want %v", prog.Schedule != nil, tc.optimize)
 			}
 			m := vm.New(prog, tc.cfg)
 			if err := m.BindReader("outC", &vm.CollectReader{}); err != nil {

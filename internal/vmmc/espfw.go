@@ -40,11 +40,6 @@ const maxLiveObjects = 512
 // model.
 var Engine = vm.EngineFused
 
-// NoFuseProcs compiles the firmware without the optimizer's
-// process-fusion pass (vmmcbench -no-fuse): the program carries no
-// static schedule, so every rendezvous stays dynamic.
-var NoFuseProcs bool
-
 // Metrics, when non-nil, is attached to every cluster NewCluster builds
 // (sim-kernel and firmware-VM instruments, no tracer or profiler). The
 // benchmark drivers construct fresh clusters per iteration deep inside
@@ -60,28 +55,17 @@ var Metrics *obs.Metrics
 // all scalar fields, so it is a valid map key; a compiled Program is
 // immutable at runtime (machines copy what they mutate), so sharing one
 // across firmware instances is safe.
-var fwCache sync.Map // fwKey -> *esplang.Program
-
-type fwKey struct {
-	cfg    nic.Config
-	noFuse bool
-}
+var fwCache sync.Map // nic.Config -> *esplang.Program
 
 func compileFirmware(cfg nic.Config) (*esplang.Program, error) {
-	key := fwKey{cfg, NoFuseProcs}
-	if p, ok := fwCache.Load(key); ok {
+	if p, ok := fwCache.Load(cfg); ok {
 		return p.(*esplang.Program), nil
 	}
-	co := esplang.CompileOptions{Name: "vmmcESP"}
-	if NoFuseProcs {
-		co.Passes = esplang.OptAll()
-		co.Passes.FuseProcs = false
-	}
-	prog, err := esplang.Compile(ESPSource(cfg), co)
+	prog, err := esplang.Compile(ESPSource(cfg), esplang.CompileOptions{Name: "vmmcESP"})
 	if err != nil {
 		return nil, fmt.Errorf("vmmc: ESP firmware does not compile: %w", err)
 	}
-	if prev, loaded := fwCache.LoadOrStore(key, prog); loaded {
+	if prev, loaded := fwCache.LoadOrStore(cfg, prog); loaded {
 		return prev.(*esplang.Program), nil
 	}
 	return prog, nil

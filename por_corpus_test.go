@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	esplang "esplang"
+	"esplang/internal/analysis"
 	"esplang/internal/vm"
 )
 
@@ -74,5 +75,33 @@ func TestPORCorpusEquivalence(t *testing.T) {
 				t.Errorf("reduction grew the state space: full=%d por=%d", full.States, red.States)
 			}
 		})
+	}
+}
+
+// TestFreshObjectReadKeepsProcessClean: an element read straight off a
+// fresh allocation is typed like one read through the local that holds
+// it. Copy propagation turns "storelocal a; loadlocal a" into "dup;
+// storelocal a", so the optimized p reads a[0] off the new array itself;
+// the int it sends must not demote p from the clean heap discipline the
+// unoptimized code already has.
+func TestFreshObjectReadKeepsProcessClean(t *testing.T) {
+	prog, err := esplang.Compile(`
+type arr = array of int
+channel c: int
+process p {
+    $a: arr = { 4 -> 1};
+    out( c, a[0]);
+    unlink( a);
+}
+process q { in( c, $x); }
+`, esplang.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ind := analysis.ComputeIndependence(prog.IR)
+	for i, p := range prog.IR.Procs {
+		if p.Name == "p" && !ind.Clean[i] {
+			t.Errorf("p is unclean: %s", ind.CleanReason[i])
+		}
 	}
 }
