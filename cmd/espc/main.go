@@ -36,7 +36,6 @@ func main() {
 		noOpt     = flag.Bool("O0", false, "disable the §6.1 IR optimizations")
 		disasm    = flag.Bool("S", false, "print the compiled IR to stdout")
 		dumpFused = flag.Bool("dump-fused", false, "print the fused-engine superinstruction translation to stdout")
-		dumpSched = flag.Bool("dump-schedule", false, "print the static rendezvous schedule (fused channels, dynamic fallbacks with reasons) to stdout")
 		dumpIndep = flag.Bool("dump-indep", false, "print the transition-independence table (channel touch sets, heap cleanliness, ref-flow regions, independent pairs) to stdout")
 		vet       = flag.Bool("vet", false, "print espvet static-analysis findings to stderr")
 		vetErr    = flag.Bool("vet-err", false, "like -vet, but findings fail the build (exit 1)")
@@ -106,9 +105,6 @@ func main() {
 	}
 	if *dumpFused {
 		fmt.Print(prog.DisasmFused())
-	}
-	if *dumpSched {
-		fmt.Print(prog.DumpSchedule())
 	}
 	if *dumpIndep {
 		fmt.Print(prog.DumpIndependence())

@@ -45,7 +45,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles); the flight recorder then keeps every event instead of a -flight ring")
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
-		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus static rendezvous scheduling when the optimizer fused processes) or baseline; identical semantics and cycle accounting")
+		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus partner scans narrowed to the optimizer's scan lists) or baseline; identical semantics and cycle accounting")
 		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
 		telemetry  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): /metrics, /statusz, /trace?last=N")

@@ -14,9 +14,9 @@ import (
 )
 
 // Differential tests for the two interpreters: the fused hot-path engine
-// (superinstructions, plus — when the optimizer fused processes — the
-// static rendezvous schedule's direct transfers, narrowed scans, and
-// element-storage recycling) must be observationally indistinguishable
+// (superinstructions, element-storage recycling, and — when the program
+// is optimized — partner scans narrowed to the schedule's per-channel
+// scan lists) must be observationally indistinguishable
 // from the baseline interpreter — same outputs, same faults (down to
 // file:line), same cycle meter, same event statistics, same trace bytes,
 // and same model-checker verdicts and state counts.
@@ -295,8 +295,8 @@ func TestEngineProfilerParity(t *testing.T) {
 
 // TestEngineDifferentialTracesTestdata: the full trace-event stream of
 // every sample program — timestamps derived from the cycle meter — is
-// byte-identical between the baseline and fused engines, so the static
-// schedule's fast paths (direct transfers, narrowed scans, heap
+// byte-identical between the baseline and fused engines, so the fused
+// engine's fast paths (superinstructions, narrowed scans, heap
 // recycling) are invisible to every observer.
 func TestEngineDifferentialTracesTestdata(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.esp")

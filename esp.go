@@ -62,9 +62,9 @@ type (
 	// Snapshot is a Go-native copy of a machine value.
 	Snapshot = vm.Snapshot
 	// Engine selects the VM's interpreter loop (MachineConfig.Engine,
-	// VerifyOptions.Engine): the fused hot-path engine (default; it runs
-	// the optimizer's static rendezvous schedule, with direct transfers,
-	// whenever the program carries one) or the baseline
+	// VerifyOptions.Engine): the fused hot-path engine (default; it
+	// narrows its partner scans to the optimizer's per-channel scan lists
+	// whenever the program carries them) or the baseline
 	// one-instruction-at-a-time loop, kept as a differential-testing
 	// oracle. Both charge the identical cycle cost model.
 	Engine = vm.Engine
@@ -297,19 +297,6 @@ func (p *Program) DisasmFused() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// DumpSchedule renders the static rendezvous schedule the fused engine
-// executes: which channels were fused into direct transfers, and which
-// stay on dynamic rendezvous and why. When the optimizer has not cached
-// a schedule (-O0), it is computed on the fly, exactly as the optimizer
-// would.
-func (p *Program) DumpSchedule() string {
-	sched := p.IR.Schedule
-	if sched == nil {
-		sched = analysis.ComputeSchedule(p.IR)
-	}
-	return ir.FormatSchedule(p.IR, sched)
 }
 
 // DumpIndependence renders the transition-independence table the

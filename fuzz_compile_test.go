@@ -20,13 +20,13 @@ import (
 // every positioned diagnostic (errors, espvet findings, and their notes)
 // must point inside the input or at its end. Compile must be
 // deterministic: compiling an input that compiles a second time gives
-// the same IR, fused code, schedule, independence table, C, Promela and
-// findings. Every instruction of the optimized IR must be reachable
-// from its process's roots: dead-code elimination leaves nothing behind
-// that control cannot get to. Every input that compiles must pass the
+// the same IR, fused code, independence table, C, Promela and findings.
+// Every instruction of the optimized IR must be reachable from its
+// process's roots: dead-code elimination leaves nothing behind that
+// control cannot get to. Every input that compiles must pass the
 // differential oracle's VM stages (fuzz.RunDifferential without the
-// model checker): both engines, the program without its static
-// rendezvous schedule and the unoptimized program agree. Every input the
+// model checker): both engines on the optimized and on the unoptimized
+// program agree. Every input the
 // parser accepts must also survive the formatter round trip: ast.Print's
 // output parses again and prints to itself. The seeds are the repo's
 // ESP corpora, so plain `go test` replays them; `go test -run xxx -fuzz
@@ -106,7 +106,6 @@ func sameCompile(t *testing.T, src string, prog *esplang.Program) {
 	}{
 		{"Disasm", prog.Disasm(), again.Disasm()},
 		{"DisasmFused", prog.DisasmFused(), again.DisasmFused()},
-		{"DumpSchedule", prog.DumpSchedule(), again.DumpSchedule()},
 		{"DumpIndependence", prog.DumpIndependence(), again.DumpIndependence()},
 		{"C", prog.C(esplang.COptions{}), again.C(esplang.COptions{})},
 		{"Promela", prog.Promela(esplang.PromelaOptions{}), again.Promela(esplang.PromelaOptions{})},

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	esplang "esplang"
 	"esplang/internal/fuzz"
+	"esplang/internal/ir"
 )
 
 // TestFuzzRegressions replays every minimized fuzzer-found program in
@@ -44,6 +46,26 @@ func TestFuzzRegressions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCastReuseCorpusReuses: testdata/fuzz/cast_reuse.esp is the
+// corpus's only program whose optimized IR casts in place, so it is what
+// puts the fused engine's fcastreuse case under the differential oracle.
+// If the optimizer stops rewriting its castcopy, that coverage would
+// vanish without any test failing; this test fails instead.
+func TestCastReuseCorpusReuses(t *testing.T) {
+	prog, err := esplang.CompileFile(filepath.Join("testdata", "fuzz", "cast_reuse.esp"), esplang.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range prog.IR.Procs {
+		for _, in := range p.Code {
+			if in.Op == ir.CastReuse {
+				return
+			}
+		}
+	}
+	t.Errorf("optimized IR has no castreuse:\n%s", prog.Disasm())
 }
 
 // expectedOutcome extracts the "//fuzz: outcome=<label>" header.

@@ -12,7 +12,6 @@ import (
 	esplang "esplang"
 	"esplang/internal/ast"
 	"esplang/internal/fuzz"
-	"esplang/internal/ir"
 	"esplang/internal/nic"
 	"esplang/internal/parser"
 	"esplang/internal/vmmc"
@@ -105,8 +104,8 @@ func TestPipelineFusedDisasmGolden(t *testing.T) {
 
 // TestCompileOutputsGolden pins everything the compiler emits for the
 // sample programs, the VMMC firmware and its two verification models:
-// the optimized IR, the fused code, the rendezvous schedule, the
-// independence table, the C and the Promela. One golden per program, so
+// the optimized IR, the fused code, the independence table, the C and
+// the Promela. One golden per program, so
 // a change to lowering, the optimizer, fusion or either backend shows up
 // as a reviewable diff. The models are compiled with a file name, as
 // compile-fuzz compiles them, so their #line directives and Promela
@@ -163,7 +162,6 @@ func TestCompileOutputsGolden(t *testing.T) {
 			for _, sec := range []struct{ name, text string }{
 				{"Disasm", prog.Disasm()},
 				{"DisasmFused", prog.DisasmFused()},
-				{"DumpSchedule", prog.DumpSchedule()},
 				{"DumpIndependence", prog.DumpIndependence()},
 				{"C", prog.C(pg.copts)},
 				{"Promela", prog.Promela(pg.popts)},
@@ -181,21 +179,17 @@ func TestCompileOutputsGolden(t *testing.T) {
 
 // TestFuzzPoolOutputsDigestGolden pins the compiler's outputs for
 // compile-fuzz's program pool, fuzz.Generate(1..200), which reaches
-// constructs testdata/ lacks. Each seed is compiled three ways (the
-// default pipeline, without the optimizer, and the default pipeline with
-// its static rendezvous schedule stripped, the program the fuzz oracle's
-// unscheduled run executes), and one line per seed and mode holds a
-// SHA-256 over the IR, the fused code, the C and the Promela; a compile
-// error hashes its text instead.
+// constructs testdata/ lacks. Each seed is compiled two ways (the
+// default pipeline and without the optimizer), and one line per seed and
+// mode holds a SHA-256 over the IR, the fused code, the C and the
+// Promela; a compile error hashes its text instead.
 func TestFuzzPoolOutputsDigestGolden(t *testing.T) {
 	modes := []struct {
-		name  string
-		opts  esplang.CompileOptions
-		strip bool
+		name string
+		opts esplang.CompileOptions
 	}{
-		{"default", esplang.CompileOptions{}, false},
-		{"noopt", esplang.CompileOptions{NoOptimize: true}, false},
-		{"nofuse", esplang.CompileOptions{}, true},
+		{"default", esplang.CompileOptions{}},
+		{"noopt", esplang.CompileOptions{NoOptimize: true}},
 	}
 	var b strings.Builder
 	for seed := int64(1); seed <= 200; seed++ {
@@ -207,12 +201,6 @@ func TestFuzzPoolOutputsDigestGolden(t *testing.T) {
 			if prog, err := esplang.Compile(g.Source, opts); err != nil {
 				io.WriteString(h, "error: "+err.Error())
 			} else {
-				if m.strip {
-					irp := *prog.IR
-					irp.Schedule = nil
-					irp.Fused = ir.FuseProgram(&irp)
-					prog.IR = &irp
-				}
 				for _, text := range []string{prog.Disasm(), prog.DisasmFused(), prog.C(esplang.COptions{}), prog.Promela(esplang.PromelaOptions{})} {
 					io.WriteString(h, text)
 					h.Write([]byte{0})

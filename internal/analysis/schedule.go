@@ -6,21 +6,13 @@ import (
 	"esplang/internal/ir"
 )
 
-// ComputeSchedule builds the static rendezvous schedule for the
-// optimizer's FuseProcesses pass. It reuses the channel-protocol facts
-// the espvet checks are built on (reachable communication sites per
-// channel, per direction) to prove exclusivity: a channel fuses when it
-// is internal and every reachable send lives in one process, every
-// reachable receive in a second process, and all sites are plain
-// Send/Recv instructions. Everything else — external channels,
-// alt-guarded channels, fan-in/fan-out — keeps dynamic rendezvous, and
-// the schedule records why.
-//
-// The candidate-narrowing lists (Writers/Readers) are computed for every
-// channel regardless of pairing: any process without a reachable site on
-// a channel can never block on it, so the VM's rendezvous and poll scans
-// may skip it without changing which partner is found first (the lists
-// stay in ascending process order, matching the baseline scan order).
+// ComputeSchedule builds the static rendezvous schedule the optimizer
+// stores on the program. It reuses the channel-protocol facts the espvet
+// checks are built on (reachable communication sites per channel, per
+// direction): any process without a reachable site on a channel can
+// never block on it, so the VM's rendezvous and poll scans may skip it
+// without changing which partner is found first (the lists stay in
+// ascending process order, matching the baseline scan order).
 func ComputeSchedule(prog *ir.Program) *ir.Schedule {
 	cfgs := make([]*cfg, len(prog.Procs))
 	for i, p := range prog.Procs {
@@ -32,38 +24,12 @@ func ComputeSchedule(prog *ir.Program) *ir.Schedule {
 		Writers:  make([][]int, len(prog.Channels)),
 		Readers:  make([][]int, len(prog.Channels)),
 		Internal: make([]bool, len(prog.Channels)),
-		Reason:   make([]string, len(prog.Channels)),
 	}
 	for _, ch := range prog.Channels {
 		id := ch.ID
 		s.Internal[id] = ch.Ext == ir.ExtNone
 		s.Writers[id] = procSet(sends[id])
 		s.Readers[id] = procSet(recvs[id])
-
-		switch {
-		case ch.Ext != ir.ExtNone:
-			s.Reason[id] = "external binding"
-		case len(sends[id]) == 0 && len(recvs[id]) == 0:
-			s.Reason[id] = "unused"
-		case len(sends[id]) == 0 || len(recvs[id]) == 0:
-			s.Reason[id] = "one-sided"
-		case hasAltSite(sends[id]) || hasAltSite(recvs[id]):
-			s.Reason[id] = "alt-guarded"
-		case len(s.Writers[id]) > 1:
-			s.Reason[id] = "multiple senders"
-		case len(s.Readers[id]) > 1:
-			s.Reason[id] = "multiple receivers"
-		case s.Writers[id][0] == s.Readers[id][0]:
-			s.Reason[id] = "single process"
-		default:
-			s.Pairs = append(s.Pairs, ir.SchedPair{
-				Chan:    id,
-				Sender:  s.Writers[id][0],
-				Recv:    s.Readers[id][0],
-				SendPCs: sitePCs(sends[id]),
-				RecvPCs: sitePCs(recvs[id]),
-			})
-		}
 	}
 	return s
 }
@@ -90,14 +56,4 @@ func hasAltSite(sites []commSite) bool {
 		}
 	}
 	return false
-}
-
-// sitePCs returns the instruction pcs of the sites, ascending.
-func sitePCs(sites []commSite) []int {
-	out := make([]int, len(sites))
-	for i, s := range sites {
-		out[i] = s.pc
-	}
-	sort.Ints(out)
-	return out
 }

@@ -689,7 +689,8 @@ func (g *gen) ownership() {
 }
 
 // ring passes an int token around a 2-3 process cycle for a fixed number
-// of rounds — the shape the process-fusion scheduler statically orders.
+// of rounds: every channel has one writer and one reader, so each of the
+// optimizer's scan lists holds one process.
 func (g *gen) ring() {
 	g.extraConsts()
 	n := 2 + g.r.Intn(2)

@@ -171,10 +171,10 @@ func engineName(e esplang.Engine) string {
 //
 //   - parse + formatter fixpoint (print, reparse, print again);
 //   - compile determinism (disassembly, fused disassembly, vet findings);
-//   - both interpreters on the optimized program, and the fused engine
-//     on the same program without its static rendezvous schedule:
-//     outputs, faults with file:line, cycle meter, statistics, trace
-//     bytes — all must be byte-identical to the baseline run;
+//   - both interpreters on the optimized program: outputs, faults with
+//     file:line, cycle meter, statistics, trace bytes — all must be
+//     byte-identical to the baseline run, which walks every process
+//     where the fused engine walks the schedule's scan lists;
 //   - unoptimized vs optimized: same fault message and outputs (the
 //     TestOptimizedEquivalence contract; cycle counts legitimately
 //     differ, and out-of-objects faults are exempted because the
@@ -283,7 +283,6 @@ func RunDifferential(name, src string, opts Options) *Report {
 			}
 		}
 	})
-	rep.guard("dump-schedule", func() { _ = full.DumpSchedule() })
 
 	// --- Stage: VM engine matrix ----------------------------------------
 	// Engines are compared strictly only against runs of the SAME
@@ -306,14 +305,6 @@ func RunDifferential(name, src string, opts Options) *Report {
 	if len(runs) > 0 {
 		rep.Outcome = outcomeOf(runs[0].render)
 		rep.Postmortem = runs[0].pm
-		// The baseline never reads the schedule, so its run is also the
-		// oracle for the fused engine's dynamic-rendezvous path on this IR.
-		const stage = "vm/unscheduled/fused"
-		var run vmRun
-		if rep.guard(stage, func() { run = runVM(unscheduled(full), esplang.EngineFused, opts) }) {
-			run.cfg = stage
-			rep.strictMatrix([]vmRun{runs[0], run})
-		}
 	}
 
 	// Optimized vs unoptimized: fault message and outputs must match
@@ -495,19 +486,6 @@ func RunDifferential(name, src string, opts Options) *Report {
 		})
 	}
 	return rep
-}
-
-// unscheduled returns a shallow copy of prog whose IR has no static
-// rendezvous schedule and whose fused translation has no direct
-// transfers, so the fused engine runs every rendezvous dynamically, as
-// on -O0, Manual and wait-queue machines.
-func unscheduled(prog *esplang.Program) *esplang.Program {
-	irp := *prog.IR
-	irp.Schedule = nil
-	irp.Fused = ir.FuseProgram(&irp)
-	p := *prog
-	p.IR = &irp
-	return &p
 }
 
 // isClosed reports whether the program has no external channels, i.e.

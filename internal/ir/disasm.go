@@ -124,11 +124,8 @@ func DisasmFused(p *Proc, fp *FusedProc) string {
 func AppendFInstr(b []byte, p *Proc, in FInstr) []byte {
 	slot := func(b []byte, s int32) []byte { return appendSlot(b, p, int(s)) }
 	typeName := "?"
-	if in.Type != nil {
-		switch in.Op {
-		case FNewRecord, FNewUnion, FNewArray, FCastCopy, FCastReuse, FXferRec:
-			typeName = in.Type.String()
-		}
+	if in.Type != nil { // set only on allocation and cast sites
+		typeName = in.Type.String()
 	}
 	sub := in.Sub.String()
 	switch in.Op {
@@ -202,15 +199,6 @@ func AppendFInstr(b []byte, p *Proc, in FInstr) []byte {
 	case FConstSend:
 		b = emit.Appendf(b, "fconstsend %d chan=%d", in.Val, in.B)
 		return appendFreeAfter(b, in.C&FlagFreeAfter != 0)
-	case FSendDir:
-		b = emit.Appendf(b, "fsenddir chan=%d partner=%d", in.A, in.C)
-		return appendFreeAfter(b, in.B&FlagFreeAfter != 0)
-	case FRecvDir:
-		return emit.Appendf(b, "frecvdir chan=%d port=%d partner=%d", in.A, in.B, in.C)
-	case FXferRec:
-		b = emit.Appendf(b, "fxferrec type=%s n=%d absorb=%b chan=%d partner=%d",
-			typeName, in.B, in.Val, in.A, in.C)
-		return appendFreeAfter(b, in.Sense)
 	default:
 		return append(b, in.Op.String()...)
 	}

@@ -91,17 +91,6 @@ const (
 	FLoadField // LoadLocal A; GetField B
 	FLoadSend  // LoadLocal A; Send on B with flags C
 	FConstSend // Const Val; Send on B with flags C
-
-	// Direct-transfer instructions, emitted only when the program carries
-	// a static rendezvous schedule (see FuseProgram). Each replaces a
-	// communication site on a statically-matched channel: the schedule
-	// proves exactly one process can ever stand on the other side, so the
-	// engine checks that one partner's status instead of scanning every
-	// process. C names the partner's process index; the dynamic fallback
-	// (Manual mode, queue mode) treats them exactly like FSend/FRecv.
-	FSendDir // Send on A with flags B; partner C
-	FRecvDir // Recv on A into port B; partner C
-	FXferRec // NewRecord (Type, B fields, absorb Val); Send on A, FreeAfter=Sense; partner C
 )
 
 var fopNames = [...]string{
@@ -121,7 +110,6 @@ var fopNames = [...]string{
 	FLCBin: "flcbin", FLLBin: "fllbin", FLCBinSt: "flcbinst", FLLBinSt: "fllbinst",
 	FConstSt: "fconstst", FMove: "fmove", FLoadField: "floadfield",
 	FLoadSend: "floadsend", FConstSend: "fconstsend",
-	FSendDir: "fsenddir", FRecvDir: "frecvdir", FXferRec: "fxferrec",
 }
 
 func (o FOp) String() string {
@@ -178,14 +166,6 @@ var mirror = [...]FOp{
 // FuseProc translates one process. u resolves allocation-site types; it
 // may be nil for hand-built test programs that allocate nothing.
 func FuseProc(p *Proc, u *types.Universe) *FusedProc {
-	return fuseProcWith(p, u, nil, nil)
-}
-
-// fuseProcWith is FuseProc plus the schedule-aware rewrite: dirSend maps
-// the pc of a Send on a statically-matched channel to the partner's
-// process index, dirRecv the same for Recv sites. Nil maps yield the
-// plain translation.
-func fuseProcWith(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *FusedProc {
 	entry := Leaders(p, true)
 	fp := &FusedProc{Map: make([]int32, len(p.Code)+1)}
 	for i := range fp.Map {
@@ -209,7 +189,7 @@ func fuseProcWith(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *F
 	pc := 0
 	for pc < len(p.Code) {
 		fp.Map[pc] = int32(len(fp.Code))
-		fi, n := fuseAtSched(p.Code, pc, interiorFree, dirSend, dirRecv, u)
+		fi, n := fuseAt(p.Code, pc, interiorFree)
 		if fi.Op == FNewRecord || fi.Op == FNewUnion || fi.Op == FNewArray ||
 			fi.Op == FCastCopy || fi.Op == FCastReuse {
 			if u != nil {
@@ -235,40 +215,6 @@ func fuseProcWith(p *Proc, u *types.Universe, dirSend, dirRecv map[int]int32) *F
 		}
 	}
 	return fp
-}
-
-// fuseAtSched wraps fuseAt with the direct-transfer rewrites. Scheduled
-// Send/Recv sites become FSendDir/FRecvDir; a NewRecord feeding a
-// scheduled Send becomes the two-wide FXferRec; and the generic
-// FLoadSend/FConstSend fusions are suppressed when they would swallow a
-// scheduled Send, so the site keeps its static partner.
-func fuseAtSched(code []Instr, pc int, interiorFree func(pc, n int) bool,
-	dirSend, dirRecv map[int]int32, u *types.Universe) (FInstr, int) {
-	in := code[pc]
-	if partner, ok := dirSend[pc]; ok && in.Op == Send {
-		return FInstr{Op: FSendDir, A: int32(in.A), B: int32(in.B), C: partner}, 1
-	}
-	if partner, ok := dirRecv[pc]; ok && in.Op == Recv {
-		return FInstr{Op: FRecvDir, A: int32(in.A), B: int32(in.B), C: partner}, 1
-	}
-	if in.Op == NewRecord && pc+1 < len(code) && code[pc+1].Op == Send && interiorFree(pc, 2) {
-		if partner, ok := dirSend[pc+1]; ok {
-			snd := code[pc+1]
-			var t *types.Type
-			if u != nil {
-				t = u.ByID(in.A)
-			}
-			return FInstr{Op: FXferRec, Type: t, B: int32(in.B), Val: in.Val,
-				A: int32(snd.A), Sense: snd.B&FlagFreeAfter != 0, C: partner}, 2
-		}
-	}
-	fi, n := fuseAt(code, pc, interiorFree)
-	if fi.Op == FLoadSend || fi.Op == FConstSend {
-		if _, ok := dirSend[pc+1]; ok {
-			return FInstr{Op: mirror[in.Op], A: int32(in.A), B: int32(in.B), Val: in.Val}, 1
-		}
-	}
-	return fi, n
 }
 
 // fuseAt matches the longest superinstruction pattern starting at pc, or
@@ -341,35 +287,13 @@ func fuseAt(code []Instr, pc int, interiorFree func(pc, n int) bool) (FInstr, in
 	return FInstr{Op: op, A: int32(in.A), B: int32(in.B), Val: in.Val}, 1
 }
 
-// FuseProgram translates every process. When the program carries a
-// static rendezvous schedule (prog.Schedule, set by the optimizer), the
-// direct-transfer rewrite is applied at the schedule's statically-matched
-// communication sites; otherwise the translation is the plain
-// superinstruction form. The result is
-// independent of the program's Fused field; callers that cache it there
-// must do so before sharing the program across machines.
+// FuseProgram translates every process. The result is independent of
+// the program's Fused field; callers that cache it there must do so
+// before sharing the program across machines.
 func FuseProgram(prog *Program) []*FusedProc {
-	dirSend := make([]map[int]int32, len(prog.Procs))
-	dirRecv := make([]map[int]int32, len(prog.Procs))
-	if prog.Schedule != nil {
-		for _, pr := range prog.Schedule.Pairs {
-			if dirSend[pr.Sender] == nil {
-				dirSend[pr.Sender] = make(map[int]int32)
-			}
-			for _, pc := range pr.SendPCs {
-				dirSend[pr.Sender][pc] = int32(pr.Recv)
-			}
-			if dirRecv[pr.Recv] == nil {
-				dirRecv[pr.Recv] = make(map[int]int32)
-			}
-			for _, pc := range pr.RecvPCs {
-				dirRecv[pr.Recv][pc] = int32(pr.Sender)
-			}
-		}
-	}
 	out := make([]*FusedProc, len(prog.Procs))
 	for i, p := range prog.Procs {
-		out[i] = fuseProcWith(p, prog.Universe, dirSend[i], dirRecv[i])
+		out[i] = FuseProc(p, prog.Universe)
 	}
 	return out
 }

@@ -304,13 +304,11 @@ type Program struct {
 	// backends use it to report file:line locations.
 	File string
 	// Fused caches the fused-engine translation of every process (see
-	// fused.go), with direct-transfer instructions at the schedule's
-	// statically-matched sites when Schedule is set. The optimizer driver
-	// populates it after its final rewrite; nil means not (or no longer)
-	// translated, and vm.New then fuses locally without touching the
-	// program.
+	// fused.go). The optimizer driver populates it after its final
+	// rewrite; nil means not (or no longer) translated, and vm.New then
+	// fuses locally without touching the program.
 	Fused []*FusedProc
-	// Schedule is the static rendezvous schedule the optimizer computes
+	// Schedule holds the per-channel scan lists the optimizer computes
 	// once the code settles (see schedule.go); nil when the program has
 	// not been optimized.
 	Schedule *Schedule

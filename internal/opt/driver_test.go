@@ -108,7 +108,7 @@ func TestStatsString(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stats.String()
-	for _, want := range []string{"optimizer:", "constfold", "crossproc-const", "compactnops", "fuseprocs"} {
+	for _, want := range []string{"optimizer:", "constfold", "crossproc-const", "compactnops"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}

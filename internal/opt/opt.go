@@ -18,8 +18,9 @@
 //     process's roots reaches (ir.Reachable) are dropped, and so are the
 //     Nops the other rewrites leave;
 //   - once the code settles, the static rendezvous schedule
-//     (analysis.ComputeSchedule) and the fused translation that carries
-//     its direct transfers (ir.FuseProgram).
+//     (analysis.ComputeSchedule), whose per-channel scan lists narrow
+//     the VM's partner searches, and the fused translation
+//     (ir.FuseProgram).
 //
 // The only ablation is the whole pipeline: a compile without it
 // (esplang.CompileOptions.NoOptimize, espc -O0) keeps the lowered IR.

@@ -81,10 +81,10 @@ func countInstrs(prog *ir.Program) int {
 // constants planted across channels enable local folding, and local
 // folding exposes new constant sends to the next cross-process round.
 // Once the code settles, Run stores the static rendezvous schedule
-// (analysis.ComputeSchedule, the fuseprocs row of Stats) on
-// prog.Schedule and caches the fused translation (ir.FuseProgram), with
-// direct transfers at the schedule's sites, on prog.Fused, so every
-// machine created from the program shares one translation.
+// (analysis.ComputeSchedule: the per-channel scan lists) on
+// prog.Schedule and caches the fused translation (ir.FuseProgram) on
+// prog.Fused, so every machine created from the program shares one
+// translation.
 //
 // With opts.Verify set, Run aborts with an error naming the offending
 // pass the moment a rewrite corrupts the program. A per-process pass
@@ -106,7 +106,6 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 	for i, lp := range localPasses {
 		local[i] = row(lp.name)
 	}
-	fuse := row("fuseprocs")
 	corrupted := func(pass string, round int, err error) error {
 		return fmt.Errorf("opt: pass %s corrupted the program (round %d): %w", pass, round+1, err)
 	}
@@ -141,7 +140,6 @@ func Run(prog *ir.Program, opts Options) (*Stats, error) {
 	}
 	stats.InstrsAfter = countInstrs(prog)
 	prog.Schedule = analysis.ComputeSchedule(prog)
-	fuse.record(len(prog.Schedule.Pairs) > 0, 0)
 	prog.Fused = ir.FuseProgram(prog)
 	return stats, nil
 }

@@ -16,7 +16,6 @@ type CostModel struct {
 	CtxSwitch    int64 // switching the running process
 	Rendezvous   int64 // completing one message transfer
 	Alloc        int64 // heap allocation
-	Free         int64 // heap free
 	RefOp        int64 // link/unlink
 	PatternNode  int64 // per pattern node tested or bound
 	MaskCheck    int64 // readiness check against one process's wait bit-mask
@@ -33,7 +32,6 @@ func DefaultCostModel() CostModel {
 		CtxSwitch:    5,
 		Rendezvous:   8,
 		Alloc:        8,
-		Free:         4,
 		RefOp:        1,
 		PatternNode:  1,
 		MaskCheck:    1,

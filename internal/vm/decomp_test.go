@@ -9,10 +9,8 @@ import (
 
 // TestCycleDecompositionExact pins the §6.2 accounting identity on every
 // engine: the cycle meter is exactly the dot product of the event counters
-// with the cost model. There is no Frees term (a free is bookkeeping the
-// collector does between instructions, never charged), and the static
-// schedule's direct transfers add none: each is a rendezvous that already
-// paid the Rendezvous price.
+// with the cost model. There is no Frees term: a free is bookkeeping the
+// collector does between instructions, never charged.
 func TestCycleDecompositionExact(t *testing.T) {
 	engines := []struct {
 		name string
@@ -51,9 +49,6 @@ func TestCycleDecompositionExact(t *testing.T) {
 				t.Errorf("cycle meter %d, decomposition says %d (stats: %s)",
 					m.Cycles, want, s)
 			}
-			if d := vm.DirectXfers(m); d > s.Rendezvous {
-				t.Errorf("%d direct transfers exceed %d rendezvous", d, s.Rendezvous)
-			}
 			cycles[i] = m.Cycles
 		})
 	}
@@ -62,21 +57,21 @@ func TestCycleDecompositionExact(t *testing.T) {
 	}
 }
 
-// TestDirectTransfersNeedSchedule: the fused engine takes the static
-// schedule's direct transfers exactly when the program carries a
-// schedule and the machine runs in auto mode. An unoptimized program
-// carries no schedule, and driving the machine manually (the model
-// checker's mode) or on wait queues leaves every rendezvous dynamic; the
+// TestScanListsNeedSchedule: the fused engine narrows its partner scans
+// to the static schedule's scan lists exactly when the program carries a
+// schedule and the machine runs in auto, bit-mask mode. An unoptimized
+// program carries no schedule, and driving the machine manually (the
+// model checker's mode) or on wait queues walks every process; the
 // baseline never consults the schedule.
-func TestDirectTransfersNeedSchedule(t *testing.T) {
+func TestScanListsNeedSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		optimize bool
 		cfg      vm.Config
-		direct   bool
+		lists    bool
 	}{
 		{"fused-auto", true, vm.Config{}, true},
-		{"fused-nofuseprocs", false, vm.Config{}, false},
+		{"fused-noopt", false, vm.Config{}, false},
 		{"fused-manual", true, vm.Config{Manual: true}, false},
 		{"fused-waitqueues", true, vm.Config{UseWaitQueues: true}, false},
 		{"baseline-auto", true, vm.Config{Engine: vm.EngineBaseline}, false},
@@ -110,8 +105,8 @@ func TestDirectTransfersNeedSchedule(t *testing.T) {
 			if s.Rendezvous < 200 {
 				t.Fatalf("only %d rendezvous: the run did not complete (stats: %s)", s.Rendezvous, s)
 			}
-			if d := vm.DirectXfers(m); (d > 0) != tc.direct {
-				t.Errorf("%d direct transfers, want direct transfers %v (stats: %s)", d, tc.direct, s)
+			if got := vm.ScanLists(m); got != tc.lists {
+				t.Errorf("scan lists installed = %v, want %v (stats: %s)", got, tc.lists, s)
 			}
 		})
 	}

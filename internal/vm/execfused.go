@@ -23,7 +23,10 @@ import (
 //     charged components are not materialized — the machine is stopping);
 //   - components that can fault or emit a trace event are always the last
 //     of their group, with p.PC adjusted to their base pc first, so fault
-//     attribution and trace timestamps are bit-identical.
+//     attribution and trace timestamps are bit-identical;
+//   - every communication takes the baseline's dynamic rendezvous path
+//     (tryCompleteSend, tryCompleteRecv, altStep); only the partner scans
+//     differ, walking the schedule's scan lists when New installed them.
 //
 // execFused only runs when no profiler is installed (exec falls back to
 // execBase otherwise): per-line cycle attribution needs the baseline's
@@ -50,21 +53,6 @@ func (m *Machine) execFused(p *ProcInst) {
 			// steps-n base instructions already run, it charges the first
 			// j = budget-b components of this group and faults at the next.
 			j := m.Config.StepBudget - (steps - n)
-			if fi.Op == ir.FXferRec && j >= 1 {
-				// The budget admits the NewRecord but not the Send: the
-				// baseline completes the allocation (it is observable — heap
-				// state, Stats, trace) before faulting at the Send's pc.
-				m.Cycles += m.Cost.PerInstr
-				m.Stats.Instrs++
-				p.PC = int(fi.Base)
-				if !m.xferRecAlloc(p, fi) {
-					return
-				}
-				p.PC = int(fi.Base) + 1
-				m.setFault(&Fault{Kind: FaultStep,
-					Msg: fmt.Sprintf("process executed more than %d instructions without blocking", m.Config.StepBudget)}, p)
-				return
-			}
 			m.Cycles += j * m.Cost.PerInstr
 			m.Stats.Instrs += j
 			p.PC = int(fi.Base) + int(j)
@@ -461,95 +449,6 @@ func (m *Machine) execFused(p *ProcInst) {
 			m.regRecv(p, int(fi.A))
 			return
 
-		case ir.FSendDir:
-			v := p.pop()
-			p.Pending = v
-			p.PendingFlags = int(fi.B)
-			p.WaitChan = int(fi.A)
-			p.ResumePC = int(fi.Base) + int(fi.N)
-			if next, ok := m.fusedSendDir(p, fp, fi); ok {
-				pcF = next
-				continue
-			}
-			return
-
-		case ir.FRecvDir:
-			chanID := int(fi.A)
-			p.WaitChan = chanID
-			p.WaitPort = int(fi.B)
-			p.ResumePC = int(fi.Base) + int(fi.N)
-			if m.sched != nil {
-				// Static rendezvous: the schedule proves process fi.C is the
-				// only sender on this channel, so the partner search inspects
-				// it alone, for the one MaskCheck the narrowed phase-1 scan
-				// pays.
-				m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
-				m.Stats.MaskChecks++
-				s := m.Procs[fi.C]
-				if s.Status == PBlockedSend && s.WaitChan == chanID &&
-					m.deliver(s.Pending, s.PendingFlags, s.ID, p, p.WaitPort) {
-					if m.flt != nil {
-						return
-					}
-					m.directXfers++
-					m.unblock(s, s.ResumePC)
-					pcF = int(fp.Map[p.ResumePC])
-					continue
-				}
-				if m.flt != nil {
-					return
-				}
-				// The baseline's failed search pays a second MaskCheck (the
-				// phase-2 alt-arm pass) before blocking.
-				m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
-				m.Stats.MaskChecks++
-				p.Status = PBlockedRecv
-				return
-			}
-			// No static schedule (manual or queue mode): the generic path.
-			if !m.Config.Manual && m.tryCompleteRecv(p) {
-				if m.flt != nil {
-					return
-				}
-				pcF = int(fp.Map[p.ResumePC])
-				continue
-			}
-			if m.flt != nil {
-				return
-			}
-			p.Status = PBlockedRecv
-			m.regRecv(p, chanID)
-			return
-
-		case ir.FXferRec:
-			// The NewRecord half can fault and emits an alloc trace, both of
-			// which must observe the meter exactly as the baseline leaves it
-			// after one instruction — so the prologue's two-instruction bulk
-			// charge is unwound to one here, and the Send's instruction is
-			// charged once the record exists.
-			m.Cycles -= m.Cost.PerInstr
-			m.Stats.Instrs--
-			if !m.xferRecAlloc(p, fi) {
-				return
-			}
-			m.Cycles += m.Cost.PerInstr
-			m.Stats.Instrs++
-			p.PC = int(fi.Base) + 1
-			v := p.pop()
-			flags := 0
-			if fi.Sense {
-				flags = ir.FlagFreeAfter
-			}
-			p.Pending = v
-			p.PendingFlags = flags
-			p.WaitChan = int(fi.A)
-			p.ResumePC = int(fi.Base) + int(fi.N)
-			if next, ok := m.fusedSendDir(p, fp, fi); ok {
-				pcF = next
-				continue
-			}
-			return
-
 		case ir.FAlt:
 			p.AltIdx = int(fi.A)
 			if m.Config.Manual {
@@ -639,83 +538,6 @@ func (m *Machine) execFused(p *ProcInst) {
 			return
 		}
 	}
-}
-
-// fusedSendDir performs the send half of FSendDir/FXferRec: the value and
-// blocking descriptor are already on p. It returns the fused pc to
-// continue at and true, or false when p blocked or faulted (the caller
-// returns). With the static schedule live, the partner search inspects
-// only process fi.C — the schedule proves it is the only process with a
-// receive site on the channel — for the same single MaskCheck the
-// narrowed scan pays.
-func (m *Machine) fusedSendDir(p *ProcInst, fp *ir.FusedProc, fi *ir.FInstr) (int, bool) {
-	chanID := p.WaitChan
-	if m.sched != nil {
-		m.chargeEv(obs.KindMaskCheck, m.Cost.MaskCheck)
-		m.Stats.MaskChecks++
-		r := m.Procs[fi.C]
-		if r.Status == PBlockedRecv && r.WaitChan == chanID &&
-			m.deliver(p.Pending, p.PendingFlags, p.ID, r, r.WaitPort) {
-			if m.flt != nil {
-				return 0, false
-			}
-			m.directXfers++
-			m.unblock(r, r.ResumePC)
-			p.Pending = Value{}
-			return int(fp.Map[p.ResumePC]), true
-		}
-		if m.flt != nil {
-			return 0, false
-		}
-		// The channel is internal (fused pairs always are), so there is no
-		// external binding to consult: block.
-		p.Status = PBlockedSend
-		return 0, false
-	}
-	// No static schedule (manual mode, wait queues): the generic send path.
-	if !m.Config.Manual && m.tryCompleteSend(p) {
-		if m.flt != nil {
-			return 0, false
-		}
-		return int(fp.Map[p.ResumePC]), true
-	}
-	if m.flt != nil {
-		return 0, false
-	}
-	p.Status = PBlockedSend
-	m.regSend(p, chanID)
-	return 0, false
-}
-
-// xferRecAlloc runs the NewRecord half of an FXferRec exactly as the
-// baseline would: allocate, absorb or link the B fields popped from the
-// stack, push the result. Returns false when it faulted (the caller must
-// have set p.PC to the NewRecord's base pc and charged exactly one
-// PerInstr beforehand, so fault attribution and the meter match the
-// baseline).
-func (m *Machine) xferRecAlloc(p *ProcInst, fi *ir.FInstr) bool {
-	o := m.heap.Alloc(fi.Type, int(fi.B))
-	if o == nil {
-		m.setFault(&Fault{Kind: FaultOutOfObjects, Msg: "allocation failed: live-object bound exceeded"}, p)
-		return false
-	}
-	m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
-	m.Stats.Allocs++
-	m.traceAlloc(p.ID)
-	for i := int(fi.B) - 1; i >= 0; i-- {
-		v := p.pop()
-		o.Elems[i] = v
-		if v.IsRef && fi.Val&(1<<i) == 0 {
-			if f := m.heap.Link(v.Ref); f != nil {
-				m.setFault(f, p)
-				return false
-			}
-			m.chargeEv(obs.KindRefOp, m.Cost.RefOp)
-			m.Stats.RefOps++
-		}
-	}
-	p.push(RefVal(o))
-	return true
 }
 
 // fusedCmp evaluates a comparison operator on raw ints.

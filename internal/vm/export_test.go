@@ -1,8 +1,8 @@
 package vm
 
-// DirectXfers returns how many rendezvous m completed through the static
-// schedule's direct transfers.
-func DirectXfers(m *Machine) int64 { return m.directXfers }
+// ScanLists reports whether m narrows its partner scans to the static
+// schedule's per-channel scan lists.
+func ScanLists(m *Machine) bool { return m.sched != nil }
 
 // KeptProcs returns how many processes m's restores left as they were
 // instead of rebuilding them.

@@ -113,8 +113,8 @@ type Machine struct {
 	// with the program's other machines.
 	fused []*ir.FusedProc
 
-	// sched is the runtime form of the static rendezvous schedule
-	// (fused engine, auto + bit-mask mode only; nil otherwise).
+	// sched is the runtime form of the static rendezvous schedule, the
+	// scan lists (fused engine, auto + bit-mask mode only; nil otherwise).
 	// Immutable; schedStore is its backing storage so New performs no
 	// extra allocation for it.
 	sched      *schedRT
@@ -137,15 +137,11 @@ type Machine struct {
 	baseVersion uint64
 	dirty       []bool
 
-	// directXfers counts rendezvous completed through the static
-	// schedule's direct transfers. It is not part of Stats: to every
-	// observer a direct transfer is an ordinary rendezvous. Only tests
-	// read it, to see that the fast path ran. For the same purpose,
 	// keptProcs counts the processes RestoreState left as they were,
 	// copiedSegs the key segments SaveKey copied from the base, and
 	// sharedProcs the times a process that was not dirty was rebuilt or
-	// walked because it shares an object.
-	directXfers int64
+	// walked because it shares an object. They are not part of Stats;
+	// only tests read them, to see that the incremental paths ran.
 	keptProcs   int64
 	copiedSegs  int64
 	sharedProcs int64
@@ -230,7 +226,7 @@ func New(prog *ir.Program, cfg Config) *Machine {
 			m.fused = ir.FuseProgram(prog)
 		}
 		if !cfg.Manual && !cfg.UseWaitQueues && prog.Schedule != nil {
-			// The static schedule drives the fast paths only in auto,
+			// The scan lists narrow the partner scans only in auto,
 			// bit-mask mode: Manual machines (the model checker) enumerate
 			// communications themselves, and queue mode's charges are tied
 			// to the dynamic queues.

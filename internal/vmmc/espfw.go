@@ -33,8 +33,8 @@ type ESPFirmware struct {
 const maxLiveObjects = 512
 
 // Engine selects the VM interpreter the ESP firmware runs on (fused by
-// default; it runs the optimizer's static rendezvous schedule, with
-// direct transfers on the statically-matched channels). vmmcbench's
+// default; its partner scans walk the optimizer's per-channel scan
+// lists). vmmcbench's
 // -engine flag flips it for differential runs; the latency figures are
 // engine-independent because every engine charges the same cycle cost
 // model.
