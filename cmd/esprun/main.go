@@ -45,7 +45,6 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in Perfetto or chrome://tracing; timestamps are VM cycles); the flight recorder then keeps every event instead of a -flight ring")
 		profile    = flag.Bool("profile", false, "print the hot-line cycle profile and per-event breakdown at exit")
 		profileTop = flag.Int("profile-top", 10, "lines shown by -profile")
-		engineName = flag.String("engine", "fused", "execution engine: fused (superinstructions, plus partner scans narrowed to the optimizer's scan lists) or baseline; identical semantics and cycle accounting")
 		flight     = flag.Int("flight", obs.DefaultRingSize, "flight-recorder ring size; the recorder is always on so a fault prints a postmortem of the last events (0 disables it)")
 		pmPath     = flag.String("postmortem", "", "write the full flight-recorder dump to this file at exit (obscheck -postmortem validates the format)")
 		telemetry  = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): /metrics, /statusz, /trace?last=N")
@@ -68,17 +67,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	engine, err := esplang.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
-		os.Exit(2)
-	}
 	prog, err := esplang.CompileFile(flag.Arg(0), esplang.CompileOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "esprun: %v\n", err)
 		os.Exit(1)
 	}
-	m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: *maxObjects, MaxCycles: *maxCycles, Engine: engine})
+	m := prog.Machine(esplang.MachineConfig{MaxLiveObjects: *maxObjects, MaxCycles: *maxCycles})
 
 	var prof *obs.Profiler
 	if *profile {
@@ -106,9 +100,9 @@ func main() {
 			os.Exit(1)
 		}
 		srv.SetRecorder(rec)
-		progName, eng := flag.Arg(0), engine
+		progName := flag.Arg(0)
 		srv.SetStatus(func(w io.Writer) {
-			fmt.Fprintf(w, "program: %s\nengine: %v\n", progName, eng)
+			fmt.Fprintf(w, "program: %s\n", progName)
 		})
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s\n", srv.Addr())
 	}

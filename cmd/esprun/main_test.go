@@ -54,21 +54,6 @@ process drain { while (true) { in( c, $v); } }
 	}
 }
 
-// TestUnknownEngineExits2: -engine accepts only baseline and fused; any
-// other name is a usage error (exit 2) that names the accepted engines.
-func TestUnknownEngineExits2(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-engine", "compiled", filepath.Join("..", "..", "testdata", "pipeline.esp"))
-	cmd.Env = append(os.Environ(), "ESPRUN_AS_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("esprun -engine compiled exited with %v, want exit status 2; output:\n%s", err, out)
-	}
-	if want := `esprun: unknown engine "compiled" (want baseline or fused)`; !strings.Contains(string(out), want) {
-		t.Errorf("output lacks %q:\n%s", want, out)
-	}
-}
-
 // TestRejectsBadBounds: a negative -max-cycles, -max-objects or -flight
 // is a usage error naming the flag (exit 2), not an unbounded run, a
 // disabled leak bound or a dropped fault postmortem.

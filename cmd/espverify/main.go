@@ -38,7 +38,6 @@ func main() {
 		progress  = flag.Bool("progress", false, "print periodic search progress to stderr (states, frontier, states/s, memory)")
 		progressI = flag.Duration("progress-interval", 2*time.Second, "interval between -progress samples")
 		metricsF  = flag.String("metrics", "", "write a JSON metrics snapshot of the search to this file at exit")
-		engineN   = flag.String("engine", "fused", "VM engine driving the search: fused or baseline (verdicts and state counts are identical)")
 		por       = flag.Bool("por", false, "partial-order reduction: explore one ample subset of independent transitions per state (verdict-preserving)")
 		porStats  = flag.Bool("por-stats", false, "with -por (implied): print ample-set hit rate, proviso fallbacks, and deferred-transition counts after the search")
 		noVet     = flag.Bool("no-vet", false, "do not print espvet static-analysis findings before checking")
@@ -88,11 +87,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "espverify: -bits must be at most %d, got %d\n", mc.MaxBitstateBits, *bits)
 		os.Exit(2)
 	}
-	engine, err := esplang.ParseEngine(*engineN)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
-		os.Exit(2)
-	}
 	prog, err := esplang.CompileFile(flag.Arg(0), esplang.CompileOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "espverify: %v\n", err)
@@ -125,7 +119,6 @@ func main() {
 		MaxLiveObjects:  *maxLive,
 		EndRecvOK:       *endRecv,
 		NoDeadlockCheck: *noDead,
-		Engine:          engine,
 	}
 	if *por || *porStats {
 		opts.Reduction = esplang.AmpleSets
@@ -146,7 +139,7 @@ func main() {
 		defer srv.Close()
 		progName := flag.Arg(0)
 		srv.SetStatus(func(w io.Writer) {
-			fmt.Fprintf(w, "program: %s\nmode: %s\nengine: %v\n", progName, *mode, engine)
+			fmt.Fprintf(w, "program: %s\nmode: %s\n", progName, *mode)
 		})
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s\n", srv.Addr())
 	}

@@ -28,9 +28,6 @@ var flavors = []vmmc.Flavor{vmmc.ESP, vmmc.Orig, vmmc.OrigNoFastPaths}
 // verification runs hand to the model checker.
 var mcWorkers int
 
-// mcEngine is the -engine flag: the VM engine the verification runs use.
-var mcEngine esplang.Engine
-
 // mcMetrics, when -telemetry is set, routes the §5.3 verification
 // searches' counters into the telemetry registry.
 var mcMetrics *obs.Metrics
@@ -46,7 +43,6 @@ func main() {
 		trace = flag.String("trace", "", "run one traced ESP ping-pong and write its Chrome trace-event JSON here (open in Perfetto)")
 		prof  = flag.Bool("profile", false, "run one traced ESP ping-pong and print the firmware's hot-line cycle profile")
 		tsize = flag.Int("trace-size", 1024, "message size for -trace/-profile")
-		engN  = flag.String("engine", "fused", "VM engine for firmware runs and verification: fused or baseline (figures and verdicts are engine-independent)")
 		telem = flag.String("telemetry", "", "serve live telemetry on this address (e.g. 127.0.0.1:9464): every cluster the run builds feeds one /metrics registry")
 	)
 	flag.Parse()
@@ -64,13 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 	mcWorkers = *mcW
-	engine, err := esplang.ParseEngine(*engN)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vmmcbench: %v\n", err)
-		os.Exit(2)
-	}
-	vmmc.Engine = engine
-	mcEngine = engine
 
 	if *telem != "" {
 		// One registry aggregates every cluster built during the run (the
@@ -85,7 +74,7 @@ func main() {
 		}
 		defer srv.Close()
 		srv.SetStatus(func(w io.Writer) {
-			fmt.Fprintf(w, "campaign: vmmcbench\nengine: %v\n", engine)
+			fmt.Fprintf(w, "campaign: vmmcbench\n")
 		})
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s\n", srv.Addr())
 	}
@@ -244,7 +233,7 @@ func tableLoc() {
 func tableVerify() {
 	fmt.Println("Table: verification statistics (§5.3)")
 	cfg := nic.DefaultConfig()
-	vo := esplang.VerifyOptions{Workers: mcWorkers, Engine: mcEngine, Metrics: mcMetrics}
+	vo := esplang.VerifyOptions{Workers: mcWorkers, Metrics: mcMetrics}
 
 	res, err := vmmc.VerifyFirmware(cfg, 2, vo)
 	die(err)

@@ -66,7 +66,8 @@ type (
 	// narrows its partner scans to the optimizer's per-channel scan lists
 	// whenever the program carries them) or the baseline
 	// one-instruction-at-a-time loop, kept as a differential-testing
-	// oracle. Both charge the identical cycle cost model.
+	// oracle that the fuzz oracle and the differential suite select. Both
+	// charge the identical cycle cost model; no CLI takes an engine.
 	Engine = vm.Engine
 	// MachineStats is the machine's event-statistics counters
 	// (Machine.Stats).
@@ -125,10 +126,6 @@ const (
 	RunIdle   = vm.RunIdle
 	RunFault  = vm.RunFault
 )
-
-// ParseEngine parses an engine name ("baseline" or "fused"), for CLI
-// -engine flags.
-var ParseEngine = vm.ParseEngine
 
 // Value constructors (re-exported).
 var (
@@ -300,7 +297,7 @@ func (p *Program) DisasmFused() string {
 }
 
 // DumpIndependence renders the transition-independence table the
-// partial-order reduction and the ESPV013/ESPV014 checks consume: which
+// partial-order reduction and the ESPV013 check consume: which
 // processes touch each channel, per-process heap-cleanliness verdicts,
 // ref-flow regions, and the resulting independent process pairs. The
 // table is computed from the program's code, optimized unless compiled

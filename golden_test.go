@@ -93,7 +93,7 @@ func TestAppendixBFusedDisasmGolden(t *testing.T) {
 
 // TestPipelineFusedDisasmGolden locks the fused rendering of a program
 // whose counter loops actually fuse: fconstst, flccmpbr, fincrlocal,
-// floadsend, and friends all appear here with their base-pc ranges.
+// flcbin, fmove, and friends all appear here with their base-pc ranges.
 func TestPipelineFusedDisasmGolden(t *testing.T) {
 	prog, err := esplang.CompileFile("testdata/pipeline.esp", esplang.CompileOptions{Name: "pipeline"})
 	if err != nil {

@@ -46,17 +46,16 @@ type Check struct {
 
 // The espvet checks.
 var (
-	CheckUninit          = Check{"ESPV001", "uninit-read", "read of a local variable that is never assigned on some path"}
-	CheckLeak            = Check{"ESPV002", "leak", "an owned object's last tracked reference is overwritten, rebound, or reaches process exit"}
-	CheckUseAfterFree    = Check{"ESPV003", "use-after-free", "use of a variable after its reference was released"}
-	CheckDoubleFree      = Check{"ESPV004", "double-free", "a variable's reference is released twice"}
-	CheckOrphanChan      = Check{"ESPV010", "orphan-channel", "a channel is only ever sent or only ever received"}
-	CheckSelfRendezvous  = Check{"ESPV011", "self-rendezvous", "only one process communicates on a channel; it cannot rendezvous with itself"}
-	CheckDeadAltArm      = Check{"ESPV012", "dead-alt-arm", "an alt arm has no cross-process counterparty in the opposite direction"}
-	CheckIndepAltArms    = Check{"ESPV013", "indep-alt-arms", "an alt's arms can never compete: their counterparties are pairwise independent, so the choice is unobservable"}
-	CheckOrderedChanPair = Check{"ESPV014", "ordered-chan-pair", "a channel pair independent of every other process: all its interleavings are equivalent (fusion candidate)"}
-	CheckUnreachable     = Check{"ESPV020", "unreachable-code", "statements that control flow can never reach"}
-	CheckDeadStore       = Check{"ESPV021", "dead-store", "a stored value is never read"}
+	CheckUninit         = Check{"ESPV001", "uninit-read", "read of a local variable that is never assigned on some path"}
+	CheckLeak           = Check{"ESPV002", "leak", "an owned object's last tracked reference is overwritten, rebound, or reaches process exit"}
+	CheckUseAfterFree   = Check{"ESPV003", "use-after-free", "use of a variable after its reference was released"}
+	CheckDoubleFree     = Check{"ESPV004", "double-free", "a variable's reference is released twice"}
+	CheckOrphanChan     = Check{"ESPV010", "orphan-channel", "a channel is only ever sent or only ever received"}
+	CheckSelfRendezvous = Check{"ESPV011", "self-rendezvous", "only one process communicates on a channel; it cannot rendezvous with itself"}
+	CheckDeadAltArm     = Check{"ESPV012", "dead-alt-arm", "an alt arm has no cross-process counterparty in the opposite direction"}
+	CheckIndepAltArms   = Check{"ESPV013", "indep-alt-arms", "an alt's arms can never compete: their counterparties are pairwise independent, so the choice is unobservable"}
+	CheckUnreachable    = Check{"ESPV020", "unreachable-code", "statements that control flow can never reach"}
+	CheckDeadStore      = Check{"ESPV021", "dead-store", "a stored value is never read"}
 )
 
 // Checks lists every check in ID order (for documentation and CLIs).
@@ -64,8 +63,7 @@ func Checks() []Check {
 	return []Check{
 		CheckUninit, CheckLeak, CheckUseAfterFree, CheckDoubleFree,
 		CheckOrphanChan, CheckSelfRendezvous, CheckDeadAltArm,
-		CheckIndepAltArms, CheckOrderedChanPair,
-		CheckUnreachable, CheckDeadStore,
+		CheckIndepAltArms, CheckUnreachable, CheckDeadStore,
 	}
 }
 

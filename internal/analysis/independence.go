@@ -420,23 +420,17 @@ func cleanProc(p *ir.Proc, g *cfg, univ *types.Universe) string {
 }
 
 // ---------------------------------------------------------------------------
-// Diagnostics (ESPV013, ESPV014)
+// Diagnostics (ESPV013)
 
-// analyzeIndependence reports the two independence-driven findings:
-//
-//   - ESPV013: an alt whose arms can never compete — every pair of arms
-//     is on different channels whose counterparties are disjoint and
-//     pairwise independent (so selecting one arm can never disable
-//     another), and the arm transitions themselves commute: their
-//     downstream channel frontiers are disjoint and neither arm's local
-//     effects touch locals the other reads or writes. Serving order then
-//     forms a confluence diamond — the nondeterministic choice can never
-//     be observed by the rest of the program;
-//   - ESPV014: an internal channel touched by exactly one sender and one
-//     receiver process that is independent of every other process — its
-//     rendezvous are totally ordered with respect to the rest of the
-//     program (all interleavings are equivalent), making it a fusion
-//     candidate the scheduler rejected only because of an alt site.
+// analyzeIndependence reports the independence-driven finding ESPV013:
+// an alt whose arms can never compete — every pair of arms is on
+// different channels whose counterparties are disjoint and pairwise
+// independent (so selecting one arm can never disable another), and the
+// arm transitions themselves commute: their downstream channel frontiers
+// are disjoint and neither arm's local effects touch locals the other
+// reads or writes. Serving order then forms a confluence diamond — the
+// nondeterministic choice can never be observed by the rest of the
+// program.
 func analyzeIndependence(prog *ir.Program, cfgs []*cfg, r *reporter) {
 	ind, sends, recvs := computeIndependence(prog, cfgs)
 	sendProcs := make([][]int, len(prog.Channels))
@@ -446,7 +440,6 @@ func analyzeIndependence(prog *ir.Program, cfgs []*cfg, r *reporter) {
 		recvProcs[ch] = procSet(recvs[ch])
 	}
 
-	// ESPV013 — always-independent alt arms.
 	for pi, p := range prog.Procs {
 		g := cfgs[pi]
 		for bi := range g.blocks {
@@ -472,47 +465,6 @@ func analyzeIndependence(prog *ir.Program, cfgs []*cfg, r *reporter) {
 				})
 			}
 		}
-	}
-
-	// ESPV014 — totally ordered channel pair. Only meaningful when there
-	// is a rest-of-program to be independent of (vacuous on two-process
-	// programs, where every channel pair trivially dominates).
-	for _, ch := range prog.Channels {
-		id := ch.ID
-		if len(prog.Procs) < 3 {
-			break
-		}
-		if ch.Ext != ir.ExtNone || len(sendProcs[id]) != 1 || len(recvProcs[id]) != 1 {
-			continue
-		}
-		a, b := sendProcs[id][0], recvProcs[id][0]
-		if a == b {
-			continue
-		}
-		if !hasAltSite(sends[id]) && !hasAltSite(recvs[id]) {
-			continue // the scheduler fuses it already; nothing to report
-		}
-		ordered := true
-		for q := range prog.Procs {
-			if q == a || q == b {
-				continue
-			}
-			if !ind.Independent(a, q) || !ind.Independent(b, q) {
-				ordered = false
-				break
-			}
-		}
-		if !ordered {
-			continue
-		}
-		s := firstSite(append(append([]commSite{}, sends[id]...), recvs[id]...))
-		r.report(&Finding{
-			Check: CheckOrderedChanPair,
-			Proc:  s.proc.Name,
-			Pos:   s.pos,
-			Msg: fmt.Sprintf("channel %s is totally ordered: only %s and %s touch it and both are independent of every other process, so all interleavings are equivalent — an alt site is the only reason the scheduler did not fuse it",
-				ch.Name, prog.Procs[a].Name, prog.Procs[b].Name),
-		})
 	}
 }
 

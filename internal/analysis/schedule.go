@@ -21,13 +21,11 @@ func ComputeSchedule(prog *ir.Program) *ir.Schedule {
 	sends, recvs := collectCommSites(prog, cfgs)
 
 	s := &ir.Schedule{
-		Writers:  make([][]int, len(prog.Channels)),
-		Readers:  make([][]int, len(prog.Channels)),
-		Internal: make([]bool, len(prog.Channels)),
+		Writers: make([][]int, len(prog.Channels)),
+		Readers: make([][]int, len(prog.Channels)),
 	}
 	for _, ch := range prog.Channels {
 		id := ch.ID
-		s.Internal[id] = ch.Ext == ir.ExtNone
 		s.Writers[id] = procSet(sends[id])
 		s.Readers[id] = procSet(recvs[id])
 	}
@@ -46,14 +44,4 @@ func procSet(sites []commSite) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// hasAltSite reports whether any site is an alt arm.
-func hasAltSite(sites []commSite) bool {
-	for _, s := range sites {
-		if s.arm != nil {
-			return true
-		}
-	}
-	return false
 }

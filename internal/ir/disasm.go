@@ -131,6 +131,8 @@ func AppendFInstr(b []byte, p *Proc, in FInstr) []byte {
 	switch in.Op {
 	case FConst:
 		return emit.Appendf(b, "fconst %d", in.Val)
+	case FBin:
+		return append(append(b, 'f'), sub...)
 	case FLoad, FStore:
 		b = append(append(b, in.Op.String()...), ' ')
 		return slot(b, in.A)
@@ -189,16 +191,6 @@ func AppendFInstr(b []byte, p *Proc, in FInstr) []byte {
 	case FMove:
 		b = slot(append(b, "fmove "...), in.B)
 		return slot(append(b, " = "...), in.A)
-	case FLoadField:
-		b = slot(append(b, "floadfield "...), in.A)
-		return emit.Appendf(b, ".%d", in.B)
-	case FLoadSend:
-		b = slot(append(b, "floadsend "...), in.A)
-		b = emit.Appendf(b, " chan=%d", in.B)
-		return appendFreeAfter(b, in.C&FlagFreeAfter != 0)
-	case FConstSend:
-		b = emit.Appendf(b, "fconstsend %d chan=%d", in.Val, in.B)
-		return appendFreeAfter(b, in.C&FlagFreeAfter != 0)
 	default:
 		return append(b, in.Op.String()...)
 	}

@@ -1,7 +1,7 @@
 // Fused execution form: the load-time translation the VM's fused engine
 // runs. Translation collapses common stack sequences into
 // superinstructions (local increments, compare-and-branch, load-op-store,
-// load-and-send), resolves every jump target to a fused-code index, and
+// local moves), resolves every jump target to a fused-code index, and
 // pre-resolves the type of every allocation site, so the interpreter loop
 // dispatches once where the baseline dispatched three or four times.
 //
@@ -19,11 +19,13 @@
 //     Send/SendCommit/Recv included (Leaders(p, true)): control can only
 //     ever land on a group head, so the base-pc -> fused-index map is
 //     total over reachable resume points;
-//   - an instruction that can fault or emit a trace event (Div/Mod,
-//     GetField, Send) may only be the LAST component of a group: all
-//     preceding components are pure, so when the event fires the cycle
-//     meter — bulk-charged at group entry — reads exactly what the
-//     baseline's per-instruction charging would read.
+//   - an instruction that can fault or emit a trace event may only be
+//     the LAST component of a group: all preceding components are pure,
+//     so when the event fires the cycle meter — bulk-charged at group
+//     entry — reads exactly what the baseline's per-instruction charging
+//     would read. The only such components are Div/Mod, closing an
+//     FLCBin/FLLBin; every other faulting or tracing instruction runs as
+//     its own 1:1 group.
 package ir
 
 import "esplang/internal/types"
@@ -31,8 +33,9 @@ import "esplang/internal/types"
 // FOp is a fused-engine opcode.
 type FOp uint8
 
-// Fused opcodes. The first block mirrors the base ISA one for one; the
-// second block is the superinstructions.
+// Fused opcodes. The first block runs one base instruction each: every
+// base opcode has its own, except the eleven binary operators, which
+// share FBin; the second block is the superinstructions.
 const (
 	FNop FOp = iota
 	FConst
@@ -43,17 +46,7 @@ const (
 	FPop
 	FNeg
 	FNot
-	FAdd
-	FSub
-	FMul
-	FDiv
-	FMod
-	FEq
-	FNe
-	FLt
-	FLe
-	FGt
-	FGe
+	FBin       // Sub = the base operator, Add..Ge
 	FJump      // A = fused target index
 	FJumpFalse // A = fused target index
 	FJumpTrue  // A = fused target index
@@ -88,17 +81,12 @@ const (
 	FLLBinSt   // LoadLocal A; LoadLocal C; <bin>; StoreLocal B
 	FConstSt   // Const Val; StoreLocal B
 	FMove      // LoadLocal A; StoreLocal B
-	FLoadField // LoadLocal A; GetField B
-	FLoadSend  // LoadLocal A; Send on B with flags C
-	FConstSend // Const Val; Send on B with flags C
 )
 
 var fopNames = [...]string{
 	FNop: "fnop", FConst: "fconst", FSelfID: "fselfid",
 	FLoad: "fload", FStore: "fstore", FDup: "fdup", FPop: "fpop",
-	FNeg: "fneg", FNot: "fnot",
-	FAdd: "fadd", FSub: "fsub", FMul: "fmul", FDiv: "fdiv", FMod: "fmod",
-	FEq: "feq", FNe: "fne", FLt: "flt", FLe: "fle", FGt: "fgt", FGe: "fge",
+	FNeg: "fneg", FNot: "fnot", FBin: "fbin",
 	FJump: "fjump", FJumpFalse: "fjumpfalse", FJumpTrue: "fjumptrue",
 	FNewRecord: "fnewrecord", FNewUnion: "fnewunion", FNewArray: "fnewarray",
 	FGetField: "fgetfield", FSetField: "fsetfield",
@@ -108,8 +96,7 @@ var fopNames = [...]string{
 	FSend: "fsend", FSendCommit: "fsendcommit", FRecv: "frecv", FAlt: "falt",
 	FIncrLocal: "fincrlocal", FLCCmpBr: "flccmpbr", FLLCmpBr: "fllcmpbr", FCmpBr: "fcmpbr",
 	FLCBin: "flcbin", FLLBin: "fllbin", FLCBinSt: "flcbinst", FLLBinSt: "fllbinst",
-	FConstSt: "fconstst", FMove: "fmove", FLoadField: "floadfield",
-	FLoadSend: "floadsend", FConstSend: "fconstsend",
+	FConstSt: "fconstst", FMove: "fmove",
 }
 
 func (o FOp) String() string {
@@ -122,7 +109,7 @@ func (o FOp) String() string {
 // FInstr is one fused instruction.
 type FInstr struct {
 	Op    FOp
-	Sub   Op     // operator selector of arithmetic/compare superinstructions
+	Sub   Op     // operator selector of FBin and the arithmetic/compare superinstructions
 	Sense bool   // branch superinstructions: jump when the condition is true
 	N     uint16 // base instructions this FInstr covers (cost accounting)
 	A     int32
@@ -147,13 +134,14 @@ func isCmp(op Op) bool  { return op >= Eq && op <= Ge }
 func isBin(op Op) bool  { return op >= Add && op <= Ge }
 func isPure(op Op) bool { return isBin(op) && op != Div && op != Mod }
 
-// mirror maps each base opcode to its 1:1 fused counterpart.
+// mirror maps each base opcode to its 1:1 fused counterpart (binary
+// operators map to FBin).
 var mirror = [...]FOp{
 	Nop: FNop, Const: FConst, SelfID: FSelfID,
 	LoadLocal: FLoad, StoreLocal: FStore, Dup: FDup, Pop: FPop,
 	Neg: FNeg, Not: FNot,
-	Add: FAdd, Sub: FSub, Mul: FMul, Div: FDiv, Mod: FMod,
-	Eq: FEq, Ne: FNe, Lt: FLt, Le: FLe, Gt: FGt, Ge: FGe,
+	Add: FBin, Sub: FBin, Mul: FBin, Div: FBin, Mod: FBin,
+	Eq: FBin, Ne: FBin, Lt: FBin, Le: FBin, Gt: FBin, Ge: FBin,
 	Jump: FJump, JumpIfFalse: FJumpFalse, JumpIfTrue: FJumpTrue,
 	NewRecord: FNewRecord, NewUnion: FNewUnion, NewArray: FNewArray,
 	GetField: FGetField, SetField: FSetField,
@@ -270,21 +258,18 @@ func fuseAt(code []Instr, pc int, interiorFree func(pc, n int) bool) (FInstr, in
 			return FInstr{Op: FConstSt, Val: in.Val, B: int32(b.A)}, 2
 		case in.Op == LoadLocal && b.Op == StoreLocal:
 			return FInstr{Op: FMove, A: int32(in.A), B: int32(b.A)}, 2
-		case in.Op == LoadLocal && b.Op == GetField:
-			return FInstr{Op: FLoadField, A: int32(in.A), B: int32(b.A)}, 2
-		case in.Op == LoadLocal && b.Op == Send:
-			return FInstr{Op: FLoadSend, A: int32(in.A), B: int32(b.A), C: int32(b.B)}, 2
-		case in.Op == Const && b.Op == Send:
-			return FInstr{Op: FConstSend, Val: in.Val, B: int32(b.A), C: int32(b.B)}, 2
 		}
 	}
 
 	// 1:1 mirror.
-	op := FNop
+	fi := FInstr{Op: FNop, A: int32(in.A), B: int32(in.B), Val: in.Val}
 	if int(in.Op) < len(mirror) {
-		op = mirror[in.Op]
+		fi.Op = mirror[in.Op]
 	}
-	return FInstr{Op: op, A: int32(in.A), B: int32(in.B), Val: in.Val}, 1
+	if fi.Op == FBin {
+		fi.Sub = in.Op
+	}
+	return fi, 1
 }
 
 // FuseProgram translates every process. The result is independent of

@@ -190,3 +190,41 @@ func TestFuseProgramCoversAllProcs(t *testing.T) {
 		t.Errorf("proc 1: want FConstSt, got %v", fused[1].Code[0].Op)
 	}
 }
+
+func TestFuseBinaryOpsShareFBin(t *testing.T) {
+	// A lone binary operator (its operands come off the stack) runs as
+	// FBin with the base operator in Sub, and disassembles under the
+	// operator's own name.
+	for op := Add; op <= Ge; op++ {
+		fp := fuse(t, proc([]Instr{{Op: Dup}, {Op: op}, {Op: Halt}}))
+		fi := fp.Code[1]
+		if fi.Op != FBin || fi.Sub != op || fi.N != 1 {
+			t.Fatalf("%s: want 1:1 FBin, got %+v", op, fi)
+		}
+		if got, want := string(AppendFInstr(nil, nil, fi)), "f"+op.String(); got != want {
+			t.Errorf("%s renders as %q, want %q", op, got, want)
+		}
+	}
+}
+
+func TestFuseSendAndGetFieldRunAlone(t *testing.T) {
+	// A load or constant before Send or GetField is its own group: only
+	// Div/Mod may close a multi-instruction group.
+	fp := fuse(t, proc([]Instr{
+		{Op: LoadLocal, A: 0},
+		{Op: GetField, A: 1},
+		{Op: Send, A: 0},
+		{Op: Const, Val: 3},
+		{Op: Send, A: 0},
+		{Op: Halt},
+	}))
+	want := []FOp{FLoad, FGetField, FSend, FConst, FSend, FHalt}
+	if len(fp.Code) != len(want) {
+		t.Fatalf("want %v, got %+v", want, fp.Code)
+	}
+	for i, op := range want {
+		if fp.Code[i].Op != op || fp.Code[i].N != 1 {
+			t.Errorf("fused[%d] = %+v, want 1:1 %s", i, fp.Code[i], op)
+		}
+	}
+}

@@ -10,9 +10,8 @@
 // other transitions, or which faults fire.
 //
 // The model checker's ample-set partial-order reduction consumes the
-// table (mc.Options.Reduction), and the espvet diagnostics ESPV013
-// (always-independent alt arms) and ESPV014 (totally ordered channel
-// pair) are read straight off the pair relation.
+// table (mc.Options.Reduction), and the espvet diagnostic ESPV013
+// (always-independent alt arms) is read straight off the pair relation.
 package ir
 
 import (

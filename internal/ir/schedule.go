@@ -13,7 +13,4 @@ type Schedule struct {
 	// first-match semantics.
 	Writers [][]int
 	Readers [][]int
-	// Internal[ch] reports that ch has no external binding, so the
-	// external-channel lookups on the rendezvous path can be skipped.
-	Internal []bool
 }

@@ -113,7 +113,7 @@ func (m *Machine) deliver(v Value, flags int, sender int, recv *ProcInst, portId
 }
 
 // deepCopy physically copies the object graph (preserving sharing),
-// charging DeepCopyWord per word.
+// charging Alloc per copied object and DeepCopyWord per word.
 func (m *Machine) deepCopy(v Value) Value {
 	seen := make(map[*Object]*Object)
 	var cp func(v Value) Value
@@ -132,6 +132,7 @@ func (m *Machine) deepCopy(v Value) Value {
 			m.fault(&Fault{Kind: FaultOutOfObjects, Msg: "deep copy failed: live-object bound exceeded"})
 			return v
 		}
+		m.chargeEv(obs.KindAlloc, m.Cost.Alloc)
 		m.Stats.Allocs++
 		m.traceAlloc(-1)
 		seen[o] = n
@@ -242,9 +243,6 @@ func (m *Machine) tryCompleteSend(s *ProcInst) bool {
 		}
 	}
 
-	if m.sched != nil && m.sched.internal[chanID] {
-		return false // internal channel: no external binding to consult
-	}
 	if er := m.extR[chanID]; er != nil {
 		m.chargeEv(obs.KindPoll, m.Cost.ExternalPoll)
 		m.Stats.Polls++
@@ -309,9 +307,6 @@ func (m *Machine) findSender(r *ProcInst, port int, kind string) int {
 		}
 	}
 
-	if m.sched != nil && m.sched.internal[chanID] {
-		return noSender
-	}
 	if ew := m.extW[chanID]; ew != nil {
 		m.chargeEv(obs.KindPoll, m.Cost.ExternalPoll)
 		m.Stats.Polls++
@@ -407,9 +402,6 @@ func (m *Machine) altSendArm(p *ProcInst, arm *ir.AltArm) bool {
 				return true
 			}
 		}
-	}
-	if m.sched != nil && m.sched.internal[arm.Chan] {
-		return false
 	}
 	if er := m.extR[arm.Chan]; er != nil {
 		m.chargeEv(obs.KindPoll, m.Cost.ExternalPoll)

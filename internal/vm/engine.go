@@ -1,7 +1,5 @@
 package vm
 
-import "fmt"
-
 // Engine selects the interpreter implementation; the engines differ only
 // in speed. The fused engine is the default (the zero value): it runs
 // the load-time translation of ir.FuseProgram and is observably
@@ -28,15 +26,4 @@ func (e Engine) String() string {
 		return "baseline"
 	}
 	return "engine?"
-}
-
-// ParseEngine parses the -engine flag syntax.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "fused":
-		return EngineFused, nil
-	case "baseline":
-		return EngineBaseline, nil
-	}
-	return EngineFused, fmt.Errorf("unknown engine %q (want baseline or fused)", s)
 }

@@ -21,9 +21,11 @@ import (
 //     have executed are charged and the fault pc is the component the
 //     baseline would have faulted at (the values computed by the already-
 //     charged components are not materialized — the machine is stopping);
-//   - components that can fault or emit a trace event are always the last
-//     of their group, with p.PC adjusted to their base pc first, so fault
-//     attribution and trace timestamps are bit-identical;
+//   - the only group component that can fault is the Div/Mod closing an
+//     FLCBin/FLLBin, and p.PC is moved to its base pc before the fault;
+//     every other instruction that can fault or emit a trace event runs
+//     as its own 1:1 group at p.PC = Base, so fault attribution and trace
+//     timestamps are bit-identical;
 //   - every communication takes the baseline's dynamic rendezvous path
 //     (tryCompleteSend, tryCompleteRecv, altStep); only the partner scans
 //     differ, walking the schedule's scan lists when New installed them.
@@ -94,68 +96,15 @@ func (m *Machine) execFused(p *ProcInst) {
 			v := p.pop()
 			p.push(BoolVal(v.Int == 0))
 			pcF++
-		case ir.FAdd:
+		case ir.FBin:
 			y := p.pop()
 			x := p.pop()
-			p.push(IntVal(x.Int + y.Int))
-			pcF++
-		case ir.FSub:
-			y := p.pop()
-			x := p.pop()
-			p.push(IntVal(x.Int - y.Int))
-			pcF++
-		case ir.FMul:
-			y := p.pop()
-			x := p.pop()
-			p.push(IntVal(x.Int * y.Int))
-			pcF++
-		case ir.FDiv:
-			y := p.pop()
-			x := p.pop()
-			if y.Int == 0 {
-				m.setFault(&Fault{Kind: FaultDivByZero, Msg: "division by zero"}, p)
+			r, ok := fusedBin(fi.Sub, x.Int, y.Int)
+			if !ok {
+				m.setFault(&Fault{Kind: FaultDivByZero, Msg: divMsg(fi.Sub)}, p)
 				return
 			}
-			p.push(IntVal(x.Int / y.Int))
-			pcF++
-		case ir.FMod:
-			y := p.pop()
-			x := p.pop()
-			if y.Int == 0 {
-				m.setFault(&Fault{Kind: FaultDivByZero, Msg: "modulo by zero"}, p)
-				return
-			}
-			p.push(IntVal(x.Int % y.Int))
-			pcF++
-		case ir.FEq:
-			y := p.pop()
-			x := p.pop()
-			p.push(BoolVal(x.Int == y.Int))
-			pcF++
-		case ir.FNe:
-			y := p.pop()
-			x := p.pop()
-			p.push(BoolVal(x.Int != y.Int))
-			pcF++
-		case ir.FLt:
-			y := p.pop()
-			x := p.pop()
-			p.push(BoolVal(x.Int < y.Int))
-			pcF++
-		case ir.FLe:
-			y := p.pop()
-			x := p.pop()
-			p.push(BoolVal(x.Int <= y.Int))
-			pcF++
-		case ir.FGt:
-			y := p.pop()
-			x := p.pop()
-			p.push(BoolVal(x.Int > y.Int))
-			pcF++
-		case ir.FGe:
-			y := p.pop()
-			x := p.pop()
-			p.push(BoolVal(x.Int >= y.Int))
+			p.push(r)
 			pcF++
 
 		case ir.FJump:
@@ -390,27 +339,13 @@ func (m *Machine) execFused(p *ProcInst) {
 			p.Status = PHalted
 			return
 
-		case ir.FSend, ir.FSendCommit, ir.FLoadSend, ir.FConstSend:
-			var v Value
-			var chanID, flags int
+		case ir.FSend, ir.FSendCommit:
+			chanID := int(fi.A)
 			isCommit := fi.Op == ir.FSendCommit
-			switch fi.Op {
-			case ir.FSend, ir.FSendCommit:
-				v = p.pop()
-				chanID, flags = int(fi.A), int(fi.B)
-			case ir.FLoadSend:
-				v = p.Locals[fi.A]
-				chanID, flags = int(fi.B), int(fi.C)
-				p.PC = int(fi.Base) + 1 // the Send component's pc
-			case ir.FConstSend:
-				v = Value{Int: fi.Val}
-				chanID, flags = int(fi.B), int(fi.C)
-				p.PC = int(fi.Base) + 1
-			}
-			p.Pending = v
-			p.PendingFlags = flags
+			p.Pending = p.pop()
+			p.PendingFlags = int(fi.B)
 			p.WaitChan = chanID
-			p.ResumePC = int(fi.Base) + int(fi.N)
+			p.ResumePC = int(fi.Base) + 1
 			if (!m.Config.Manual || isCommit) && m.tryCompleteSend(p) {
 				if m.flt != nil {
 					return
@@ -522,15 +457,6 @@ func (m *Machine) execFused(p *ProcInst) {
 			pcF++
 		case ir.FMove:
 			p.Locals[fi.B] = p.Locals[fi.A]
-			pcF++
-		case ir.FLoadField:
-			v := p.Locals[fi.A]
-			p.PC = int(fi.Base) + 1 // the GetField component's pc
-			o := m.checkObj(v, p)
-			if o == nil {
-				return
-			}
-			p.push(o.Elems[fi.B])
 			pcF++
 
 		default:

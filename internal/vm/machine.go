@@ -113,12 +113,10 @@ type Machine struct {
 	// with the program's other machines.
 	fused []*ir.FusedProc
 
-	// sched is the runtime form of the static rendezvous schedule, the
-	// scan lists (fused engine, auto + bit-mask mode only; nil otherwise).
-	// Immutable; schedStore is its backing storage so New performs no
-	// extra allocation for it.
-	sched      *schedRT
-	schedStore schedRT
+	// sched is the program's static rendezvous schedule, whose scan lists
+	// the partner scans walk (fused engine, auto + bit-mask mode only; nil
+	// otherwise). Immutable and shared with the program's other machines.
+	sched *ir.Schedule
 
 	// State-snapshot scratch (see savedstate.go): a per-machine generation
 	// counter for object-graph marking, the key buffer and snapshot that
@@ -230,9 +228,7 @@ func New(prog *ir.Program, cfg Config) *Machine {
 			// bit-mask mode: Manual machines (the model checker) enumerate
 			// communications themselves, and queue mode's charges are tied
 			// to the dynamic queues.
-			m.schedStore = schedRT{writers: prog.Schedule.Writers,
-				readers: prog.Schedule.Readers, internal: prog.Schedule.Internal}
-			m.sched = &m.schedStore
+			m.sched = prog.Schedule
 		}
 	}
 	// The fused engine recycles the element storage of freed objects:
@@ -512,9 +508,9 @@ func (m *Machine) candidates(chanID int, send bool) []int {
 func (m *Machine) scanList(chanID int, send bool) []int {
 	if m.sched != nil {
 		if send {
-			return m.sched.writers[chanID]
+			return m.sched.Writers[chanID]
 		}
-		return m.sched.readers[chanID]
+		return m.sched.Readers[chanID]
 	}
 	if len(m.allIdx) != len(m.Procs) {
 		// Built once per machine (the process set is fixed after New) and
@@ -525,15 +521,4 @@ func (m *Machine) scanList(chanID int, send bool) []int {
 		}
 	}
 	return m.allIdx
-}
-
-// schedRT is the runtime form of the static rendezvous schedule: the
-// per-channel candidate lists the scan loops iterate (ascending process
-// indices), and the internal-channel flags that let the rendezvous path
-// skip the external-binding lookups. Built once in New from the
-// program's Schedule; immutable thereafter.
-type schedRT struct {
-	writers  [][]int
-	readers  [][]int
-	internal []bool
 }

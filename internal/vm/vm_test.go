@@ -904,20 +904,3 @@ process drain { while (true) { in( c, $v); } }
 		t.Errorf("engines truncate at different points:\n%s\n%s", faults[0], faults[1])
 	}
 }
-
-// TestParseEngine: every engine's String round-trips through ParseEngine,
-// and nothing else parses — removed or misspelled engine names are
-// errors, not a silent fallback to some other engine.
-func TestParseEngine(t *testing.T) {
-	for _, e := range []vm.Engine{vm.EngineFused, vm.EngineBaseline} {
-		got, err := vm.ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
-		}
-	}
-	for _, bad := range []string{"compiled", "procfused", ""} {
-		if _, err := vm.ParseEngine(bad); err == nil {
-			t.Errorf("ParseEngine(%q) accepted an unknown engine", bad)
-		}
-	}
-}

@@ -34,8 +34,8 @@ const maxLiveObjects = 512
 
 // Engine selects the VM interpreter the ESP firmware runs on (fused by
 // default; its partner scans walk the optimizer's per-channel scan
-// lists). vmmcbench's
-// -engine flag flips it for differential runs; the latency figures are
+// lists). It is the seam TestEngineDifferentialVMMC sets to run the
+// firmware on the baseline engine; the latency figures are
 // engine-independent because every engine charges the same cycle cost
 // model.
 var Engine = vm.EngineFused
