@@ -74,7 +74,7 @@ func main() {
 		}
 		defer srv.Close()
 		srv.SetStatus(func(w io.Writer) {
-			fmt.Fprintf(w, "campaign: vmmcbench\n")
+			fmt.Fprintln(w, "campaign: vmmcbench")
 		})
 		fmt.Fprintf(os.Stderr, "telemetry: serving on http://%s\n", srv.Addr())
 	}
