@@ -21,11 +21,11 @@ import (
 //     have executed are charged and the fault pc is the component the
 //     baseline would have faulted at (the values computed by the already-
 //     charged components are not materialized — the machine is stopping);
-//   - the only group component that can fault is the Div/Mod closing an
-//     FLCBin/FLLBin, and p.PC is moved to its base pc before the fault;
-//     every other instruction that can fault or emit a trace event runs
-//     as its own 1:1 group at p.PC = Base, so fault attribution and trace
-//     timestamps are bit-identical;
+//   - the only multi-instruction groups that can fault are FLCBin/FLLBin
+//     ending in Div/Mod, and p.PC is moved to that component's base pc
+//     before the fault; every other instruction that can fault or emit a
+//     trace event runs as its own 1:1 group at p.PC = Base, so fault
+//     attribution and trace timestamps are bit-identical;
 //   - every communication takes the baseline's dynamic rendezvous path
 //     (tryCompleteSend, tryCompleteRecv, altStep); only the partner scans
 //     differ, walking the schedule's scan lists when New installed them.
